@@ -157,12 +157,19 @@ def fold_for_matching(word: str) -> FoldedWord:
     empty, so a lone delimiter word stays whole).  Folding the folded form
     again is a no-op.
     """
-    trailing = ""
-    body = word
-    if len(word) > 1 and word[-1] in TRAILING_PUNCTUATION:
-        trailing = word[-1]
-        body = word[:-1]
+    body, trailing = split_trailing(word)
     return FoldedWord(body.translate(_FOLD_TABLE), trailing, word)
+
+
+def split_trailing(word: str) -> tuple[str, str]:
+    """(body, trailing) with one trailing '،', '.' or ':' detached.
+
+    The delimiter stays on a one-character word, so a lone delimiter word is
+    never split into an empty body.
+    """
+    if len(word) > 1 and word[-1] in TRAILING_PUNCTUATION:
+        return word[:-1], word[-1]
+    return word, ""
 
 
 def to_western_digits(text: str) -> str:

@@ -215,36 +215,56 @@ def _parse_clause_list(ctx: _Ctx, i: int, opener: TokenKind, what: str,
     return items, i
 
 
-def _gen_article(ctx: _Ctx, i: int) -> Iterator[tuple[Article, int]]:
+def _article_header(ctx: _Ctx, i: int) -> tuple[str, int] | None:
+    """``مادة n :`` at i: the article number and the index after the colon."""
     if ctx.src.kind_at(i) is not K.MADA:
         ctx.fail(i, {K.MADA}, "expected مادة opening an article")
-        return
-    i += 1
-    num_tok = ctx.src.get(i)
+        return None
+    num_tok = ctx.src.get(i + 1)
     if num_tok.kind not in (K.NUM, K.STRING):
-        ctx.fail(i, {K.NUM, K.STRING}, "expected the article number")
-        return
-    i += 1
-    if ctx.src.kind_at(i) is not K.COLON:
-        ctx.fail(i, {K.COLON}, "expected : after the article number")
-        return
-    i += 1
-    if ctx.src.kind_at(i) is K.STRING and ctx.src.kind_at(i + 1) is K.STRING:
-        yield Article(num_tok.lexeme, ctx.src.get(i).lexeme, ctx.src.get(i + 1).lexeme), i + 2
-    if ctx.src.kind_at(i) is K.STRING:
-        yield Article(num_tok.lexeme, None, ctx.src.get(i).lexeme), i + 1
-    else:
-        ctx.fail(i, {K.STRING}, "article has no content")
+        ctx.fail(i + 1, {K.NUM, K.STRING}, "expected the article number")
+        return None
+    if ctx.src.kind_at(i + 2) is not K.COLON:
+        ctx.fail(i + 2, {K.COLON}, "expected : after the article number")
+        return None
+    return num_tok.lexeme, i + 3
 
 
 def _gen_article_list(ctx: _Ctx, i: int) -> Iterator[tuple[list[Article], int]]:
-    for art, j in _gen_article(ctx, i):
-        # Another MADA must belong to the article list; anything else ends it.
-        if ctx.src.kind_at(j) is K.MADA:
-            for rest, k in _gen_article_list(ctx, j):
-                yield [art] + rest, k
+    """Every reading of the article list at i, in ordered-choice order.
+
+    An article reads as titled when ``STRING STRING`` follows its header, and
+    as untitled when one STRING does; another MADA continues the list.  The
+    walk takes each article's first reading and yields where the list ends.
+    The only readings left are the untitled ones of titled articles, and each
+    of those ends the list: the token after it is the STRING the titled
+    reading took as content.  They follow deepest first, the order in which a
+    recursive descent backtracking per article yields, but without a stack
+    frame per article.  The yielded list is reused: it is valid only until
+    the generator resumes.
+    """
+    articles: list[Article] = []
+    titled: list[tuple[int, str, int]] = []   # (list position, number, content index)
+    while (header := _article_header(ctx, i)) is not None:
+        number, c = header
+        if ctx.src.kind_at(c) is not K.STRING:
+            ctx.fail(c, {K.STRING}, "article has no content")
+            break
+        if ctx.src.kind_at(c + 1) is K.STRING:
+            titled.append((len(articles), number, c))
+            articles.append(Article(number, ctx.src.get(c).lexeme, ctx.src.get(c + 1).lexeme))
+            i = c + 2
         else:
-            yield [art], j
+            articles.append(Article(number, None, ctx.src.get(c).lexeme))
+            i = c + 1
+        # Another MADA must belong to the article list; anything else ends it.
+        if ctx.src.kind_at(i) is not K.MADA:
+            yield articles, i
+            break
+    for k, number, c in reversed(titled):
+        del articles[k:]
+        articles.append(Article(number, None, ctx.src.get(c).lexeme))
+        yield articles, c + 1
 
 
 def _gen_loc_date(ctx: _Ctx, i: int) -> Iterator[tuple[LocDate, int]]:

@@ -6,6 +6,12 @@ text (STRING) accumulates until an expected keyword, a phrase delimiter or a
 scope bound ends it.  Matching uses folded spellings so that e.g. الامضاء
 matches the الإمضاء keyword; emitted lexemes always keep the original text.
 
+Keyword phrases (at most three words) live in one index keyed by their
+folded first word, each entry listing that word's phrases longest first: a
+cut-down Aho & Corasick trie (CACM 1975).  A probe folds the word under the
+cursor once and, for the great majority of words, stops at a missed lookup;
+later words are folded only while a candidate phrase still matches.
+
 Delimiters detached from a host word ('الجمهورية،' ends an issuer phrase) are
 queued and emitted as their own COMMA/DOT/COLON tokens before the cursor
 moves on.
@@ -16,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .normalize import NormalizedText, fold_for_matching, is_digit_run
+from .normalize import NormalizedText, fold_for_matching, is_digit_run, split_trailing
 from .tokens import Span, StopSet, Token, TokenKind, punctuation_kind
 
 
@@ -28,46 +34,47 @@ class ScanError(Exception):
         self.span = span
 
 
-def _fold_phrase(phrase: str) -> tuple[str, ...]:
-    return tuple(fold_for_matching(w).matchable for w in phrase.split(" "))
+_SPELLINGS: tuple[tuple[str, TokenKind], ...] = (
+    ("قانون", TokenKind.TYPE),
+    ("قرار", TokenKind.TYPE),
+    ("مرسوم", TokenKind.TYPE),
+    ("رقم", TokenKind.RAQM),
+    ("إن", TokenKind.INNA),
+    ("ونظرا", TokenKind.BINAA),
+    ("وبعد الاطلاع", TokenKind.BINAA),
+    ("وبعد موافقة", TokenKind.BINAA),
+    ("وبناء على", TokenKind.BINAA),
+    ("بناء على", TokenKind.BINAA),
+    ("نظرا", TokenKind.HAYSOU),
+    ("وبعد أن", TokenKind.HAYSOU),
+    ("وبما أن", TokenKind.HAYSOU),
+    ("وحيث أن", TokenKind.HAYSOU),
+    ("يرسم ما يأتي", TokenKind.YAKOUR),
+    ("يرسم ما يلي", TokenKind.YAKOUR),
+    ("يقرر ما يأتي", TokenKind.YAKOUR),
+    ("يقرر ما يلي", TokenKind.YAKOUR),
+    ("مادة", TokenKind.MADA),
+    ("المادة", TokenKind.MADA),
+    ("في", TokenKind.FI),
+    ("إمضاء", TokenKind.IMDAA),
+    ("الإمضاء", TokenKind.IMDAA),
+)
+
+# A candidate is the folded words after the first, plus the phrase's kind.
+_Candidate = tuple[tuple[str, ...], TokenKind]
 
 
-def _build_tables() -> tuple[dict[tuple[str, ...], TokenKind], ...]:
-    one: dict[tuple[str, ...], TokenKind] = {}
-    two: dict[tuple[str, ...], TokenKind] = {}
-    three: dict[tuple[str, ...], TokenKind] = {}
-    spellings: list[tuple[str, TokenKind]] = [
-        ("قانون", TokenKind.TYPE),
-        ("قرار", TokenKind.TYPE),
-        ("مرسوم", TokenKind.TYPE),
-        ("رقم", TokenKind.RAQM),
-        ("إن", TokenKind.INNA),
-        ("ونظرا", TokenKind.BINAA),
-        ("وبعد الاطلاع", TokenKind.BINAA),
-        ("وبعد موافقة", TokenKind.BINAA),
-        ("وبناء على", TokenKind.BINAA),
-        ("بناء على", TokenKind.BINAA),
-        ("نظرا", TokenKind.HAYSOU),
-        ("وبعد أن", TokenKind.HAYSOU),
-        ("وبما أن", TokenKind.HAYSOU),
-        ("وحيث أن", TokenKind.HAYSOU),
-        ("يرسم ما يأتي", TokenKind.YAKOUR),
-        ("يرسم ما يلي", TokenKind.YAKOUR),
-        ("يقرر ما يأتي", TokenKind.YAKOUR),
-        ("يقرر ما يلي", TokenKind.YAKOUR),
-        ("مادة", TokenKind.MADA),
-        ("المادة", TokenKind.MADA),
-        ("في", TokenKind.FI),
-        ("إمضاء", TokenKind.IMDAA),
-        ("الإمضاء", TokenKind.IMDAA),
-    ]
-    for phrase, kind in spellings:
-        folded = _fold_phrase(phrase)
-        {1: one, 2: two, 3: three}[len(folded)][folded] = kind
-    return one, two, three
+def _build_index() -> dict[str, tuple[_Candidate, ...]]:
+    index: dict[str, list[_Candidate]] = {}
+    for phrase, kind in _SPELLINGS:
+        first, *rest = (fold_for_matching(w).matchable for w in phrase.split(" "))
+        index.setdefault(first, []).append((tuple(rest), kind))
+    return {first: tuple(sorted(cands, key=lambda c: -len(c[0])))
+            for first, cands in index.items()}
 
 
-_KEYWORDS_1, _KEYWORDS_2, _KEYWORDS_3 = _build_tables()
+# Folded first word -> its phrases, longest first.
+_KEYWORDS = _build_index()
 
 
 @dataclass(frozen=True)
@@ -81,30 +88,33 @@ def match_keyword_phrase(text: NormalizedText, line: int, word: int,
     """Longest keyword phrase starting at (line, word), or None.
 
     Phrases never span lines; words before the last must carry no trailing
-    delimiter.  ``limit`` is an exclusive (line, word) bound.
+    delimiter.  ``limit`` is an exclusive (line, word) bound on every word of
+    the phrase, so a shorter phrase may still match inside it.
     """
     if line >= text.line_count:
         return None
     words = text.words(line)
-    for count, table in ((3, _KEYWORDS_3), (2, _KEYWORDS_2), (1, _KEYWORDS_1)):
-        end = word + count
-        if end > len(words):
+    if word >= len(words):
+        return None
+    first = fold_for_matching(words[word].text)
+    candidates = _KEYWORDS.get(first.matchable)
+    if candidates is None:
+        return None
+    folded = [first]
+    for rest, kind in candidates:
+        end = word + len(rest) + 1
+        if end > len(words) or (limit is not None and (line, end - 1) >= limit):
             continue
-        if limit is not None and (line, end - 1) >= limit:
-            continue
-        folded = [fold_for_matching(w.text) for w in words[word:end]]
-        if any(f.trailing for f in folded[:-1]):
-            continue
-        key = tuple(f.matchable for f in folded)
-        kind = table.get(key)
-        if kind is not None:
-            return KeywordMatch(kind, count)
+        for i, want in enumerate(rest, 1):
+            if folded[i - 1].trailing:
+                break
+            if i == len(folded):
+                folded.append(fold_for_matching(words[word + i].text))
+            if folded[i].matchable != want:
+                break
+        else:
+            return KeywordMatch(kind, len(rest) + 1)
     return None
-
-
-def scan_number(word: str) -> str | None:
-    """The word itself when it is a pure digit run (either script), else None."""
-    return word if is_digit_run(word) else None
 
 
 @dataclass(frozen=True)
@@ -113,7 +123,6 @@ class _Pending:
     lexeme: str
     span: Span
     detached: bool
-    at_line_end: bool
 
 
 class Scanner:
@@ -192,7 +201,7 @@ class Scanner:
 
         if TokenKind.NUM in expect.kinds:
             folded = fold_for_matching(self.text.word(self.line, self.word).text)
-            if scan_number(folded.matchable) is not None:
+            if is_digit_run(folded.matchable):
                 return self._take_number(folded)
 
         return self._take_string(expect)
@@ -201,8 +210,7 @@ class Scanner:
         kind = punctuation_kind(trailing)
         if kind is None:
             return
-        at_eol = word == len(self.text.words(line)) - 1
-        self._pending.append(_Pending(kind, trailing, Span.point(line, word), detached, at_eol))
+        self._pending.append(_Pending(kind, trailing, Span.point(line, word), detached))
 
     def _take_keyword(self, match: KeywordMatch) -> Token:
         start = self.position
@@ -210,10 +218,10 @@ class Scanner:
         for i in range(match.word_count):
             original = self.text.word(self.line, self.word).text
             if i == match.word_count - 1:
-                folded = fold_for_matching(original)
-                pieces.append(folded.body)
-                if folded.trailing:
-                    self._queue_trailing(folded.trailing, self.line, self.word, detached=True)
+                body, trailing = split_trailing(original)
+                pieces.append(body)
+                if trailing:
+                    self._queue_trailing(trailing, self.line, self.word, detached=True)
             else:
                 pieces.append(original)
             end = self.position
@@ -239,15 +247,15 @@ class Scanner:
             lone_kind = punctuation_kind(original) if len(original) == 1 else None
             if lone_kind is not None and self._delimiter_stops(lone_kind, expect):
                 self._pending.append(_Pending(lone_kind, original, Span.point(line, word),
-                                              detached=False, at_line_end=self._at_line_end()))
+                                              detached=False))
                 self._advance()
                 break
-            folded = fold_for_matching(original)
-            trailing_kind = punctuation_kind(folded.trailing) if folded.trailing else None
+            body, trailing = split_trailing(original)
+            trailing_kind = punctuation_kind(trailing) if trailing else None
             if trailing_kind is not None and self._delimiter_stops(trailing_kind, expect):
-                pieces.append(folded.body)
+                pieces.append(body)
                 end = (line, word)
-                self._queue_trailing(folded.trailing, line, word, detached=True)
+                self._queue_trailing(trailing, line, word, detached=True)
                 self._advance()
                 break
             pieces.append(original)

@@ -171,3 +171,34 @@ def test_help_exits_zero():
     code, out, _ = invoke(["--help"])
     assert code == 0
     assert "usage:" in out and "--validate" in out
+
+
+def many_articles(count: int) -> str:
+    """A valid document with ``count`` articles, every third one titled."""
+    lines = GOOD.splitlines()[:5]
+    for n in range(1, count + 1):
+        lines.append(f"مادة {n}: عنوان فرعي" if n % 3 == 0 else f"مادة {n}:")
+        lines.append(f"نص المادة رقمها {n}")
+    lines.append("بيروت في ٢٠٢٠")
+    return "\n".join(lines) + "\n"
+
+
+def test_thousands_of_articles(tmp_path):
+    # the article list is walked in a loop, not one stack frame per article
+    count = 2500
+    p = tmp_path / "long.txt"
+    p.write_text(many_articles(count), encoding="utf-8")
+    assert invoke([str(p), "--validate"]) == (0, "", "")
+
+    code, out, err = invoke([str(p), "-o", "-"])
+    assert (code, err) == (0, "")
+    articles = ET.fromstring(out.encode("utf-8")).find("articles")
+    assert [a.findtext("articleNumber") for a in articles] == [str(n) for n in range(1, count + 1)]
+    assert [a.findtext("articleTitle") for a in articles][:3] == ["", "", "عنوان فرعي"]
+
+    p.write_text(many_articles(count).replace("مرسوم", "مرسم", 1), encoding="utf-8")
+    code, out, err = invoke([str(p), "--validate"])
+    assert (code, out) == (1, "")
+    assert err.count("error:") == 1
+    assert f"at {p}:1:" in err
+    assert "Traceback" not in err

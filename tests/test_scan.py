@@ -2,14 +2,13 @@
 
 import pytest
 
-from legalc.normalize import preprocess
+from legalc.normalize import is_digit_run, preprocess
 from legalc.scanner import (
     ScanError,
     Scanner,
     dump_tokens,
     match_keyword_phrase,
     reconstruct_words,
-    scan_number,
 )
 from legalc.tokens import StopSet, Token, TokenKind
 
@@ -92,10 +91,11 @@ def test_match_respects_stop_before_limit():
 
 
 def test_scan_number():
-    assert scan_number("٢٥") == "٢٥"
-    assert scan_number("25") == "25"
-    assert scan_number("٢٥أ") is None
-    assert scan_number("") is None
+    # NUM is scanned exactly when the folded word is a digit run
+    assert is_digit_run("٢٥")
+    assert is_digit_run("25")
+    assert not is_digit_run("٢٥أ")
+    assert not is_digit_run("")
 
 
 # -- token emission ----------------------------------------------------------
