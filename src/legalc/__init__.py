@@ -5,7 +5,7 @@ high-level entry point is :func:`compile_document`; the intermediate stages
 are exposed for tools and tests.
 """
 
-from .normalize import DecodeError, NormalizedText, Word, preprocess
+from .normalize import DecodeError, NormalizedText, preprocess
 from .tokens import Span, StopSet, Token, TokenKind
 from .scanner import ScanError, Scanner, dump_tokens, reconstruct_words
 from .grammar import LengthBoundError, derivable_strings, min_derivable_length, oracle_accepts
@@ -75,7 +75,6 @@ __all__ = [
     "StopSet",
     "Token",
     "TokenKind",
-    "Word",
     "compile_document",
     "derivable_strings",
     "dump_ast",

@@ -57,11 +57,11 @@ def render_diagnostic(diag: Diagnostic, text: NormalizedText) -> str:
     if line < text.line_count and text.words(line):
         words = text.words(line)
         line_str = text.line_text(line)
-        base = words[0].start
-        anchor = words[min(word, len(words) - 1)]
-        start = anchor.start - base
+        # The line is its words joined by single spaces: a word starts after
+        # the words before it plus one space each.
+        start = sum(len(w) + 1 for w in words[:min(word, len(words) - 1)])
         if diag.span.end_line == line and diag.span.end_word < len(words):
-            end = words[diag.span.end_word].end - base
+            end = len(" ".join(words[:diag.span.end_word + 1]))
         else:
             end = len(line_str)
         out.append("  " + line_str)

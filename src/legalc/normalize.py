@@ -1,9 +1,9 @@
 """Input preprocessing for Arabic legal documents.
 
 Raw document bytes are decoded, line endings and whitespace are
-canonicalised, and the text is segmented into lines and words.  All later
-stages (scanning, parsing, XML generation) operate on the resulting
-:class:`NormalizedText` and never touch raw bytes again.
+canonicalised, and the text is segmented into lines of words, each word a
+plain string.  All later stages (scanning, parsing, XML generation) operate
+on the resulting :class:`NormalizedText` and never touch raw bytes again.
 
 Two character-level helpers live here as well because both the scanner and
 the XML generator need them:
@@ -19,7 +19,7 @@ the XML generator need them:
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Orthographic folding for keyword matching.  Alef variants collapse to bare
 # alef, taa marbuta to haa, alef maqsura to yaa; the tatweel stretching mark
@@ -56,39 +56,29 @@ class DecodeError(ValueError):
 
 
 @dataclass(frozen=True)
-class Word:
-    """One whitespace-delimited word with its offsets into the rebuilt text."""
-
-    text: str
-    start: int
-    end: int
-
-
-@dataclass(frozen=True)
 class NormalizedText:
     """Canonical form of one input document.
 
-    ``text`` holds the whole document with words separated by single spaces
-    and lines by single newlines; ``lines`` holds the same content segmented,
-    with each word carrying offsets such that ``text[w.start:w.end] == w.text``.
+    ``lines`` holds the non-blank lines in order, each a tuple of its words.
+    A word never contains a space or tab, so a line's canonical text is its
+    words joined by single spaces (:meth:`line_text`).
     """
 
-    text: str
-    lines: tuple[tuple[Word, ...], ...]
+    lines: tuple[tuple[str, ...], ...]
     source_name: str = "<input>"
 
     @property
     def line_count(self) -> int:
         return len(self.lines)
 
-    def words(self, line: int) -> tuple[Word, ...]:
+    def words(self, line: int) -> tuple[str, ...]:
         return self.lines[line]
 
-    def word(self, line: int, index: int) -> Word:
+    def word(self, line: int, index: int) -> str:
         return self.lines[line][index]
 
     def line_text(self, line: int) -> str:
-        return " ".join(w.text for w in self.lines[line])
+        return " ".join(self.lines[line])
 
 
 def preprocess(data: bytes, source_name: str = "<input>") -> NormalizedText:
@@ -105,24 +95,12 @@ def preprocess(data: bytes, source_name: str = "<input>") -> NormalizedText:
     decoded = decoded.replace("\r\n", "\n").replace("\r", "\n")
     decoded = unicodedata.normalize("NFC", decoded)
 
-    lines: list[tuple[Word, ...]] = []
-    parts: list[str] = []
-    offset = 0
+    lines: list[tuple[str, ...]] = []
     for raw_line in decoded.split("\n"):
         words = [w for w in _split_words(raw_line) if w]
-        if not words:
-            continue
-        if parts:
-            offset += 1  # newline between lines
-        rebuilt: list[Word] = []
-        for i, w in enumerate(words):
-            if i:
-                offset += 1  # single space between words
-            rebuilt.append(Word(w, offset, offset + len(w)))
-            offset += len(w)
-        parts.append(" ".join(words))
-        lines.append(tuple(rebuilt))
-    return NormalizedText(text="\n".join(parts), lines=tuple(lines), source_name=source_name)
+        if words:
+            lines.append(tuple(words))
+    return NormalizedText(tuple(lines), source_name)
 
 
 def _split_words(line: str) -> list[str]:
@@ -131,34 +109,14 @@ def _split_words(line: str) -> list[str]:
     return line.replace("\t", " ").split(" ")
 
 
-@dataclass(frozen=True)
-class FoldedWord:
-    """A word prepared for keyword matching.
+def fold_for_matching(word: str) -> str:
+    """The folded body of one word, for keyword comparison.
 
-    ``matchable`` is the folded body used for table lookups, ``trailing`` the
-    detached final delimiter ('،', '.', ':' or empty), ``original`` the exact
-    input spelling.
+    A single trailing '،', '.' or ':' is dropped first, as :func:`split_trailing`
+    detaches it (a lone delimiter word stays whole).  Callers that need the
+    delimiter call :func:`split_trailing` themselves.
     """
-
-    matchable: str
-    trailing: str = ""
-    original: str = field(default="", compare=False)
-
-    @property
-    def body(self) -> str:
-        """Original spelling minus the detached trailing delimiter."""
-        return self.original[: len(self.original) - len(self.trailing)]
-
-
-def fold_for_matching(word: str) -> FoldedWord:
-    """Fold one word for keyword comparison.
-
-    A single trailing '،', '.' or ':' is detached (never leaving the body
-    empty, so a lone delimiter word stays whole).  Folding the folded form
-    again is a no-op.
-    """
-    body, trailing = split_trailing(word)
-    return FoldedWord(body.translate(_FOLD_TABLE), trailing, word)
+    return split_trailing(word)[0].translate(_FOLD_TABLE)
 
 
 def split_trailing(word: str) -> tuple[str, str]:

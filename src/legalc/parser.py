@@ -267,21 +267,21 @@ def _gen_article_list(ctx: _Ctx, i: int) -> Iterator[tuple[list[Article], int]]:
         yield articles, c + 1
 
 
-def _gen_loc_date(ctx: _Ctx, i: int) -> Iterator[tuple[LocDate, int]]:
+def _parse_loc_date(ctx: _Ctx, i: int) -> tuple[LocDate, int] | None:
     loc_tok = ctx.src.get(i)
     if loc_tok.kind is not K.STRING:
         ctx.fail(i, {K.STRING}, "expected the location/date line")
-        return
+        return None
     nxt = ctx.src.kind_at(i + 1)
     if nxt is K.FI:
         if ctx.src.kind_at(i + 2) is K.STRING:
-            yield LocDate(loc_tok.lexeme, ctx.src.get(i + 2).lexeme, True), i + 3
-        else:
-            ctx.fail(i + 2, {K.STRING}, "expected the date after في")
+            return LocDate(loc_tok.lexeme, ctx.src.get(i + 2).lexeme, True), i + 3
+        ctx.fail(i + 2, {K.STRING}, "expected the date after في")
     elif nxt is K.STRING:
-        yield LocDate(loc_tok.lexeme, ctx.src.get(i + 1).lexeme, False), i + 2
+        return LocDate(loc_tok.lexeme, ctx.src.get(i + 1).lexeme, False), i + 2
     else:
         ctx.fail(i + 1, {K.FI, K.STRING}, "expected في or the date text after the location")
+    return None
 
 
 def _greedy_type2(ctx: _Ctx, i: int) -> tuple[list[Signature], int] | None:
@@ -361,20 +361,23 @@ def _parse_document_tokens(ctx: _Ctx) -> Document | None:
         return None
     _, i = ra
     for articles, j in _gen_article_list(ctx, i):
-        for loc_date, k in _gen_loc_date(ctx, j):
-            for signatures, m in _gen_sig_list(ctx, k):
-                if ctx.src.kind_at(m) is K.EOF:
-                    return Document(
-                        statement=statement,
-                        title=title_tok.lexeme,
-                        issuer=issuer_tok.lexeme,
-                        references=tuple(references),
-                        justifications=tuple(justifications),
-                        articles=tuple(articles),
-                        loc_date=loc_date,
-                        signatures=tuple(signatures),
-                    )
-                ctx.fail(m, {K.EOF}, "unexpected trailing input after the signature block")
+        rl = _parse_loc_date(ctx, j)
+        if rl is None:
+            continue
+        loc_date, k = rl
+        for signatures, m in _gen_sig_list(ctx, k):
+            if ctx.src.kind_at(m) is K.EOF:
+                return Document(
+                    statement=statement,
+                    title=title_tok.lexeme,
+                    issuer=issuer_tok.lexeme,
+                    references=tuple(references),
+                    justifications=tuple(justifications),
+                    articles=tuple(articles),
+                    loc_date=loc_date,
+                    signatures=tuple(signatures),
+                )
+            ctx.fail(m, {K.EOF}, "unexpected trailing input after the signature block")
     return None
 
 
@@ -461,9 +464,9 @@ def segment_trailer(text: NormalizedText, start_line: int) -> tuple[int, int] | 
 
 def _looks_like_loc_date(text: NormalizedText, line: int) -> bool:
     words = text.words(line)
-    if len(words) >= 2 and fold_for_matching(words[1].text).matchable == "في":
+    if len(words) >= 2 and fold_for_matching(words[1]) == "في":
         return True
-    return any(has_digit(w.text) for w in words)
+    return any(has_digit(w) for w in words)
 
 
 def _merge_region(tokens: list[Token]) -> Token:
@@ -488,13 +491,12 @@ class _Driver:
         self.grammar: list[Token] = []
         self.diagnostics: list[Diagnostic] = []
 
-    def take(self, stop: StopSet, to_grammar: bool = True) -> Token:
+    def take(self, stop: StopSet) -> Token:
         tok = self.sc.next_token(stop)
         if tok.kind is K.EOF:
             raise _EndOfInput
         self.fine.append(tok)
-        if to_grammar:
-            self.grammar.append(tok)
+        self.grammar.append(tok)
         return tok
 
     def drain(self) -> None:
@@ -602,7 +604,7 @@ class _Driver:
         line_end = (line + 1, 0)
         words = self.text.words(line)
         fi_index = next((i for i, w in enumerate(words)
-                         if fold_for_matching(w.text).matchable == "في"), None)
+                         if fold_for_matching(w) == "في"), None)
         if fi_index is not None:
             if fi_index > 0:
                 self.take(StopSet.of(K.FI, stop_before=line_end))            # location
@@ -610,7 +612,7 @@ class _Driver:
             if not sc.has_pending and sc.position < line_end:
                 self.take(StopSet.of(stop_before=line_end))                  # date
         else:
-            digit_index = next((i for i, w in enumerate(words) if has_digit(w.text)), None)
+            digit_index = next((i for i, w in enumerate(words) if has_digit(w)), None)
             if len(words) < 2 or digit_index is None:
                 self.diagnostics.append(Diagnostic(
                     "error", "location/date line needs a location and a date "

@@ -13,7 +13,7 @@ cursor once and, for the great majority of words, stops at a missed lookup;
 later words are folded only while a candidate phrase still matches.
 
 Delimiters detached from a host word ('الجمهورية،' ends an issuer phrase) are
-queued and emitted as their own COMMA/DOT/COLON tokens before the cursor
+queued as their own COMMA/DOT/COLON tokens and emitted before the cursor
 moves on.
 """
 
@@ -67,7 +67,7 @@ _Candidate = tuple[tuple[str, ...], TokenKind]
 def _build_index() -> dict[str, tuple[_Candidate, ...]]:
     index: dict[str, list[_Candidate]] = {}
     for phrase, kind in _SPELLINGS:
-        first, *rest = (fold_for_matching(w).matchable for w in phrase.split(" "))
+        first, *rest = (fold_for_matching(w) for w in phrase.split(" "))
         index.setdefault(first, []).append((tuple(rest), kind))
     return {first: tuple(sorted(cands, key=lambda c: -len(c[0])))
             for first, cands in index.items()}
@@ -75,6 +75,10 @@ def _build_index() -> dict[str, tuple[_Candidate, ...]]:
 
 # Folded first word -> its phrases, longest first.
 _KEYWORDS = _build_index()
+
+# A stop set without any of these cannot use a keyword match, so the scanner
+# does not probe for one.
+_KEYWORD_KINDS = frozenset(kind for _, kind in _SPELLINGS)
 
 
 @dataclass(frozen=True)
@@ -96,33 +100,24 @@ def match_keyword_phrase(text: NormalizedText, line: int, word: int,
     words = text.words(line)
     if word >= len(words):
         return None
-    first = fold_for_matching(words[word].text)
-    candidates = _KEYWORDS.get(first.matchable)
+    folded = [fold_for_matching(words[word])]
+    candidates = _KEYWORDS.get(folded[0])
     if candidates is None:
         return None
-    folded = [first]
     for rest, kind in candidates:
         end = word + len(rest) + 1
         if end > len(words) or (limit is not None and (line, end - 1) >= limit):
             continue
         for i, want in enumerate(rest, 1):
-            if folded[i - 1].trailing:
+            if split_trailing(words[word + i - 1])[1]:
                 break
             if i == len(folded):
-                folded.append(fold_for_matching(words[word + i].text))
-            if folded[i].matchable != want:
+                folded.append(fold_for_matching(words[word + i]))
+            if folded[i] != want:
                 break
         else:
             return KeywordMatch(kind, len(rest) + 1)
     return None
-
-
-@dataclass(frozen=True)
-class _Pending:
-    kind: TokenKind
-    lexeme: str
-    span: Span
-    detached: bool
 
 
 class Scanner:
@@ -136,7 +131,7 @@ class Scanner:
         self.text = text
         self.line = 0
         self.word = 0
-        self._pending: deque[_Pending] = deque()
+        self._pending: deque[Token] = deque()
 
     # -- cursor helpers -------------------------------------------------
 
@@ -187,53 +182,54 @@ class Scanner:
         :class:`ScanError` when asked for a token in an exhausted scope.
         """
         if self._pending:
-            p = self._pending.popleft()
-            return Token(p.kind, p.lexeme, p.span, detached=p.detached)
+            return self._pending.popleft()
 
         if self.at_end():
             return Token(TokenKind.EOF, "", self._eof_span())
         if self._at_bound(expect.stop_before):
             raise ScanError("no input left in this scan region", Span.point(self.line, self.word))
 
-        match = match_keyword_phrase(self.text, self.line, self.word, expect.stop_before)
-        if match is not None and match.kind in expect.kinds:
-            return self._take_keyword(match)
+        if not expect.kinds.isdisjoint(_KEYWORD_KINDS):
+            match = match_keyword_phrase(self.text, self.line, self.word, expect.stop_before)
+            if match is not None and match.kind in expect.kinds:
+                return self._take_keyword(match)
 
         if TokenKind.NUM in expect.kinds:
-            folded = fold_for_matching(self.text.word(self.line, self.word).text)
-            if is_digit_run(folded.matchable):
-                return self._take_number(folded)
+            original = self.text.word(self.line, self.word)
+            if is_digit_run(fold_for_matching(original)):
+                return self._take_number(original)
 
         return self._take_string(expect)
 
-    def _queue_trailing(self, trailing: str, line: int, word: int, detached: bool) -> None:
+    def _queue_trailing(self, trailing: str, line: int, word: int) -> None:
         kind = punctuation_kind(trailing)
         if kind is None:
             return
-        self._pending.append(_Pending(kind, trailing, Span.point(line, word), detached))
+        self._pending.append(Token(kind, trailing, Span.point(line, word), detached=True))
 
     def _take_keyword(self, match: KeywordMatch) -> Token:
         start = self.position
         pieces: list[str] = []
         for i in range(match.word_count):
-            original = self.text.word(self.line, self.word).text
+            original = self.text.word(self.line, self.word)
             if i == match.word_count - 1:
                 body, trailing = split_trailing(original)
                 pieces.append(body)
                 if trailing:
-                    self._queue_trailing(trailing, self.line, self.word, detached=True)
+                    self._queue_trailing(trailing, self.line, self.word)
             else:
                 pieces.append(original)
             end = self.position
             self._advance()
         return Token(match.kind, " ".join(pieces), Span(*start, *end))
 
-    def _take_number(self, folded) -> Token:
+    def _take_number(self, original: str) -> Token:
         span = Span.point(self.line, self.word)
-        if folded.trailing:
-            self._queue_trailing(folded.trailing, self.line, self.word, detached=True)
+        body, trailing = split_trailing(original)
+        if trailing:
+            self._queue_trailing(trailing, self.line, self.word)
         self._advance()
-        return Token(TokenKind.NUM, folded.body, span)
+        return Token(TokenKind.NUM, body, span)
 
     def _take_string(self, expect: StopSet) -> Token:
         pieces: list[str] = []
@@ -243,11 +239,10 @@ class Scanner:
             line, word = self.position
             if pieces and self._keyword_stops_here(expect):
                 break
-            original = self.text.word(line, word).text
+            original = self.text.word(line, word)
             lone_kind = punctuation_kind(original) if len(original) == 1 else None
             if lone_kind is not None and self._delimiter_stops(lone_kind, expect):
-                self._pending.append(_Pending(lone_kind, original, Span.point(line, word),
-                                              detached=False))
+                self._pending.append(Token(lone_kind, original, Span.point(line, word)))
                 self._advance()
                 break
             body, trailing = split_trailing(original)
@@ -255,7 +250,7 @@ class Scanner:
             if trailing_kind is not None and self._delimiter_stops(trailing_kind, expect):
                 pieces.append(body)
                 end = (line, word)
-                self._queue_trailing(trailing, line, word, detached=True)
+                self._queue_trailing(trailing, line, word)
                 self._advance()
                 break
             pieces.append(original)
@@ -265,8 +260,7 @@ class Scanner:
             if self._pending:
                 # The very first word was standalone punctuation that stopped
                 # accumulation; hand it out directly instead of an empty STRING.
-                p = self._pending.popleft()
-                return Token(p.kind, p.lexeme, p.span, p.detached)
+                return self._pending.popleft()
             raise ScanError("expected text, found none", Span.point(*start))
         return Token(TokenKind.STRING, " ".join(pieces), Span(*start, *end))
 
@@ -274,6 +268,8 @@ class Scanner:
         # Mid-line keywords always end accumulation; line-initial keywords
         # only do when the stop set asks for line-break stops.
         if self.word == 0 and not expect.line_break_stops:
+            return False
+        if expect.kinds.isdisjoint(_KEYWORD_KINDS):
             return False
         match = match_keyword_phrase(self.text, self.line, self.word, expect.stop_before)
         return match is not None and match.kind in expect.kinds

@@ -83,11 +83,11 @@ class Token:
     detached: bool = False
 
 
-_PUNCT_KINDS = frozenset({TokenKind.COMMA, TokenKind.DOT, TokenKind.COLON})
+_PUNCTUATION = {"،": TokenKind.COMMA, ".": TokenKind.DOT, ":": TokenKind.COLON}
 
 
 def punctuation_kind(char: str) -> TokenKind | None:
-    return {"،": TokenKind.COMMA, ".": TokenKind.DOT, ":": TokenKind.COLON}.get(char)
+    return _PUNCTUATION.get(char)
 
 
 @dataclass(frozen=True)

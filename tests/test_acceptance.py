@@ -116,7 +116,7 @@ def test_criterion_3_tokenizer_reconstruction(corpus_paths):
     for path in corpus_paths:
         text = preprocess(path.read_bytes(), path.name)
         rebuilt = reconstruct_words(scan_document(text).tokens)
-        original = [w.text for line in text.lines for w in line]
+        original = [w for line in text.lines for w in line]
         if rebuilt != original:
             mismatches.append(path.name)
     ok = not mismatches

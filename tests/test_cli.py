@@ -80,6 +80,23 @@ def test_diagnostic_shows_offending_line_and_expectations(bad):
     assert "رقم" in err
 
 
+@pytest.mark.parametrize("old,new,line,caret", [
+    # one middle word of a line typed with a tab and double spaces
+    ("مادة ١:", "مادة\t١  كذا:  نص", "مادة ١ كذا: نص", "       ^~~~"),
+    # a keyword phrase spanning three words of one line
+    ("بناء على الدستور،\nيرسم ما يأتي:", "يرسم  ما\tيأتي: شيء",
+     "يرسم ما يأتي: شيء", "^~~~~~~~~~~~~"),
+    # a text span that runs on to later lines: the caret runs to the line end
+    ("رقم", "بلا", "مرسوم بلا ٥", "      ^~~~~"),
+])
+def test_caret_marks_the_diagnostic_span(tmp_path, old, new, line, caret):
+    p = tmp_path / "doc.txt"
+    p.write_text(GOOD.replace(old, new), encoding="utf-8")
+    code, _, err = invoke([str(p), "--validate"])
+    assert code == 1
+    assert err.splitlines()[1:3] == ["  " + line, "  " + caret]
+
+
 def test_dump_tokens(good):
     code, out, _ = invoke([str(good), "--dump-tokens"])
     assert code == 0

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from legalc.normalize import fold_for_matching, preprocess
+from legalc.normalize import fold_for_matching, preprocess, split_trailing
 from legalc.scanner import _SPELLINGS, KeywordMatch, match_keyword_phrase
 from legalc.tokens import TokenKind
 
@@ -20,7 +20,7 @@ K = TokenKind
 def _reference_tables():
     tables = {1: {}, 2: {}, 3: {}}
     for phrase, kind in _SPELLINGS:
-        folded = tuple(fold_for_matching(w).matchable for w in phrase.split(" "))
+        folded = tuple(fold_for_matching(w) for w in phrase.split(" "))
         tables[len(folded)][folded] = kind
     return tables
 
@@ -38,10 +38,10 @@ def reference_match(text, line, word, limit=None):
             continue
         if limit is not None and (line, end - 1) >= limit:
             continue
-        folded = [fold_for_matching(w.text) for w in words[word:end]]
-        if any(f.trailing for f in folded[:-1]):
+        window = words[word:end]
+        if any(split_trailing(w)[1] for w in window[:-1]):
             continue
-        kind = _TABLES[count].get(tuple(f.matchable for f in folded))
+        kind = _TABLES[count].get(tuple(fold_for_matching(w) for w in window))
         if kind is not None:
             return KeywordMatch(kind, count)
     return None
@@ -101,7 +101,7 @@ def test_index_agrees_with_reference_tables():
             for limit in [None, *places]:
                 want = reference_match(text, line, word, limit)
                 assert match_keyword_phrase(text, line, word, limit) == want, \
-                    (text.text, line, word, limit)
+                    (text.lines, line, word, limit)
                 matched += want is not None
     assert matched > 5000  # the draw really exercises the keywords
 

@@ -294,7 +294,7 @@ def test_generated_documents_round_trip_exactly():
         result = parse_document(text)
         assert result.ok, (result.diagnostics, rendered.text)
         assert result.document == rendered.document
-        original = [w.text for line in text.lines for w in line]
+        original = [w for line in text.lines for w in line]
         assert reconstruct_words(result.tokens) == original
 
 
@@ -309,5 +309,13 @@ def test_mutated_documents_fail_safely():
             assert len(result.diagnostics) == 1
             d = result.diagnostics[0]
             assert 0 <= d.span.start_line <= text.line_count
-        original = [w.text for line in text.lines for w in line]
+        original = [w for line in text.lines for w in line]
         assert reconstruct_words(result.tokens) == original
+
+
+# -- package surface -------------------------------------------------------------
+
+def test_public_names_resolve():
+    import legalc
+    for name in legalc.__all__:
+        getattr(legalc, name)  # a stale entry raises AttributeError

@@ -191,6 +191,27 @@ def test_unexpected_keyword_is_plain_text():
     assert tok.lexeme == "المرسوم رقم ١١٦ كذا"
 
 
+def test_no_keyword_probe_without_an_expected_keyword(monkeypatch):
+    import legalc.scanner as scanner_module
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return match_keyword_phrase(*args, **kwargs)
+    monkeypatch.setattr(scanner_module, "match_keyword_phrase", counted)
+
+    clause = "الدستور إن مادة رقم ١١٦ في كذا، تابع ونظرا."
+    sc = Scanner(norm(clause))
+    tokens = [sc.next_token(StopSet.of(K.COMMA, K.DOT)) for _ in range(5)]
+    assert kinds_of(tokens) == [K.STRING, K.COMMA, K.STRING, K.DOT, K.EOF]
+    assert calls == []
+
+    sc = Scanner(norm(clause))
+    assert sc.next_token(StopSet.of(K.INNA)).lexeme == "الدستور"
+    assert sc.next_token(StopSet.of(K.INNA)).kind is K.INNA
+    assert calls
+
+
 def test_stop_before_bounds_accumulation():
     sc = Scanner(norm("واحد اثنان ثلاثة أربعة"))
     tok = sc.next_token(StopSet.of(stop_before=(0, 2)))
@@ -244,7 +265,7 @@ def test_reconstruct_reattaches_detached_punctuation():
         tokens.append(tok)
         if tok.kind is K.EOF:
             break
-    original = [w.text for line in text.lines for w in line]
+    original = [w for line in text.lines for w in line]
     assert reconstruct_words(tokens) == original
 
 
