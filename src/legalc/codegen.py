@@ -12,26 +12,29 @@ Western digits; every other field keeps its original script.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .normalize import is_digit_run, to_western_digits
 from .parser import Document, SignatureKind
 
 
-@dataclass
 class Element:
-    tag: str
-    text: str = ""
-    children: list["Element"] = field(default_factory=list)
+    """One XML element: a tag, its text, and its child elements in order."""
 
-    def child(self, tag: str, text: str = "") -> "Element":
+    __slots__ = ("tag", "text", "children")
+
+    def __init__(self, tag: str, text: str = "", children: list[Element] | None = None):
+        self.tag = tag
+        self.text = text
+        self.children: list[Element] = [] if children is None else children
+
+    def child(self, tag: str, text: str = "") -> Element:
         el = Element(tag, text)
         self.children.append(el)
         return el
 
 
-@dataclass(frozen=True)
-class EmitConfig:
+class EmitConfig(NamedTuple):
     root_tag: str = "document"
     indent: int = 2
     xml_declaration: bool = True

@@ -19,7 +19,7 @@ the XML generator need them:
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Orthographic folding for keyword matching.  Alef variants collapse to bare
 # alef, taa marbuta to haa, alef maqsura to yaa; the tatweel stretching mark
@@ -55,8 +55,7 @@ class DecodeError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class NormalizedText:
+class NormalizedText(NamedTuple):
     """Canonical form of one input document.
 
     ``lines`` holds the non-blank lines in order, each a tuple of its words.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .normalize import NormalizedText, fold_for_matching, has_digit
 from .scanner import Scanner, match_keyword_phrase
@@ -77,8 +77,7 @@ class Document:
     signatures: tuple[Signature, ...]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str
     message: str
     span: Span
@@ -86,8 +85,7 @@ class Diagnostic:
     found: TokenKind | None = None
 
 
-@dataclass
-class ScanResult:
+class ScanResult(NamedTuple):
     """Both token streams for one document plus any structural diagnostics."""
 
     tokens: list[Token]
@@ -95,8 +93,7 @@ class ScanResult:
     diagnostics: list[Diagnostic]
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     document: Document | None
     diagnostics: list[Diagnostic]
     tokens: list[Token]
@@ -481,6 +478,16 @@ def _merge_region(tokens: list[Token]) -> Token:
     return Token(K.STRING, "".join(parts), span)
 
 
+# The driver's unbounded stop sets, built once.  Sets bounded by a
+# ``stop_before`` are built where that bound is known.
+_ANY = StopSet.of()
+_TEXT = StopSet.of(K.COMMA, K.DOT)
+_TITLE = StopSet.of(K.INNA, line_break_stops=True)
+_STOP_AT = {kind: StopSet.of(kind) for kind in (
+    K.TYPE, K.RAQM, K.NUM, K.INNA, K.COMMA, K.BINAA, K.HAYSOU, K.YAKOUR, K.COLON,
+    K.MADA, K.IMDAA)}
+
+
 class _Driver:
     """Walks the document shape, choosing stop sets and scoping line scans."""
 
@@ -501,7 +508,7 @@ class _Driver:
 
     def drain(self) -> None:
         while self.sc.has_pending:
-            self.take(StopSet.of())
+            self.take(_ANY)
 
     def run(self) -> ScanResult:
         try:
@@ -519,22 +526,22 @@ class _Driver:
     # the first error with a proper span.
     def _policy(self) -> None:
         sc = self.sc
-        self.take(StopSet.of(K.TYPE))
-        self.take(StopSet.of(K.RAQM))
-        self.take(StopSet.of(K.NUM))
-        tok = self.take(StopSet.of(K.INNA, line_break_stops=True))   # title
+        self.take(_STOP_AT[K.TYPE])
+        self.take(_STOP_AT[K.RAQM])
+        self.take(_STOP_AT[K.NUM])
+        tok = self.take(_TITLE)                                      # title
         if tok.kind is not K.INNA:
-            tok = self.take(StopSet.of(K.INNA))
+            tok = self.take(_STOP_AT[K.INNA])
         if tok.kind is K.INNA:
-            tok = self.take(StopSet.of(K.COMMA))                     # issuer text
+            tok = self.take(_STOP_AT[K.COMMA])                       # issuer text
             if tok.kind is K.STRING:
-                self.take(StopSet.of(K.COMMA))                       # terminator
+                self.take(_STOP_AT[K.COMMA])                         # terminator
         self._clauses(K.BINAA)
         self._clauses(K.HAYSOU)
         m = sc.peek_keyword()
         if not sc.has_pending and m is not None and m.kind is K.YAKOUR:
-            self.take(StopSet.of(K.YAKOUR))
-            self.take(StopSet.of(K.COLON))
+            self.take(_STOP_AT[K.YAKOUR])
+            self.take(_STOP_AT[K.COLON])
         if sc.at_end() and not sc.has_pending:
             raise _EndOfInput
         seg = segment_trailer(self.text, sc.line)
@@ -552,10 +559,10 @@ class _Driver:
             m = sc.peek_keyword()
             if sc.has_pending or m is None or m.kind is not opener:
                 return
-            self.take(StopSet.of(opener))
-            tok = self.take(StopSet.of(K.COMMA, K.DOT))              # clause text
+            self.take(_STOP_AT[opener])
+            tok = self.take(_TEXT)                                   # clause text
             if tok.kind is K.STRING:
-                self.take(StopSet.of(K.COMMA, K.DOT))                # terminator
+                self.take(_TEXT)                                     # terminator
 
     def _articles(self, boundary_line: int) -> None:
         sc = self.sc
@@ -567,14 +574,15 @@ class _Driver:
         # Anything left before the location/date line is scanned as plain
         # text; the grammar phase reports what was actually wrong.
         bound = (boundary_line, 0)
+        stop = StopSet.of(K.COMMA, K.DOT, stop_before=bound)
         while sc.position < bound or sc.has_pending:
-            self.take(StopSet.of(K.COMMA, K.DOT, stop_before=bound))
+            self.take(stop)
 
     def _one_article(self, boundary_line: int) -> None:
         sc = self.sc
         header_line = sc.line
         header_end = (header_line + 1, 0)
-        self.take(StopSet.of(K.MADA))
+        self.take(_STOP_AT[K.MADA])
         if sc.has_pending or sc.position < header_end:
             self.take(StopSet.of(K.NUM, K.COLON, stop_before=header_end))   # number
         if sc.has_pending or sc.position < header_end:
@@ -589,9 +597,10 @@ class _Driver:
                 content_end = line
                 break
         bound = (content_end, 0)
+        stop = StopSet.of(K.COMMA, K.DOT, stop_before=bound)
         region: list[Token] = []
         while sc.position < bound or sc.has_pending:
-            tok = sc.next_token(StopSet.of(K.COMMA, K.DOT, stop_before=bound))
+            tok = sc.next_token(stop)
             self.fine.append(tok)
             region.append(tok)
         if region:
@@ -622,8 +631,9 @@ class _Driver:
                 self.take(StopSet.of(stop_before=(line, digit_index)))       # location
             if sc.position < line_end:
                 self.take(StopSet.of(stop_before=line_end))                  # date (or whole line)
+        stop = StopSet.of(K.COMMA, K.DOT, stop_before=line_end)
         while sc.position < line_end or sc.has_pending:
-            self.take(StopSet.of(K.COMMA, K.DOT, stop_before=line_end))
+            self.take(stop)
 
     def _signatures(self) -> None:
         sc = self.sc
@@ -634,16 +644,17 @@ class _Driver:
             line_end = (sc.line + 1, 0)
             m = sc.peek_keyword()
             if sc.word == 0 and m is not None and m.kind is K.IMDAA:
-                self.take(StopSet.of(K.IMDAA))
+                self.take(_STOP_AT[K.IMDAA])
                 if sc.has_pending:
-                    self.take(StopSet.of(K.COLON))
+                    self.take(_STOP_AT[K.COLON])
                 elif sc.position < line_end:
                     self.take(StopSet.of(K.COLON, stop_before=line_end))
                 if not sc.has_pending and sc.position < line_end:
                     self.take(StopSet.of(stop_before=line_end))              # name
             else:
+                stop = StopSet.of(K.COMMA, K.DOT, stop_before=line_end)
                 while sc.position < line_end or sc.has_pending:
-                    self.take(StopSet.of(K.COMMA, K.DOT, stop_before=line_end))
+                    self.take(stop)
 
     def _residual(self) -> None:
         sc = self.sc

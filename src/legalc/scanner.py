@@ -12,6 +12,13 @@ cut-down Aho & Corasick trie (CACM 1975).  A probe folds the word under the
 cursor once and, for the great majority of words, stops at a missed lookup;
 later words are folded only while a candidate phrase still matches.
 
+STRING accumulation walks one line's word tuple at a time.  The scope bound
+becomes a word limit once per line; each word is tested for a stopping
+delimiter by its last character alone, and probed for a keyword only when
+the stop set expects one (never at a line start unless the stop set asks
+for line-break stops).  The cursor is written back once, when the token is
+done.
+
 Delimiters detached from a host word ('الجمهورية،' ends an issuer phrase) are
 queued as their own COMMA/DOT/COLON tokens and emitted before the cursor
 moves on.
@@ -20,7 +27,7 @@ moves on.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .normalize import NormalizedText, fold_for_matching, is_digit_run, split_trailing
 from .tokens import Span, StopSet, Token, TokenKind, punctuation_kind
@@ -81,8 +88,7 @@ _KEYWORDS = _build_index()
 _KEYWORD_KINDS = frozenset(kind for _, kind in _SPELLINGS)
 
 
-@dataclass(frozen=True)
-class KeywordMatch:
+class KeywordMatch(NamedTuple):
     kind: TokenKind
     word_count: int
 
@@ -144,10 +150,10 @@ class Scanner:
         return bool(self._pending)
 
     def at_end(self) -> bool:
-        return self.line >= self.text.line_count
+        return self.line >= len(self.text.lines)
 
     def _at_bound(self, stop_before: tuple[int, int] | None) -> bool:
-        return stop_before is not None and self.position >= stop_before
+        return stop_before is not None and (self.line, self.word) >= stop_before
 
     def _advance(self) -> None:
         if self.word + 1 < len(self.text.words(self.line)):
@@ -155,9 +161,6 @@ class Scanner:
         else:
             self.line += 1
             self.word = 0
-
-    def _at_line_end(self) -> bool:
-        return self.word == len(self.text.words(self.line)) - 1
 
     def _eof_span(self) -> Span:
         if self.text.line_count == 0:
@@ -232,56 +235,70 @@ class Scanner:
         return Token(TokenKind.NUM, body, span)
 
     def _take_string(self, expect: StopSet) -> Token:
+        lines = self.text.lines
+        start = (self.line, self.word)
+        line, word = start
+        kinds = expect.kinds
+        stop_before = expect.stop_before
+        probe = not kinds.isdisjoint(_KEYWORD_KINDS)
+        line_break_stops = expect.line_break_stops
+        # A ',' always ends the text, a ':' when expected, and a '.' only on
+        # a line's last word.
+        mid_line = "،:" if TokenKind.COLON in kinds else "،"
+        line_end = mid_line + "."
         pieces: list[str] = []
-        start = self.position
-        end = self.position
-        while not self.at_end() and not self._at_bound(expect.stop_before):
-            line, word = self.position
-            if pieces and self._keyword_stops_here(expect):
+        end_line = end_word = 0
+        delimiter: Token | None = None
+        while line < len(lines):
+            words = lines[line]
+            if stop_before is None or line < stop_before[0]:
+                limit = len(words)
+            elif line == stop_before[0]:
+                limit = min(stop_before[1], len(words))
+            else:
                 break
-            original = self.text.word(line, word)
-            lone_kind = punctuation_kind(original) if len(original) == 1 else None
-            if lone_kind is not None and self._delimiter_stops(lone_kind, expect):
-                self._pending.append(Token(lone_kind, original, Span.point(line, word)))
-                self._advance()
-                break
-            body, trailing = split_trailing(original)
-            trailing_kind = punctuation_kind(trailing) if trailing else None
-            if trailing_kind is not None and self._delimiter_stops(trailing_kind, expect):
-                pieces.append(body)
-                end = (line, word)
-                self._queue_trailing(trailing, line, word)
-                self._advance()
-                break
-            pieces.append(original)
-            end = (line, word)
-            self._advance()
-        if not pieces:
-            if self._pending:
+            last = len(words) - 1
+            while word < limit:
+                # Mid-line keywords always end accumulation; line-initial
+                # keywords only do when the stop set asks for line-break stops.
+                if probe and pieces and (word or line_break_stops):
+                    match = match_keyword_phrase(self.text, line, word, stop_before)
+                    if match is not None and match.kind in kinds:
+                        break
+                original = words[word]
+                if original[-1] in (line_end if word == last else mid_line):
+                    kind = punctuation_kind(original[-1])
+                    if len(original) == 1:
+                        delimiter = Token(kind, original, Span(line, word, line, word))
+                    else:
+                        pieces.append(original[:-1])
+                        end_line, end_word = line, word
+                        delimiter = Token(kind, original[-1], Span(line, word, line, word), True)
+                    word += 1
+                    break
+                pieces.append(original)
+                end_line, end_word = line, word
+                word += 1
+            else:
+                if word < len(words):   # the scope bound ends this line
+                    break
+                line += 1
+                word = 0
+                continue
+            break   # a keyword or a delimiter ended the text
+        if line < len(lines) and word == len(lines[line]):   # the delimiter ended its line
+            line += 1
+            word = 0
+        self.line, self.word = line, word
+        if delimiter is not None:
+            if not pieces:
                 # The very first word was standalone punctuation that stopped
                 # accumulation; hand it out directly instead of an empty STRING.
-                return self._pending.popleft()
+                return delimiter
+            self._pending.append(delimiter)
+        if not pieces:
             raise ScanError("expected text, found none", Span.point(*start))
-        return Token(TokenKind.STRING, " ".join(pieces), Span(*start, *end))
-
-    def _keyword_stops_here(self, expect: StopSet) -> bool:
-        # Mid-line keywords always end accumulation; line-initial keywords
-        # only do when the stop set asks for line-break stops.
-        if self.word == 0 and not expect.line_break_stops:
-            return False
-        if expect.kinds.isdisjoint(_KEYWORD_KINDS):
-            return False
-        match = match_keyword_phrase(self.text, self.line, self.word, expect.stop_before)
-        return match is not None and match.kind in expect.kinds
-
-    def _delimiter_stops(self, kind: TokenKind, expect: StopSet) -> bool:
-        if kind is TokenKind.COMMA:
-            return True
-        if kind is TokenKind.DOT:
-            return self._at_line_end()
-        if kind is TokenKind.COLON:
-            return TokenKind.COLON in expect.kinds
-        return False
+        return Token(TokenKind.STRING, " ".join(pieces), Span(*start, end_line, end_word))
 
 
 def reconstruct_words(tokens: list[Token]) -> list[str]:

@@ -1,9 +1,14 @@
-"""Token kinds, source spans and scanner stop sets."""
+"""Token kinds, source spans and scanner stop sets.
+
+Spans, tokens and stop sets are made in the scanner's inner loop, so they
+are plain :class:`typing.NamedTuple` records: immutable, compared and hashed
+by value, and cheaper to build than frozen dataclasses.
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenKind(enum.Enum):
@@ -54,8 +59,7 @@ KIND_DISPLAY: dict[TokenKind, str] = {
 }
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Word-addressed source range, inclusive on both ends, 0-based."""
 
     start_line: int
@@ -71,8 +75,7 @@ class Span:
         return f"{self.start_line + 1}:{self.start_word + 1}-{self.end_line + 1}:{self.end_word + 1}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One scanned token.  ``lexeme`` keeps original spelling; it is empty
     only for EOF.  ``detached`` marks punctuation split off a host word (as
     opposed to punctuation that was a word of its own)."""
@@ -90,8 +93,7 @@ def punctuation_kind(char: str) -> TokenKind | None:
     return _PUNCTUATION.get(char)
 
 
-@dataclass(frozen=True)
-class StopSet:
+class StopSet(NamedTuple):
     """What the parser expects next; drives scanning decisions.
 
     ``kinds`` are the token kinds that may terminate or preempt free-text
@@ -105,11 +107,10 @@ class StopSet:
     line_break_stops: bool = False
     stop_before: tuple[int, int] | None = None
 
-    def __post_init__(self) -> None:
-        if TokenKind.STRING in self.kinds:
-            raise ValueError("STRING cannot be an expected stop kind")
-
     @classmethod
     def of(cls, *kinds: TokenKind, line_break_stops: bool = False,
            stop_before: tuple[int, int] | None = None) -> StopSet:
+        """The stop set for ``kinds``; STRING is never a stop kind."""
+        if TokenKind.STRING in kinds:
+            raise ValueError("STRING cannot be an expected stop kind")
         return cls(frozenset(kinds), line_break_stops, stop_before)

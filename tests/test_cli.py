@@ -1,6 +1,7 @@
 """Command-line behavior: modes, exit codes, outputs, diagnostics."""
 
 import io
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -219,3 +220,42 @@ def test_thousands_of_articles(tmp_path):
     assert err.count("error:") == 1
     assert f"at {p}:1:" in err
     assert "Traceback" not in err
+
+
+def long_line_document(words: int) -> tuple[str, str]:
+    """A valid one-article document whose content is one line of ``words``
+    words, and that line.  Delimiters and keywords sit mid-line."""
+    vocabulary = ["نص", "المادة", "في", "جملة،", "رقم", "تابع.", "الإمضاء", "بناء", "على:"]
+    line = " ".join(vocabulary[n % len(vocabulary)] for n in range(words))
+    lines = GOOD.splitlines()[:5] + ["مادة ١:", line, "بيروت في ٢٠٢٠"]
+    return "\n".join(lines) + "\n", line
+
+
+def test_large_inputs_scale(tmp_path):
+    p = tmp_path / "large.txt"
+    p.write_text(many_articles(10_000), encoding="utf-8")
+    assert invoke([str(p), "--validate"]) == (0, "", "")
+    code, out, err = invoke([str(p), "-o", "-"])
+    assert (code, err) == (0, "")
+    articles = ET.fromstring(out.encode("utf-8")).find("articles")
+    assert [a.findtext("articleContent") for a in articles] == \
+        [f"نص المادة رقمها {n}" for n in range(1, 10_001)]
+
+    def validate_seconds(words: int) -> float:
+        text, line = long_line_document(words)
+        p.write_text(text, encoding="utf-8")
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            result = invoke([str(p), "--validate"])
+            best = min(best, time.perf_counter() - t0)
+            assert result == (0, "", "")
+        code, out, err = invoke([str(p), "-o", "-"])
+        assert (code, err) == (0, "")
+        content = ET.fromstring(out.encode("utf-8")).find("articles/article/articleContent")
+        assert content.text == line
+        return best
+
+    # scanning grows linearly with the line: 10x the words, well under 20x the time
+    small, large = validate_seconds(10_000), validate_seconds(100_000)
+    assert large < 20 * small, (small, large)

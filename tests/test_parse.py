@@ -1,5 +1,6 @@
 """Parsing: trailer segmentation, document structure, diagnostics, properties."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import docgen
 from legalc import (
     Diagnostic,
     LocDate,
+    Signature,
     SignatureKind,
     parse_document,
     parse_token_kinds,
@@ -319,3 +321,16 @@ def test_public_names_resolve():
     import legalc
     for name in legalc.__all__:
         getattr(legalc, name)  # a stale entry raises AttributeError
+
+
+def test_ast_nodes_support_dataclass_replace():
+    # callers rebuild parsed documents with dataclasses.replace, so the AST
+    # stays frozen dataclasses while tokens and spans are NamedTuples
+    doc = parse(MINIMAL).document
+    article = dataclasses.replace(doc.articles[0], title="عنوان")
+    signature = dataclasses.replace(Signature(SignatureKind.TYPE1, "فلان", "وزير"), name="علان")
+    changed = dataclasses.replace(doc, articles=(article,), signatures=(signature,))
+    assert (changed.articles[0].number, changed.articles[0].title) == (doc.articles[0].number, "عنوان")
+    assert changed.signatures == (Signature(SignatureKind.TYPE1, "علان", "وزير"),)
+    assert (changed.title, changed.loc_date) == (doc.title, doc.loc_date)
+    assert doc.articles[0].title is None and doc.signatures == ()

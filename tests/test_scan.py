@@ -10,7 +10,7 @@ from legalc.scanner import (
     match_keyword_phrase,
     reconstruct_words,
 )
-from legalc.tokens import StopSet, Token, TokenKind
+from legalc.tokens import Span, StopSet, Token, TokenKind
 
 K = TokenKind
 
@@ -252,6 +252,24 @@ def test_spans_are_one_based_in_display():
     sc = Scanner(norm("مرسوم رقم ٢٥"))
     tok = sc.next_token(StopSet.of(K.TYPE))
     assert str(tok.span) == "1:1-1:1"
+
+
+def test_string_is_never_a_stop_kind():
+    with pytest.raises(ValueError, match="STRING"):
+        StopSet.of(K.STRING)
+    with pytest.raises(ValueError, match="STRING"):
+        StopSet.of(K.COMMA, K.STRING, stop_before=(0, 1))
+
+
+def test_spans_and_tokens_compare_and_hash_by_value():
+    span = Span(0, 1, 2, 3)
+    token = Token(K.STRING, "نص", span)
+    twin = Token(K.STRING, "نص", Span(0, 1, 2, 3))
+    assert token == twin and hash(token) == hash(twin) and len({token, twin}) == 1
+    assert Span.point(1, 2) == Span(1, 2, 1, 2) and hash(Span.point(1, 2)) == hash(Span(1, 2, 1, 2))
+    assert token != Token(K.STRING, "نص", span, detached=True)
+    assert token != Token(K.STRING, "نص", Span(0, 1, 2, 4))
+    assert str(span) == "1:2-3:4" and token.detached is False
 
 
 # -- reconstruction and dumps -------------------------------------------------
