@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .normalize import NormalizedText, fold_for_matching, has_digit
-from .scanner import Scanner, match_keyword_phrase
+# match_keyword_phrase is not called here, but stays importable from this
+# module: bench/worker.py counts probes wherever a module looks it up.
+from .scanner import KeywordMatch, Scanner, line_heads, match_keyword_phrase  # noqa: F401
 from .tokens import KIND_DISPLAY, Span, StopSet, Token, TokenKind
 
 K = TokenKind
@@ -132,21 +134,30 @@ class NeedMoreTokens(Exception):
 
 
 class _TokenSource:
-    """Indexed token access.  Every token the parser looks at goes through
-    :meth:`get`, so a bounded source can tell whether a rejection depended
-    only on the supplied prefix."""
+    """Indexed token access; reads past the end return the final EOF.  Every
+    token the parser looks at goes through :meth:`get`."""
 
-    def __init__(self, tokens: Sequence[Token], bound: int | None = None):
+    def __init__(self, tokens: Sequence[Token]):
         self._tokens = tokens
-        self._bound = bound
 
     def get(self, i: int) -> Token:
-        if self._bound is not None and i >= self._bound:
-            raise NeedMoreTokens
-        return self._tokens[min(i, len(self._tokens) - 1)]
+        try:
+            return self._tokens[i]
+        except IndexError:
+            return self._tokens[-1]
 
     def kind_at(self, i: int) -> TokenKind:
         return self.get(i).kind
+
+
+class _PrefixSource(_TokenSource):
+    """A token prefix that raises :class:`NeedMoreTokens` on any read past
+    its end, so a rejection is known to depend on the prefix alone."""
+
+    def get(self, i: int) -> Token:
+        if i >= len(self._tokens):
+            raise NeedMoreTokens
+        return self._tokens[i]
 
 
 class _Ctx:
@@ -412,7 +423,7 @@ def rejects_all_extensions(kinds: Sequence[TokenKind]) -> bool:
     rejected identically, which lets bounded-exhaustive equivalence checks
     prune whole subtrees soundly."""
     tokens = [Token(k, REPRESENTATIVE_LEXEMES[k], Span.point(0, i)) for i, k in enumerate(kinds)]
-    ctx = _Ctx(_TokenSource(tokens, bound=len(tokens)))
+    ctx = _Ctx(_PrefixSource(tokens))
     try:
         return _parse_document_tokens(ctx) is None
     except NeedMoreTokens:
@@ -430,7 +441,8 @@ def segment_trailer(text: NormalizedText, start_line: int) -> tuple[int, int] | 
     """Split the lines from ``start_line`` on into article content, the
     location/date line, and the signature block.
 
-    The anchor is the first line opening with الإمضاء (folded).  The line
+    The anchor is the first line opening with الإمضاء (folded), read from
+    the document's line heads (:func:`~legalc.scanner.line_heads`).  The line
     just above it is the location/date line when it looks like one (second
     word في, or any digit-bearing word); otherwise that line is a signature
     position line and the location/date line sits one higher.  Without any
@@ -438,12 +450,12 @@ def segment_trailer(text: NormalizedText, start_line: int) -> tuple[int, int] | 
     line.  Returns (loc_date_line, first_signature_line) where the second
     index equals the line count when there are no signatures.
     """
-    anchor = None
-    for line in range(start_line, text.line_count):
-        m = match_keyword_phrase(text, line, 0)
-        if m is not None and m.kind is K.IMDAA:
-            anchor = line
-            break
+    return _segment_trailer(text, line_heads(text), start_line)
+
+
+def _segment_trailer(text: NormalizedText, heads: Sequence[KeywordMatch | None],
+                     start_line: int) -> tuple[int, int] | Diagnostic:
+    anchor = _first_line_opening(heads, K.IMDAA, start_line, text.line_count)
     if anchor is None:
         last = text.line_count - 1
         if last >= start_line and _looks_like_loc_date(text, last):
@@ -457,6 +469,16 @@ def segment_trailer(text: NormalizedText, start_line: int) -> tuple[int, int] | 
         return (anchor - 2, anchor - 1)
     return Diagnostic("error", "signature block leaves no room for article content "
                                "and a location/date line", Span.point(anchor, 0))
+
+
+def _first_line_opening(heads: Sequence[KeywordMatch | None], kind: TokenKind,
+                        start: int, end: int) -> int | None:
+    """The first line in [start, end) whose head keyword is of ``kind``."""
+    for line in range(start, end):
+        head = heads[line]
+        if head is not None and head.kind is kind:
+            return line
+    return None
 
 
 def _looks_like_loc_date(text: NormalizedText, line: int) -> bool:
@@ -544,7 +566,7 @@ class _Driver:
             self.take(_STOP_AT[K.COLON])
         if sc.at_end() and not sc.has_pending:
             raise _EndOfInput
-        seg = segment_trailer(self.text, sc.line)
+        seg = _segment_trailer(self.text, sc.heads, sc.line)
         if isinstance(seg, Diagnostic):
             self.diagnostics.append(seg)
             return
@@ -590,13 +612,8 @@ class _Driver:
         if not sc.has_pending and sc.position < header_end:
             self.take(StopSet.of(stop_before=header_end))                   # title
         self.drain()
-        content_end = boundary_line
-        for line in range(header_line + 1, boundary_line):
-            m = match_keyword_phrase(self.text, line, 0)
-            if m is not None and m.kind is K.MADA:
-                content_end = line
-                break
-        bound = (content_end, 0)
+        content_end = _first_line_opening(sc.heads, K.MADA, header_line + 1, boundary_line)
+        bound = (boundary_line if content_end is None else content_end, 0)
         stop = StopSet.of(K.COMMA, K.DOT, stop_before=bound)
         region: list[Token] = []
         while sc.position < bound or sc.has_pending:

@@ -19,6 +19,15 @@ the stop set expects one (never at a line start unless the stop set asks
 for line-break stops).  The cursor is written back once, when the token is
 done.
 
+Every line's head, the keyword phrase that opens it, is matched once per
+document into ``Scanner.heads``; a probe at a line's first word reads that
+entry instead of matching again, like the one layout pass Landin's off-side
+rule (CACM 1966) and Python's INDENT/DEDENT tokenizer make per line.  The
+entry holds the unlimited match, so under a ``limit`` it is exact in two of
+three cases: a cached None stays None, and a match whose last word lies
+before the limit is still the longest one.  A match the limit cuts is
+matched again under that limit, since a shorter phrase may still fit.
+
 Delimiters detached from a host word ('الجمهورية،' ends an issuer phrase) are
 queued as their own COMMA/DOT/COLON tokens and emitted before the cursor
 moves on.
@@ -126,6 +135,11 @@ def match_keyword_phrase(text: NormalizedText, line: int, word: int,
     return None
 
 
+def line_heads(text: NormalizedText) -> list[KeywordMatch | None]:
+    """The keyword phrase opening each line, matched with no limit."""
+    return [match_keyword_phrase(text, line, 0) for line in range(text.line_count)]
+
+
 class Scanner:
     """Stateful tokenizer over one :class:`NormalizedText`.
 
@@ -138,6 +152,7 @@ class Scanner:
         self.line = 0
         self.word = 0
         self._pending: deque[Token] = deque()
+        self.heads = line_heads(text)
 
     # -- cursor helpers -------------------------------------------------
 
@@ -168,11 +183,21 @@ class Scanner:
         last = self.text.line_count - 1
         return Span.point(last, len(self.text.words(last)))
 
+    def _match(self, line: int, word: int, limit: tuple[int, int] | None) -> KeywordMatch | None:
+        """``match_keyword_phrase`` at a word of the text, read from
+        :attr:`heads` at a line start unless ``limit`` cuts the cached match."""
+        if word:
+            return match_keyword_phrase(self.text, line, word, limit)
+        head = self.heads[line]
+        if head is None or limit is None or (line, head.word_count - 1) < limit:
+            return head
+        return match_keyword_phrase(self.text, line, 0, limit)
+
     def peek_keyword(self, limit: tuple[int, int] | None = None) -> KeywordMatch | None:
         """Non-consuming keyword match at the cursor, regardless of kind."""
         if self.at_end() or self._at_bound(limit):
             return None
-        return match_keyword_phrase(self.text, self.line, self.word, limit)
+        return self._match(self.line, self.word, limit)
 
     # -- tokenization ---------------------------------------------------
 
@@ -193,7 +218,7 @@ class Scanner:
             raise ScanError("no input left in this scan region", Span.point(self.line, self.word))
 
         if not expect.kinds.isdisjoint(_KEYWORD_KINDS):
-            match = match_keyword_phrase(self.text, self.line, self.word, expect.stop_before)
+            match = self._match(self.line, self.word, expect.stop_before)
             if match is not None and match.kind in expect.kinds:
                 return self._take_keyword(match)
 
@@ -262,7 +287,7 @@ class Scanner:
                 # Mid-line keywords always end accumulation; line-initial
                 # keywords only do when the stop set asks for line-break stops.
                 if probe and pieces and (word or line_break_stops):
-                    match = match_keyword_phrase(self.text, line, word, stop_before)
+                    match = self._match(line, word, stop_before)
                     if match is not None and match.kind in kinds:
                         break
                 original = words[word]

@@ -35,6 +35,11 @@ class TokenKind(enum.Enum):
     COLON = "COLON"      # :
     EOF = "EOF"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is consistent with equality; Enum's own __hash__ is Python code
+    # that every ``kind in <set of kinds>`` test would call.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # terse rendering for dumps and messages
         return self.value
 

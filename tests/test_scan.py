@@ -1,5 +1,8 @@
 """Scanner behavior: keyword phrases, stop sets, pending punctuation."""
 
+import copy
+import pickle
+
 import pytest
 
 from legalc.normalize import is_digit_run, preprocess
@@ -202,6 +205,7 @@ def test_no_keyword_probe_without_an_expected_keyword(monkeypatch):
 
     clause = "الدستور إن مادة رقم ١١٦ في كذا، تابع ونظرا."
     sc = Scanner(norm(clause))
+    calls.clear()   # building the scanner matches each line's head once
     tokens = [sc.next_token(StopSet.of(K.COMMA, K.DOT)) for _ in range(5)]
     assert kinds_of(tokens) == [K.STRING, K.COMMA, K.STRING, K.DOT, K.EOF]
     assert calls == []
@@ -270,6 +274,15 @@ def test_spans_and_tokens_compare_and_hash_by_value():
     assert token != Token(K.STRING, "نص", span, detached=True)
     assert token != Token(K.STRING, "نص", Span(0, 1, 2, 4))
     assert str(span) == "1:2-3:4" and token.detached is False
+
+
+@pytest.mark.parametrize("kind", list(TokenKind))
+def test_kinds_survive_copies_as_the_same_member(kind):
+    kinds = frozenset(TokenKind)
+    for copied in (pickle.loads(pickle.dumps(kind)), copy.deepcopy(kind)):
+        assert copied is kind and hash(copied) == hash(kind)
+        assert copied in kinds and copied in frozenset({kind})
+    assert pickle.loads(pickle.dumps(kinds)) == kinds
 
 
 # -- reconstruction and dumps -------------------------------------------------

@@ -3,9 +3,12 @@
 The reference below is the straightforward scanner: it moves the cursor one
 word at a time through the cursor helpers, asks a helper per word whether a
 keyword stops the text, and splits each word's trailing delimiter before
-deciding.  The scanner's line walk must produce the same tokens, spans and
-cursor positions under every stop set and scope bound, and probe for
-keywords at the same places in the same order.
+deciding, and it matches keywords afresh at every word, line starts too.
+The scanner's line walk must produce the same tokens, spans and cursor
+positions under every stop set and scope bound.  It must probe for keywords
+at the same places in the same order, except at a line's first word, which
+it reads from the line heads: there it may only probe again where the scope
+bound cuts the cached phrase.
 """
 
 import random
@@ -19,7 +22,11 @@ K = TokenKind
 
 
 class ReferenceScanner(Scanner):
-    """A :class:`Scanner` whose STRING accumulation goes a word at a time."""
+    """A :class:`Scanner` whose STRING accumulation goes a word at a time,
+    and which never reads a keyword match from the line heads."""
+
+    def _match(self, line, word, limit):
+        return scanner.match_keyword_phrase(self.text, line, word, limit)
 
     def _take_string(self, expect):
         pieces = []
@@ -71,6 +78,7 @@ class ReferenceScanner(Scanner):
 
 
 KEYWORD_WORDS = sorted({w for phrase, _ in _SPELLINGS for w in phrase.split(" ")})
+PHRASES = sorted(phrase for phrase, _ in _SPELLINGS if " " in phrase)
 FILLER = ["نص", "عمل", "خبر", "الوزير", "١٢", "25", "٣أ"]
 STOP_KINDS = sorted(_KEYWORD_KINDS | {K.NUM, K.COLON, K.COMMA, K.DOT}, key=lambda k: k.value)
 
@@ -81,8 +89,10 @@ def random_document(rng: random.Random) -> str:
         words = []
         for i in range(rng.randint(1, 7)):
             roll = rng.random()
-            if i == 0 and roll < 0.5:
+            if i == 0 and roll < 0.35:
                 w = rng.choice(KEYWORD_WORDS)    # lines often open with a keyword
+            elif i == 0 and roll < 0.5:
+                w = rng.choice(PHRASES)          # ... or a whole multi-word phrase
             elif roll < 0.1:
                 w = rng.choice("،.:")            # a lone delimiter
             elif roll < 0.5:
@@ -129,17 +139,24 @@ def test_line_walk_agrees_with_per_word_reference(monkeypatch):
             outcome = ("ScanError", str(exc), exc.span)
         return outcome, sc.position, list(probes)
 
+    def cuts_head(text, line, word, limit):
+        """Whether ``limit`` cuts the unlimited match at this line start."""
+        head = match_keyword_phrase(text, line, 0)
+        return (word == 0 and limit is not None and head is not None
+                and (line, head.word_count - 1) >= limit)
+
     rng = random.Random(20261018)
-    strings = ended_by_delimiter = 0
+    strings = ended_by_delimiter = cut_heads = 0
     ended_by_keyword = {"mid-line": 0, "line start": 0}
     for _ in range(1500):
         text = preprocess(random_document(rng).encode("utf-8"), "random")
         ours, ref = Scanner(text), ReferenceScanner(text)
         for _ in range(40):
             expect = random_stop_set(rng, text, ref.position)
-            want = step(ref, expect)
-            assert step(ours, expect) == want, (text.lines, expect)
-            token = want[0]
+            token, position, ref_probes = step(ref, expect)
+            want_probes = [p for p in ref_probes if p[1] > 0 or cuts_head(text, *p)]
+            assert step(ours, expect) == (token, position, want_probes), (text.lines, expect)
+            cut_heads += sum(p[1] == 0 for p in want_probes)
             if token[0] is K.EOF:
                 break
             if token[0] is K.STRING:
@@ -153,3 +170,4 @@ def test_line_walk_agrees_with_per_word_reference(monkeypatch):
     # the draw really exercises every way a STRING ends
     assert strings > 2000 and ended_by_delimiter > 800
     assert min(ended_by_keyword.values()) > 25, ended_by_keyword
+    assert cut_heads > 0, cut_heads
