@@ -18,7 +18,7 @@ from legalc import (
     segment_trailer,
 )
 from legalc.parser import parse_grammar_tokens, rejects_all_extensions
-from legalc.tokens import TokenKind
+from legalc.tokens import Span, Token, TokenKind
 
 K = TokenKind
 
@@ -284,6 +284,79 @@ def test_parse_grammar_tokens_handles_empty_stream():
     doc, diag = parse_grammar_tokens([])
     assert doc is None and diag is not None
     assert K.TYPE in diag.expected
+
+
+_PRE = [K.TYPE, K.RAQM, K.NUM, K.STRING, K.INNA, K.STRING, K.COMMA]
+_REF = [K.BINAA, K.STRING, K.COMMA]
+_ACK = [K.YAKOUR, K.COLON]
+_BODY = _PRE + _REF + _ACK + [K.MADA, K.NUM, K.COLON, K.STRING]
+_DOC = _BODY + [K.STRING, K.FI, K.STRING]
+
+# One kind sequence per grammar-phase failure site: (kinds, message, index of
+# the failing token, expected kinds in diagnostic order).
+GRAMMAR_FAILURES = {
+    "empty": ([], "expected a document type keyword (قانون, قرار or مرسوم)", 0, [K.TYPE]),
+    "type": ([K.RAQM], "expected a document type keyword (قانون, قرار or مرسوم)", 0, [K.TYPE]),
+    "raqm": ([K.TYPE, K.TYPE], "expected رقم after the document type", 1, [K.RAQM]),
+    "number": ([K.TYPE, K.RAQM, K.STRING], "expected the document number", 2, [K.NUM]),
+    "title": (_PRE[:3] + [K.INNA], "expected the document title", 3, [K.STRING]),
+    "inna": (_PRE[:4] + [K.STRING], "expected إن opening the issuer line", 4, [K.INNA]),
+    "issuer-empty": (_PRE[:5] + [K.COMMA], "empty issuer text", 5, [K.STRING]),
+    "issuer-comma": (_PRE[:6] + [K.DOT], "issuer line must end with ،", 6, [K.COMMA]),
+    "reference-empty": (_PRE + [K.BINAA, K.COMMA], "empty reference clause", 8, [K.STRING]),
+    "reference-end": (_PRE + [K.BINAA, K.STRING, K.STRING],
+                      "reference clause must end with ، or a line-final .", 9, [K.COMMA, K.DOT]),
+    "reference-required": (_PRE + _ACK, "expected at least one reference clause", 7, [K.BINAA]),
+    "justification-empty": (_PRE + _REF + [K.HAYSOU, K.DOT], "empty justification clause", 11,
+                            [K.STRING]),
+    "justification-end": (_PRE + _REF + [K.HAYSOU, K.STRING, K.COLON],
+                          "justification clause must end with ، or a line-final .", 12,
+                          [K.COMMA, K.DOT]),
+    "acknowledgment": (_PRE + _REF + [K.MADA],
+                       "expected the acknowledgment phrase (يرسم/يقرر ما يأتي)", 10, [K.YAKOUR]),
+    "acknowledgment-colon": (_PRE + _REF + [K.YAKOUR, K.STRING],
+                             "acknowledgment phrase must end with :", 11, [K.COLON]),
+    "mada": (_PRE + _REF + _ACK + [K.STRING], "expected مادة opening an article", 12, [K.MADA]),
+    "article-number": (_PRE + _REF + _ACK + [K.MADA, K.COLON], "expected the article number", 13,
+                       [K.NUM, K.STRING]),
+    "article-colon": (_PRE + _REF + _ACK + [K.MADA, K.NUM, K.STRING],
+                      "expected : after the article number", 14, [K.COLON]),
+    "second-article-colon": (_BODY + [K.MADA, K.NUM, K.STRING],
+                             "expected : after the article number", 18, [K.COLON]),
+    "article-content": (_PRE + _REF + _ACK + [K.MADA, K.NUM, K.COLON, K.COLON],
+                        "article has no content", 15, [K.STRING]),
+    "loc-date": (_BODY + [K.IMDAA], "expected the location/date line", 16, [K.STRING]),
+    "date-after-fi": (_BODY + [K.STRING, K.FI, K.IMDAA], "expected the date after في", 18,
+                      [K.STRING]),
+    "fi-or-date": (_BODY + [K.STRING, K.STRING, K.COLON],
+                   "expected في or the date text after the location", 18, [K.EOF, K.FI, K.STRING]),
+    "type1-colon": (_DOC + [K.IMDAA, K.STRING], "الإمضاء must be followed by :", 20, [K.COLON]),
+    "type1-name": (_DOC + [K.IMDAA, K.COLON, K.COLON], "signature line has an empty name", 21,
+                   [K.STRING]),
+    "type1-position": (_DOC + [K.IMDAA, K.COLON, K.STRING],
+                       "expected a position line under the signature", 22, [K.STRING]),
+    "type2-colon": (_DOC + [K.STRING, K.IMDAA, K.STRING], "الإمضاء must be followed by :", 21,
+                    [K.COLON]),
+    "type2-name": (_DOC + [K.STRING, K.IMDAA, K.COLON, K.COLON],
+                   "signature line has an empty name", 22, [K.STRING]),
+    "type2-after-type1-colon": (_DOC + [K.IMDAA, K.COLON, K.STRING, K.STRING,
+                                        K.STRING, K.IMDAA, K.DOT],
+                                "الإمضاء must be followed by :", 25, [K.COLON]),
+    "trailing": (_DOC + [K.COMMA], "unexpected trailing input after the signature block", 19,
+                 [K.EOF]),
+}
+
+
+@pytest.mark.parametrize("name", GRAMMAR_FAILURES)
+def test_grammar_failure_diagnostics(name):
+    kinds, message, at, expected = GRAMMAR_FAILURES[name]
+    tokens = [Token(k, k.value, Span.point(0, i)) for i, k in enumerate(kinds)]
+    doc, diag = parse_grammar_tokens(tokens)
+    assert doc is None
+    assert diag.message == message
+    assert diag.span.start_word == at
+    assert list(diag.expected) == expected
+    assert diag.found is (kinds + [K.EOF])[at]
 
 
 # -- generated-document properties ----------------------------------------------
