@@ -9,7 +9,8 @@ Two character-level helpers live here as well because both the scanner and
 the XML generator need them:
 
 * :func:`fold_for_matching` maps a word to the orthographic form used for
-  keyword comparison (hamza seats, taa marbuta, dotless yaa, tatweel).
+  keyword comparison (hamza seats, taa marbuta, dotless yaa, tatweel,
+  diacritics and invisible format controls).
   Folding is only ever applied to *matching*; emitted text always keeps the
   original spelling.
 * :func:`to_western_digits` maps Arabic-Indic digits to ASCII digits.  It is
@@ -22,8 +23,9 @@ import unicodedata
 from typing import NamedTuple
 
 # Orthographic folding for keyword matching.  Alef variants collapse to bare
-# alef, taa marbuta to haa, alef maqsura to yaa; the tatweel stretching mark
-# is dropped entirely.
+# alef, taa marbuta to haa, alef maqsura to yaa.  The tatweel, the Arabic
+# diacritics (U+064B-U+065F, U+0670) and the invisible format controls (ZWNJ,
+# ZWJ, LRM, RLM, ALM, bidi embeddings, overrides and isolates) are dropped.
 _FOLD_TABLE = str.maketrans(
     {
         "أ": "ا",  # أ -> ا
@@ -33,6 +35,8 @@ _FOLD_TABLE = str.maketrans(
         "ة": "ه",  # ة -> ه
         "ى": "ي",  # ى -> ي
         "ـ": None,      # ـ (tatweel) removed
+        **dict.fromkeys(map(chr, [*range(0x064B, 0x0660), 0x0670, *range(0x200C, 0x2010), 0x061C,
+                                  *range(0x202A, 0x202F), *range(0x2066, 0x206A)])),
     }
 )
 

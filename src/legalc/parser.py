@@ -12,7 +12,10 @@ implements the document grammar exactly (see :mod:`legalc.grammar`), with
 ordered-choice backtracking for the places the grammar is locally ambiguous
 (article titles, the location/date line, the signature block).  Because it
 reads nothing but tokens, the same code parses synthetic token sequences,
-which is how it is cross-checked against the CYK oracle.
+which is how it is cross-checked against the CYK oracle.  Each fixed run of
+tokens (the preamble, a clause body, the acknowledgment, an article header,
+the rest of a signature) is a module-level table of (kinds, message) steps
+that one function, :func:`_expect`, checks in order.
 
 The first error aborts; there is no recovery.
 """
@@ -106,26 +109,6 @@ class ParseResult(NamedTuple):
         return self.document is not None
 
 
-# Lexemes used when parsing synthetic token-kind sequences.
-REPRESENTATIVE_LEXEMES: dict[TokenKind, str] = {
-    K.TYPE: "مرسوم",
-    K.RAQM: "رقم",
-    K.NUM: "١",
-    K.STRING: "نص",
-    K.INNA: "إن",
-    K.BINAA: "بناء على",
-    K.HAYSOU: "نظرا",
-    K.YAKOUR: "يرسم ما يأتي",
-    K.MADA: "مادة",
-    K.FI: "في",
-    K.IMDAA: "الإمضاء",
-    K.COMMA: "،",
-    K.DOT: ".",
-    K.COLON: ":",
-    K.EOF: "",
-}
-
-
 # -- grammar phase ---------------------------------------------------------
 
 
@@ -178,64 +161,70 @@ class _Ctx:
             self.fail_expected |= expected
 
 
-def _expect(ctx: _Ctx, i: int, kind: TokenKind, message: str) -> tuple[Token, int] | None:
-    tok = ctx.src.get(i)
-    if tok.kind is kind:
-        return tok, i + 1
-    ctx.fail(i, {kind}, message)
-    return None
+# The grammar's fixed token runs as data: one (kinds, message) step per
+# token, checked in order by :func:`_expect`.
+_Steps = tuple[tuple[tuple[TokenKind, ...], str], ...]
+
+_PREAMBLE: _Steps = (
+    ((K.TYPE,), "expected a document type keyword (قانون, قرار or مرسوم)"),
+    ((K.RAQM,), "expected رقم after the document type"),
+    ((K.NUM,), "expected the document number"),
+    ((K.STRING,), "expected the document title"),
+    ((K.INNA,), "expected إن opening the issuer line"),
+    ((K.STRING,), "empty issuer text"),
+    ((K.COMMA,), "issuer line must end with ،"),
+)
+_REFERENCE_BODY: _Steps = (
+    ((K.STRING,), "empty reference clause"),
+    ((K.COMMA, K.DOT), "reference clause must end with ، or a line-final ."),
+)
+_JUSTIFICATION_BODY: _Steps = (
+    ((K.STRING,), "empty justification clause"),
+    ((K.COMMA, K.DOT), "justification clause must end with ، or a line-final ."),
+)
+_ACKNOWLEDGMENT: _Steps = (
+    ((K.YAKOUR,), "expected the acknowledgment phrase (يرسم/يقرر ما يأتي)"),
+    ((K.COLON,), "acknowledgment phrase must end with :"),
+)
+_ARTICLE_HEAD: _Steps = (                 # مادة n : and the first content STRING
+    ((K.MADA,), "expected مادة opening an article"),
+    ((K.NUM, K.STRING), "expected the article number"),
+    ((K.COLON,), "expected : after the article number"),
+    ((K.STRING,), "article has no content"),
+)
+_TYPE1_REST: _Steps = (                   # after الإمضاء: ": name", then the position
+    ((K.COLON,), "الإمضاء must be followed by :"),
+    ((K.STRING,), "signature line has an empty name"),
+    ((K.STRING,), "expected a position line under the signature"),
+)
+_TYPE2_REST = _TYPE1_REST[:2]             # after "position الإمضاء": ": name"
 
 
-def _parse_statement(ctx: _Ctx, i: int) -> tuple[Statement, int] | None:
-    r = _expect(ctx, i, K.TYPE, "expected a document type keyword (قانون, قرار or مرسوم)")
-    if r is None:
-        return None
-    type_tok, i = r
-    r = _expect(ctx, i, K.RAQM, "expected رقم after the document type")
-    if r is None:
-        return None
-    _, i = r
-    r = _expect(ctx, i, K.NUM, "expected the document number")
-    if r is None:
-        return None
-    num_tok, i = r
-    return Statement(type_tok.lexeme, num_tok.lexeme), i
+def _expect(ctx: _Ctx, i: int, steps: _Steps) -> list[Token] | None:
+    """The tokens of one fixed run from ``i`` on, or None once the first
+    mismatch is recorded."""
+    get = ctx.src.get
+    toks: list[Token] = []
+    for kinds, message in steps:
+        tok = get(i)
+        if tok.kind not in kinds:
+            ctx.fail(i, set(kinds), message)
+            return None
+        toks.append(tok)
+        i += 1
+    return toks
 
 
-def _parse_clause_list(ctx: _Ctx, i: int, opener: TokenKind, what: str,
-                       required: bool) -> tuple[list[str], int] | None:
+def _parse_clause_list(ctx: _Ctx, i: int, opener: TokenKind,
+                       body: _Steps) -> tuple[list[str], int] | None:
     items: list[str] = []
     while ctx.src.kind_at(i) is opener:
-        i += 1
-        r = _expect(ctx, i, K.STRING, f"empty {what} clause")
-        if r is None:
+        toks = _expect(ctx, i + 1, body)
+        if toks is None:
             return None
-        text_tok, i = r
-        if ctx.src.kind_at(i) in (K.COMMA, K.DOT):
-            i += 1
-        else:
-            ctx.fail(i, {K.COMMA, K.DOT}, f"{what} clause must end with ، or a line-final .")
-            return None
-        items.append(text_tok.lexeme)
-    if required and not items:
-        ctx.fail(i, {opener}, f"expected at least one {what} clause")
-        return None
+        items.append(toks[0].lexeme)
+        i += 1 + len(body)
     return items, i
-
-
-def _article_header(ctx: _Ctx, i: int) -> tuple[str, int] | None:
-    """``مادة n :`` at i: the article number and the index after the colon."""
-    if ctx.src.kind_at(i) is not K.MADA:
-        ctx.fail(i, {K.MADA}, "expected مادة opening an article")
-        return None
-    num_tok = ctx.src.get(i + 1)
-    if num_tok.kind not in (K.NUM, K.STRING):
-        ctx.fail(i + 1, {K.NUM, K.STRING}, "expected the article number")
-        return None
-    if ctx.src.kind_at(i + 2) is not K.COLON:
-        ctx.fail(i + 2, {K.COLON}, "expected : after the article number")
-        return None
-    return num_tok.lexeme, i + 3
 
 
 def _gen_article_list(ctx: _Ctx, i: int) -> Iterator[tuple[list[Article], int]]:
@@ -252,27 +241,24 @@ def _gen_article_list(ctx: _Ctx, i: int) -> Iterator[tuple[list[Article], int]]:
     the generator resumes.
     """
     articles: list[Article] = []
-    titled: list[tuple[int, str, int]] = []   # (list position, number, content index)
-    while (header := _article_header(ctx, i)) is not None:
-        number, c = header
-        if ctx.src.kind_at(c) is not K.STRING:
-            ctx.fail(c, {K.STRING}, "article has no content")
-            break
-        if ctx.src.kind_at(c + 1) is K.STRING:
-            titled.append((len(articles), number, c))
-            articles.append(Article(number, ctx.src.get(c).lexeme, ctx.src.get(c + 1).lexeme))
-            i = c + 2
+    titled: list[tuple[int, str, str, int]] = []   # (list position, number, first STRING, its end)
+    while (head := _expect(ctx, i, _ARTICLE_HEAD)) is not None:
+        number, first = head[1].lexeme, head[3].lexeme
+        i += len(_ARTICLE_HEAD)
+        if ctx.src.kind_at(i) is K.STRING:
+            titled.append((len(articles), number, first, i))
+            articles.append(Article(number, first, ctx.src.get(i).lexeme))
+            i += 1
         else:
-            articles.append(Article(number, None, ctx.src.get(c).lexeme))
-            i = c + 1
+            articles.append(Article(number, None, first))
         # Another MADA must belong to the article list; anything else ends it.
         if ctx.src.kind_at(i) is not K.MADA:
             yield articles, i
             break
-    for k, number, c in reversed(titled):
+    for k, number, first, end in reversed(titled):
         del articles[k:]
-        articles.append(Article(number, None, ctx.src.get(c).lexeme))
-        yield articles, c + 1
+        articles.append(Article(number, None, first))
+        yield articles, end
 
 
 def _parse_loc_date(ctx: _Ctx, i: int) -> tuple[LocDate, int] | None:
@@ -295,80 +281,43 @@ def _parse_loc_date(ctx: _Ctx, i: int) -> tuple[LocDate, int] | None:
 def _greedy_type2(ctx: _Ctx, i: int) -> tuple[list[Signature], int] | None:
     sigs: list[Signature] = []
     while ctx.src.kind_at(i) is K.STRING and ctx.src.kind_at(i + 1) is K.IMDAA:
-        if ctx.src.kind_at(i + 2) is not K.COLON:
-            ctx.fail(i + 2, {K.COLON}, "الإمضاء must be followed by :")
+        rest = _expect(ctx, i + 2, _TYPE2_REST)
+        if rest is None:
             return None
-        if ctx.src.kind_at(i + 3) is not K.STRING:
-            ctx.fail(i + 3, {K.STRING}, "signature line has an empty name")
-            return None
-        sigs.append(Signature(SignatureKind.TYPE2, ctx.src.get(i + 3).lexeme, ctx.src.get(i).lexeme))
+        sigs.append(Signature(SignatureKind.TYPE2, rest[1].lexeme, ctx.src.get(i).lexeme))
         i += 4
     return sigs, i
 
 
 def _gen_sig_list(ctx: _Ctx, i: int) -> Iterator[tuple[list[Signature], int]]:
-    if ctx.src.kind_at(i) is K.IMDAA:
-        ok = True
-        j = i + 1
-        if ctx.src.kind_at(j) is not K.COLON:
-            ctx.fail(j, {K.COLON}, "الإمضاء must be followed by :")
-            ok = False
-        if ok and ctx.src.kind_at(j + 1) is not K.STRING:
-            ctx.fail(j + 1, {K.STRING}, "signature line has an empty name")
-            ok = False
-        if ok and ctx.src.kind_at(j + 2) is not K.STRING:
-            ctx.fail(j + 2, {K.STRING}, "expected a position line under the signature")
-            ok = False
-        if ok:
-            first = Signature(SignatureKind.TYPE1, ctx.src.get(j + 1).lexeme, ctx.src.get(j + 2).lexeme)
-            rest = _greedy_type2(ctx, j + 3)
-            if rest is not None:
-                sigs2, k = rest
-                yield [first] + sigs2, k
+    if ctx.src.kind_at(i) is K.IMDAA and (first := _expect(ctx, i + 1, _TYPE1_REST)) is not None:
+        rest = _greedy_type2(ctx, i + 4)
+        if rest is not None:
+            sigs2, k = rest
+            yield [Signature(SignatureKind.TYPE1, first[1].lexeme, first[2].lexeme)] + sigs2, k
     rest = _greedy_type2(ctx, i)
     if rest is not None:
         yield rest
 
 
 def _parse_document_tokens(ctx: _Ctx) -> Document | None:
-    i = 0
-    r = _parse_statement(ctx, i)
-    if r is None:
+    pre = _expect(ctx, 0, _PREAMBLE)
+    if pre is None:
         return None
-    statement, i = r
-    rt = _expect(ctx, i, K.STRING, "expected the document title")
-    if rt is None:
-        return None
-    title_tok, i = rt
-    ri = _expect(ctx, i, K.INNA, "expected إن opening the issuer line")
-    if ri is None:
-        return None
-    _, i = ri
-    ri = _expect(ctx, i, K.STRING, "empty issuer text")
-    if ri is None:
-        return None
-    issuer_tok, i = ri
-    ri = _expect(ctx, i, K.COMMA, "issuer line must end with ،")
-    if ri is None:
-        return None
-    _, i = ri
-    rr = _parse_clause_list(ctx, i, K.BINAA, "reference", required=True)
+    rr = _parse_clause_list(ctx, len(_PREAMBLE), K.BINAA, _REFERENCE_BODY)
     if rr is None:
         return None
     references, i = rr
-    rj = _parse_clause_list(ctx, i, K.HAYSOU, "justification", required=False)
+    if not references:
+        ctx.fail(i, {K.BINAA}, "expected at least one reference clause")
+        return None
+    rj = _parse_clause_list(ctx, i, K.HAYSOU, _JUSTIFICATION_BODY)
     if rj is None:
         return None
     justifications, i = rj
-    ra = _expect(ctx, i, K.YAKOUR, "expected the acknowledgment phrase (يرسم/يقرر ما يأتي)")
-    if ra is None:
+    if _expect(ctx, i, _ACKNOWLEDGMENT) is None:
         return None
-    _, i = ra
-    ra = _expect(ctx, i, K.COLON, "acknowledgment phrase must end with :")
-    if ra is None:
-        return None
-    _, i = ra
-    for articles, j in _gen_article_list(ctx, i):
+    for articles, j in _gen_article_list(ctx, i + len(_ACKNOWLEDGMENT)):
         rl = _parse_loc_date(ctx, j)
         if rl is None:
             continue
@@ -376,9 +325,9 @@ def _parse_document_tokens(ctx: _Ctx) -> Document | None:
         for signatures, m in _gen_sig_list(ctx, k):
             if ctx.src.kind_at(m) is K.EOF:
                 return Document(
-                    statement=statement,
-                    title=title_tok.lexeme,
-                    issuer=issuer_tok.lexeme,
+                    statement=Statement(pre[0].lexeme, pre[2].lexeme),
+                    title=pre[3].lexeme,
+                    issuer=pre[5].lexeme,
                     references=tuple(references),
                     justifications=tuple(justifications),
                     articles=tuple(articles),
@@ -411,10 +360,9 @@ def parse_grammar_tokens(tokens: Sequence[Token]) -> tuple[Document | None, Diag
 
 
 def parse_token_kinds(kinds: Sequence[TokenKind]) -> bool:
-    """Grammar acceptance of a bare token-kind sequence (synthetic lexemes)."""
-    tokens = [Token(k, REPRESENTATIVE_LEXEMES[k], Span.point(0, i)) for i, k in enumerate(kinds)]
-    doc, _ = parse_grammar_tokens(tokens)
-    return doc is not None
+    """Grammar acceptance of a bare token-kind sequence."""
+    tokens = [Token(k, k.value, Span.point(0, i)) for i, k in enumerate(kinds)]
+    return parse_grammar_tokens(tokens)[0] is not None
 
 
 def rejects_all_extensions(kinds: Sequence[TokenKind]) -> bool:
@@ -422,8 +370,7 @@ def rejects_all_extensions(kinds: Sequence[TokenKind]) -> bool:
     token at or past ``len(kinds)``.  Every extension of such a prefix is
     rejected identically, which lets bounded-exhaustive equivalence checks
     prune whole subtrees soundly."""
-    tokens = [Token(k, REPRESENTATIVE_LEXEMES[k], Span.point(0, i)) for i, k in enumerate(kinds)]
-    ctx = _Ctx(_PrefixSource(tokens))
+    ctx = _Ctx(_PrefixSource([Token(k, k.value, Span.point(0, i)) for i, k in enumerate(kinds)]))
     try:
         return _parse_document_tokens(ctx) is None
     except NeedMoreTokens:
@@ -532,6 +479,14 @@ class _Driver:
         while self.sc.has_pending:
             self.take(_ANY)
 
+    def text_to(self, bound: tuple[int, int]) -> None:
+        """Scan plain text, split at ، and ., up to ``bound`` and through any
+        delimiter still pending there."""
+        sc = self.sc
+        stop = StopSet.of(K.COMMA, K.DOT, stop_before=bound)
+        while sc.position < bound or sc.has_pending:
+            self.take(stop)
+
     def run(self) -> ScanResult:
         try:
             self._policy()
@@ -595,10 +550,7 @@ class _Driver:
             self._one_article(boundary_line)
         # Anything left before the location/date line is scanned as plain
         # text; the grammar phase reports what was actually wrong.
-        bound = (boundary_line, 0)
-        stop = StopSet.of(K.COMMA, K.DOT, stop_before=bound)
-        while sc.position < bound or sc.has_pending:
-            self.take(stop)
+        self.text_to((boundary_line, 0))
 
     def _one_article(self, boundary_line: int) -> None:
         sc = self.sc
@@ -613,15 +565,10 @@ class _Driver:
             self.take(StopSet.of(stop_before=header_end))                   # title
         self.drain()
         content_end = _first_line_opening(sc.heads, K.MADA, header_line + 1, boundary_line)
-        bound = (boundary_line if content_end is None else content_end, 0)
-        stop = StopSet.of(K.COMMA, K.DOT, stop_before=bound)
-        region: list[Token] = []
-        while sc.position < bound or sc.has_pending:
-            tok = sc.next_token(stop)
-            self.fine.append(tok)
-            region.append(tok)
-        if region:
-            self.grammar.append(_merge_region(region))
+        start = len(self.grammar)
+        self.text_to((boundary_line if content_end is None else content_end, 0))
+        if len(self.grammar) > start:
+            self.grammar[start:] = [_merge_region(self.grammar[start:])]
 
     def _loc_date(self, line: int) -> None:
         sc = self.sc
@@ -629,8 +576,7 @@ class _Driver:
             return
         line_end = (line + 1, 0)
         words = self.text.words(line)
-        fi_index = next((i for i, w in enumerate(words)
-                         if fold_for_matching(w) == "في"), None)
+        fi_index = next((i for i, w in enumerate(words) if fold_for_matching(w) == "في"), None)
         if fi_index is not None:
             if fi_index > 0:
                 self.take(StopSet.of(K.FI, stop_before=line_end))            # location
@@ -648,9 +594,7 @@ class _Driver:
                 self.take(StopSet.of(stop_before=(line, digit_index)))       # location
             if sc.position < line_end:
                 self.take(StopSet.of(stop_before=line_end))                  # date (or whole line)
-        stop = StopSet.of(K.COMMA, K.DOT, stop_before=line_end)
-        while sc.position < line_end or sc.has_pending:
-            self.take(stop)
+        self.text_to(line_end)
 
     def _signatures(self) -> None:
         sc = self.sc
@@ -669,17 +613,11 @@ class _Driver:
                 if not sc.has_pending and sc.position < line_end:
                     self.take(StopSet.of(stop_before=line_end))              # name
             else:
-                stop = StopSet.of(K.COMMA, K.DOT, stop_before=line_end)
-                while sc.position < line_end or sc.has_pending:
-                    self.take(stop)
+                self.text_to(line_end)
 
     def _residual(self) -> None:
-        sc = self.sc
-        while not sc.at_end() or sc.has_pending:
-            if sc.has_pending:
-                self.drain()
-                continue
-            self.take(StopSet.of(K.COMMA, K.DOT, stop_before=(sc.line + 1, 0)))
+        while not self.sc.at_end() or self.sc.has_pending:
+            self.text_to((self.sc.line + 1, 0))
 
 
 def scan_document(text: NormalizedText) -> ScanResult:

@@ -193,11 +193,11 @@ class Scanner:
             return head
         return match_keyword_phrase(self.text, line, 0, limit)
 
-    def peek_keyword(self, limit: tuple[int, int] | None = None) -> KeywordMatch | None:
+    def peek_keyword(self) -> KeywordMatch | None:
         """Non-consuming keyword match at the cursor, regardless of kind."""
-        if self.at_end() or self._at_bound(limit):
+        if self.at_end():
             return None
-        return self._match(self.line, self.word, limit)
+        return self._match(self.line, self.word, None)
 
     # -- tokenization ---------------------------------------------------
 

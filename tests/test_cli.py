@@ -98,6 +98,26 @@ def test_caret_marks_the_diagnostic_span(tmp_path, old, new, line, caret):
     assert err.splitlines()[1:3] == ["  " + line, "  " + caret]
 
 
+@pytest.mark.parametrize("line,old,new", [
+    (6, "مادة", "م\u064eادة"),              # fatha
+    (6, "مادة", "ماد\u0651ة"),              # shadda
+    (5, "يرسم", "ير\u200cسم"),              # ZWNJ
+    (16, "الامضاء", "\u200fالامضاء"),        # RLM before the first signature
+    (19, "الامضاء", "\u200fالامضاء"),        # RLM before the second
+], ids=["fatha", "shadda", "zwnj", "rlm-first-signature", "rlm-second-signature"])
+def test_invisible_marks_in_keywords_are_matched_through(tmp_path, corpus_dir, golden_dir,
+                                                          line, old, new):
+    lines = (corpus_dir / "decree-25.txt").read_text(encoding="utf-8").split("\n")
+    lines[line] = lines[line].replace(old, new, 1)
+    p = tmp_path / "doc.txt"
+    p.write_text("\n".join(lines), encoding="utf-8")
+    assert invoke([str(p), "--validate"]) == (0, "", "")
+    code, tokens, _ = invoke([str(p), "--dump-tokens"])
+    assert code == 0 and f"\t{new}" in tokens        # the keyword keeps its spelling
+    code, xml, _ = invoke([str(p), "-o", "-"])
+    assert code == 0 and xml == (golden_dir / "decree-25.xml").read_text(encoding="utf-8")
+
+
 def test_dump_tokens(good):
     code, out, _ = invoke([str(good), "--dump-tokens"])
     assert code == 0

@@ -93,6 +93,15 @@ def test_fold_removes_tatweel():
     assert fold_for_matching("مـادة") == "ماده"
 
 
+def test_fold_drops_diacritics_and_format_controls():
+    assert fold_for_matching("م\u064eاد\u0651ة") == "ماده"
+    dropped = [*range(0x064B, 0x0660), 0x0670, *range(0x200C, 0x2010), 0x061C,
+               *range(0x202A, 0x202F), *range(0x2066, 0x206A)]
+    for code in dropped:
+        assert fold_for_matching("ير" + chr(code) + "سم:") == "يرسم", hex(code)
+    assert fold_for_matching("ير\u00a0سم") == "ير\u00a0سم"   # non-ASCII spaces stay
+
+
 def test_fold_detaches_one_trailing_mark():
     assert fold_for_matching("منه،") == "منه"
     assert split_trailing("منه،") == ("منه", "،")
