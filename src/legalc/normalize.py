@@ -22,10 +22,15 @@ from __future__ import annotations
 import unicodedata
 from typing import NamedTuple
 
+# The invisible format controls: ZWNJ, ZWJ, LRM, RLM, ALM, and the bidi
+# embeddings, overrides and isolates.  Folding drops them, and a delimiter
+# followed only by them still trails its word.
+_FORMAT_CONTROLS = "".join(map(chr, [*range(0x200C, 0x2010), 0x061C, *range(0x202A, 0x202F),
+                                     *range(0x2066, 0x206A)]))
+
 # Orthographic folding for keyword matching.  Alef variants collapse to bare
 # alef, taa marbuta to haa, alef maqsura to yaa.  The tatweel, the Arabic
-# diacritics (U+064B-U+065F, U+0670) and the invisible format controls (ZWNJ,
-# ZWJ, LRM, RLM, ALM, bidi embeddings, overrides and isolates) are dropped.
+# diacritics (U+064B-U+065F, U+0670) and the format controls are dropped.
 _FOLD_TABLE = str.maketrans(
     {
         "أ": "ا",  # أ -> ا
@@ -35,8 +40,8 @@ _FOLD_TABLE = str.maketrans(
         "ة": "ه",  # ة -> ه
         "ى": "ي",  # ى -> ي
         "ـ": None,      # ـ (tatweel) removed
-        **dict.fromkeys(map(chr, [*range(0x064B, 0x0660), 0x0670, *range(0x200C, 0x2010), 0x061C,
-                                  *range(0x202A, 0x202F), *range(0x2066, 0x206A)])),
+        **dict.fromkeys(map(chr, [*range(0x064B, 0x0660), 0x0670])),
+        **dict.fromkeys(_FORMAT_CONTROLS),
     }
 )
 
@@ -115,9 +120,9 @@ def _split_words(line: str) -> list[str]:
 def fold_for_matching(word: str) -> str:
     """The folded body of one word, for keyword comparison.
 
-    A single trailing '،', '.' or ':' is dropped first, as :func:`split_trailing`
-    detaches it (a lone delimiter word stays whole).  Callers that need the
-    delimiter call :func:`split_trailing` themselves.
+    A trailing delimiter is dropped first, as :func:`split_trailing` detaches
+    it (a lone delimiter word stays whole).  Callers that need the delimiter
+    call :func:`split_trailing` themselves.
     """
     return split_trailing(word)[0].translate(_FOLD_TABLE)
 
@@ -125,11 +130,13 @@ def fold_for_matching(word: str) -> str:
 def split_trailing(word: str) -> tuple[str, str]:
     """(body, trailing) with one trailing '،', '.' or ':' detached.
 
-    The delimiter stays on a one-character word, so a lone delimiter word is
-    never split into an empty body.
+    Format controls after the delimiter do not hide it: ``trailing`` is the
+    delimiter plus those controls.  The delimiter stays on a word with no
+    other body, so a lone delimiter word is never split into an empty body.
     """
-    if len(word) > 1 and word[-1] in TRAILING_PUNCTUATION:
-        return word[:-1], word[-1]
+    cut = len(word.rstrip(_FORMAT_CONTROLS)) - 1
+    if cut > 0 and word[cut] in TRAILING_PUNCTUATION:
+        return word[:cut], word[cut:]
     return word, ""
 
 

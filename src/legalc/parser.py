@@ -476,7 +476,7 @@ class _Driver:
         return tok
 
     def drain(self) -> None:
-        while self.sc.has_pending:
+        if self.sc.has_pending:
             self.take(_ANY)
 
     def text_to(self, bound: tuple[int, int]) -> None:
@@ -516,7 +516,7 @@ class _Driver:
         self._clauses(K.BINAA)
         self._clauses(K.HAYSOU)
         m = sc.peek_keyword()
-        if not sc.has_pending and m is not None and m.kind is K.YAKOUR:
+        if m is not None and m.kind is K.YAKOUR:
             self.take(_STOP_AT[K.YAKOUR])
             self.take(_STOP_AT[K.COLON])
         if sc.at_end() and not sc.has_pending:
@@ -534,7 +534,7 @@ class _Driver:
         sc = self.sc
         while True:
             m = sc.peek_keyword()
-            if sc.has_pending or m is None or m.kind is not opener:
+            if m is None or m.kind is not opener:
                 return
             self.take(_STOP_AT[opener])
             tok = self.take(_TEXT)                                   # clause text
@@ -543,7 +543,7 @@ class _Driver:
 
     def _articles(self, boundary_line: int) -> None:
         sc = self.sc
-        while sc.line < boundary_line and sc.word == 0 and not sc.has_pending:
+        while sc.line < boundary_line and sc.word == 0:
             m = sc.peek_keyword()
             if m is None or m.kind is not K.MADA:
                 break
@@ -606,9 +606,7 @@ class _Driver:
             m = sc.peek_keyword()
             if sc.word == 0 and m is not None and m.kind is K.IMDAA:
                 self.take(_STOP_AT[K.IMDAA])
-                if sc.has_pending:
-                    self.take(_STOP_AT[K.COLON])
-                elif sc.position < line_end:
+                if sc.has_pending or sc.position < line_end:
                     self.take(StopSet.of(K.COLON, stop_before=line_end))
                 if not sc.has_pending and sc.position < line_end:
                     self.take(StopSet.of(stop_before=line_end))              # name

@@ -7,38 +7,35 @@ scope bound ends it.  Matching uses folded spellings so that e.g. الامضاء
 matches the الإمضاء keyword; emitted lexemes always keep the original text.
 
 Keyword phrases (at most three words) live in one index keyed by their
-folded first word, each entry listing that word's phrases longest first: a
-cut-down Aho & Corasick trie (CACM 1975).  A probe folds the word under the
-cursor once and, for the great majority of words, stops at a missed lookup;
-later words are folded only while a candidate phrase still matches.
+folded first word: a cut-down Aho & Corasick trie (CACM 1975).  A probe
+folds the word under the cursor once and, for the great majority of words,
+stops at a missed lookup.  All phrases that share a first word have the same
+length, so no phrase is a proper prefix of another, and a scope bound can
+only keep a phrase whole or rule it out: the bound is one comparison on the
+matched phrase's last word.
 
 STRING accumulation walks one line's word tuple at a time.  The scope bound
 becomes a word limit once per line; each word is tested for a stopping
-delimiter by its last character alone, and probed for a keyword only when
-the stop set expects one (never at a line start unless the stop set asks
-for line-break stops).  The cursor is written back once, when the token is
-done.
+delimiter by its last character (past any trailing format controls), and
+probed for a keyword only when the stop set expects one (never at a line
+start unless the stop set asks for line-break stops).  The cursor is written
+back once, when the token is done.
 
 Every line's head, the keyword phrase that opens it, is matched once per
 document into ``Scanner.heads``; a probe at a line's first word reads that
 entry instead of matching again, like the one layout pass Landin's off-side
-rule (CACM 1966) and Python's INDENT/DEDENT tokenizer make per line.  The
-entry holds the unlimited match, so under a ``limit`` it is exact in two of
-three cases: a cached None stays None, and a match whose last word lies
-before the limit is still the longest one.  A match the limit cuts is
-matched again under that limit, since a shorter phrase may still fit.
+rule (CACM 1966) and Python's INDENT/DEDENT tokenizer make per line.
 
-Delimiters detached from a host word ('الجمهورية،' ends an issuer phrase) are
-queued as their own COMMA/DOT/COLON tokens and emitted before the cursor
-moves on.
+A delimiter detached from a host word ('الجمهورية،' ends an issuer phrase) is
+held as its own COMMA/DOT/COLON token and emitted before the cursor moves on.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple
 
-from .normalize import NormalizedText, fold_for_matching, is_digit_run, split_trailing
+from .normalize import (_FORMAT_CONTROLS, NormalizedText, fold_for_matching, is_digit_run,
+                        split_trailing)
 from .tokens import Span, StopSet, Token, TokenKind, punctuation_kind
 
 
@@ -76,82 +73,75 @@ _SPELLINGS: tuple[tuple[str, TokenKind], ...] = (
     ("الإمضاء", TokenKind.IMDAA),
 )
 
-# A candidate is the folded words after the first, plus the phrase's kind.
-_Candidate = tuple[tuple[str, ...], TokenKind]
-
-
-def _build_index() -> dict[str, tuple[_Candidate, ...]]:
-    index: dict[str, list[_Candidate]] = {}
-    for phrase, kind in _SPELLINGS:
-        first, *rest = (fold_for_matching(w) for w in phrase.split(" "))
-        index.setdefault(first, []).append((tuple(rest), kind))
-    return {first: tuple(sorted(cands, key=lambda c: -len(c[0])))
-            for first, cands in index.items()}
-
-
-# Folded first word -> its phrases, longest first.
-_KEYWORDS = _build_index()
-
-# A stop set without any of these cannot use a keyword match, so the scanner
-# does not probe for one.
-_KEYWORD_KINDS = frozenset(kind for _, kind in _SPELLINGS)
-
 
 class KeywordMatch(NamedTuple):
     kind: TokenKind
     word_count: int
 
 
-def match_keyword_phrase(text: NormalizedText, line: int, word: int,
-                         limit: tuple[int, int] | None = None) -> KeywordMatch | None:
-    """Longest keyword phrase starting at (line, word), or None.
+# Folded first word -> (the word count of its phrases, their folded later
+# words -> match).
+_Index = dict[str, tuple[int, dict[tuple[str, ...], KeywordMatch]]]
+
+
+def _build_index(spellings: tuple[tuple[str, TokenKind], ...]) -> _Index:
+    index: _Index = {}
+    for phrase, kind in spellings:
+        first, *rest = (fold_for_matching(w) for w in phrase.split(" "))
+        count, phrases = index.setdefault(first, (len(rest) + 1, {}))
+        if count != len(rest) + 1:
+            raise ValueError(f"keyword phrases opening with {first!r} differ in length; a "
+                             "scope bound must keep a phrase whole or rule it out, so each "
+                             "first word needs one length")
+        phrases[tuple(rest)] = KeywordMatch(kind, count)
+    return index
+
+
+_KEYWORDS = _build_index(_SPELLINGS)
+
+# A stop set without any of these cannot use a keyword match, so the scanner
+# does not probe for one.
+_KEYWORD_KINDS = frozenset(kind for _, kind in _SPELLINGS)
+
+
+def match_keyword_phrase(text: NormalizedText, line: int, word: int) -> KeywordMatch | None:
+    """The keyword phrase starting at (line, word), or None.
 
     Phrases never span lines; words before the last must carry no trailing
-    delimiter.  ``limit`` is an exclusive (line, word) bound on every word of
-    the phrase, so a shorter phrase may still match inside it.
+    delimiter.
     """
     if line >= text.line_count:
         return None
     words = text.words(line)
     if word >= len(words):
         return None
-    folded = [fold_for_matching(words[word])]
-    candidates = _KEYWORDS.get(folded[0])
-    if candidates is None:
+    entry = _KEYWORDS.get(fold_for_matching(words[word]))
+    if entry is None:
         return None
-    for rest, kind in candidates:
-        end = word + len(rest) + 1
-        if end > len(words) or (limit is not None and (line, end - 1) >= limit):
-            continue
-        for i, want in enumerate(rest, 1):
-            if split_trailing(words[word + i - 1])[1]:
-                break
-            if i == len(folded):
-                folded.append(fold_for_matching(words[word + i]))
-            if folded[i] != want:
-                break
-        else:
-            return KeywordMatch(kind, len(rest) + 1)
-    return None
+    count, phrases = entry
+    end = word + count
+    if end > len(words) or any(split_trailing(w)[1] for w in words[word:end - 1]):
+        return None
+    return phrases.get(tuple(map(fold_for_matching, words[word + 1:end])))
 
 
 def line_heads(text: NormalizedText) -> list[KeywordMatch | None]:
-    """The keyword phrase opening each line, matched with no limit."""
+    """The keyword phrase opening each line."""
     return [match_keyword_phrase(text, line, 0) for line in range(text.line_count)]
 
 
 class Scanner:
     """Stateful tokenizer over one :class:`NormalizedText`.
 
-    The cursor only moves forward, and queued delimiter punctuation is always
-    emitted before the next word is consumed.
+    The cursor only moves forward.  At most one detached delimiter is ever
+    pending, and it is emitted before the next word is consumed.
     """
 
     def __init__(self, text: NormalizedText):
         self.text = text
         self.line = 0
         self.word = 0
-        self._pending: deque[Token] = deque()
+        self._pending: Token | None = None
         self.heads = line_heads(text)
 
     # -- cursor helpers -------------------------------------------------
@@ -162,20 +152,10 @@ class Scanner:
 
     @property
     def has_pending(self) -> bool:
-        return bool(self._pending)
+        return self._pending is not None
 
     def at_end(self) -> bool:
         return self.line >= len(self.text.lines)
-
-    def _at_bound(self, stop_before: tuple[int, int] | None) -> bool:
-        return stop_before is not None and (self.line, self.word) >= stop_before
-
-    def _advance(self) -> None:
-        if self.word + 1 < len(self.text.words(self.line)):
-            self.word += 1
-        else:
-            self.line += 1
-            self.word = 0
 
     def _eof_span(self) -> Span:
         if self.text.line_count == 0:
@@ -184,18 +164,17 @@ class Scanner:
         return Span.point(last, len(self.text.words(last)))
 
     def _match(self, line: int, word: int, limit: tuple[int, int] | None) -> KeywordMatch | None:
-        """``match_keyword_phrase`` at a word of the text, read from
-        :attr:`heads` at a line start unless ``limit`` cuts the cached match."""
-        if word:
-            return match_keyword_phrase(self.text, line, word, limit)
-        head = self.heads[line]
-        if head is None or limit is None or (line, head.word_count - 1) < limit:
-            return head
-        return match_keyword_phrase(self.text, line, 0, limit)
+        """The keyword phrase at a word of the text (read from :attr:`heads` at
+        a line start) whose words all lie before ``limit``."""
+        match = match_keyword_phrase(self.text, line, word) if word else self.heads[line]
+        if match is None or (limit is not None and (line, word + match.word_count - 1) >= limit):
+            return None
+        return match
 
     def peek_keyword(self) -> KeywordMatch | None:
-        """Non-consuming keyword match at the cursor, regardless of kind."""
-        if self.at_end():
+        """Non-consuming keyword match at the cursor, regardless of kind; None
+        at the end of input and while a delimiter is pending."""
+        if self._pending is not None or self.at_end():
             return None
         return self._match(self.line, self.word, None)
 
@@ -204,60 +183,43 @@ class Scanner:
     def next_token(self, expect: StopSet) -> Token:
         """Produce the next token under the given expectations.
 
-        Pending detached punctuation is emitted first.  Then, in order: a
+        A pending detached delimiter is emitted first.  Then, in order: a
         keyword phrase whose kind is expected; a NUM when expected and the
         word is a digit run; otherwise STRING accumulation.  Raises
         :class:`ScanError` when asked for a token in an exhausted scope.
         """
-        if self._pending:
-            return self._pending.popleft()
+        if self._pending is not None:
+            pending, self._pending = self._pending, None
+            return pending
 
         if self.at_end():
             return Token(TokenKind.EOF, "", self._eof_span())
-        if self._at_bound(expect.stop_before):
+        if expect.stop_before is not None and self.position >= expect.stop_before:
             raise ScanError("no input left in this scan region", Span.point(self.line, self.word))
 
         if not expect.kinds.isdisjoint(_KEYWORD_KINDS):
             match = self._match(self.line, self.word, expect.stop_before)
             if match is not None and match.kind in expect.kinds:
-                return self._take_keyword(match)
+                return self._take_words(match.kind, match.word_count)
 
-        if TokenKind.NUM in expect.kinds:
-            original = self.text.word(self.line, self.word)
-            if is_digit_run(fold_for_matching(original)):
-                return self._take_number(original)
+        if TokenKind.NUM in expect.kinds and is_digit_run(
+                fold_for_matching(self.text.word(self.line, self.word))):
+            return self._take_words(TokenKind.NUM, 1)
 
         return self._take_string(expect)
 
-    def _queue_trailing(self, trailing: str, line: int, word: int) -> None:
-        kind = punctuation_kind(trailing)
-        if kind is None:
-            return
-        self._pending.append(Token(kind, trailing, Span.point(line, word), detached=True))
-
-    def _take_keyword(self, match: KeywordMatch) -> Token:
-        start = self.position
-        pieces: list[str] = []
-        for i in range(match.word_count):
-            original = self.text.word(self.line, self.word)
-            if i == match.word_count - 1:
-                body, trailing = split_trailing(original)
-                pieces.append(body)
-                if trailing:
-                    self._queue_trailing(trailing, self.line, self.word)
-            else:
-                pieces.append(original)
-            end = self.position
-            self._advance()
-        return Token(match.kind, " ".join(pieces), Span(*start, *end))
-
-    def _take_number(self, original: str) -> Token:
-        span = Span.point(self.line, self.word)
-        body, trailing = split_trailing(original)
+    def _take_words(self, kind: TokenKind, count: int) -> Token:
+        """A ``kind`` token of the ``count`` words at the cursor, holding the
+        last word's trailing delimiter as pending."""
+        line, word = self.line, self.word
+        words = self.text.lines[line]
+        last = word + count - 1
+        body, trailing = split_trailing(words[last])
         if trailing:
-            self._queue_trailing(trailing, self.line, self.word)
-        self._advance()
-        return Token(TokenKind.NUM, body, span)
+            self._pending = Token(punctuation_kind(trailing[0]), trailing,
+                                  Span.point(line, last), True)
+        self.line, self.word = (line, last + 1) if last + 1 < len(words) else (line + 1, 0)
+        return Token(kind, " ".join((*words[word:last], body)), Span(line, word, line, last))
 
     def _take_string(self, expect: StopSet) -> Token:
         lines = self.text.lines
@@ -268,8 +230,8 @@ class Scanner:
         probe = not kinds.isdisjoint(_KEYWORD_KINDS)
         line_break_stops = expect.line_break_stops
         # A ',' always ends the text, a ':' when expected, and a '.' only on
-        # a line's last word.
-        mid_line = "،:" if TokenKind.COLON in kinds else "،"
+        # a line's last word, also when format controls follow it.
+        mid_line = ("،:" if TokenKind.COLON in kinds else "،") + _FORMAT_CONTROLS
         line_end = mid_line + "."
         pieces: list[str] = []
         end_line = end_word = 0
@@ -291,16 +253,20 @@ class Scanner:
                     if match is not None and match.kind in kinds:
                         break
                 original = words[word]
-                if original[-1] in (line_end if word == last else mid_line):
-                    kind = punctuation_kind(original[-1])
-                    if len(original) == 1:
-                        delimiter = Token(kind, original, Span(line, word, line, word))
-                    else:
-                        pieces.append(original[:-1])
-                        end_line, end_word = line, word
-                        delimiter = Token(kind, original[-1], Span(line, word, line, word), True)
-                    word += 1
-                    break
+                stops = line_end if word == last else mid_line
+                if original[-1] in stops:
+                    tail = original.rstrip(_FORMAT_CONTROLS)[-1:]
+                    if tail and tail in stops:   # a word of controls alone is text
+                        kind = punctuation_kind(tail)
+                        body, trailing = split_trailing(original)
+                        if trailing:
+                            pieces.append(body)
+                            end_line, end_word = line, word
+                            delimiter = Token(kind, trailing, Span.point(line, word), True)
+                        else:
+                            delimiter = Token(kind, original, Span.point(line, word))
+                        word += 1
+                        break
                 pieces.append(original)
                 end_line, end_word = line, word
                 word += 1
@@ -320,7 +286,7 @@ class Scanner:
                 # The very first word was standalone punctuation that stopped
                 # accumulation; hand it out directly instead of an empty STRING.
                 return delimiter
-            self._pending.append(delimiter)
+            self._pending = delimiter
         if not pieces:
             raise ScanError("expected text, found none", Span.point(*start))
         return Token(TokenKind.STRING, " ".join(pieces), Span(*start, end_line, end_word))

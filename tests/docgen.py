@@ -34,6 +34,18 @@ JUST_OPENERS = ["نظرا", "وبعد أن", "وبما أن", "وحيث أن"]
 ACK_SPELLINGS = ["يرسم ما يأتي", "يرسم ما يلي", "يقرر ما يأتي", "يقرر ما يلي"]
 IMDAA_SPELLINGS = ["إمضاء", "الإمضاء"]
 
+# Every word of every keyword phrase the generator writes.
+KEYWORD_WORDS = frozenset(
+    w for phrase in [*TYPE_SPELLINGS, *REF_OPENERS, *JUST_OPENERS, *ACK_SPELLINGS,
+                     *IMDAA_SPELLINGS, "رقم", "إن", "مادة", "في"]
+    for w in phrase.split(" "))
+
+# Code points that keyword matching folds away: harakat (fathatan to sukun,
+# and the superscript alef; the hamzas U+0654/U+0655 are left out because
+# NFC composes them into the letter before), ZWNJ and RLM.
+HARAKAT = "\u064b\u064c\u064d\u064e\u064f\u0650\u0651\u0652\u0670"
+FOLDED_NOISE = HARAKAT + "\u200c\u200f"
+
 ARABIC_DIGITS = "٠١٢٣٤٥٦٧٨٩"
 ASCII_DIGITS = "0123456789"
 
@@ -209,4 +221,24 @@ def mutate_text(rng: random.Random, text: str) -> str:
         lines[k] = lines[k].replace("،", "", 1)
     else:
         lines.append(_words(rng, 1, 4))
+    return "\n".join(lines) + "\n"
+
+
+def add_fold_noise(rng: random.Random, text: str) -> str:
+    """Insert code points that keyword matching folds away: a harakah, ZWNJ
+    or RLM inside keyword words, and an RLM after delimiters.  Deleting
+    every :data:`FOLDED_NOISE` code point gives ``text`` back."""
+    lines = []
+    for line in text.splitlines():
+        words = line.split(" ")
+        for k, word in enumerate(words):
+            body = word.rstrip("،.:")
+            if body in KEYWORD_WORDS and rng.random() < 0.5:
+                mark = rng.choice(FOLDED_NOISE)    # a harakah may also end the word
+                at = rng.randint(1, len(body) - (mark not in HARAKAT))
+                word = word[:at] + mark + word[at:]
+            if word[-1] in "،.:" and rng.random() < 0.5:
+                word += "\u200f"
+            words[k] = word
+        lines.append(" ".join(words))
     return "\n".join(lines) + "\n"

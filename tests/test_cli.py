@@ -7,6 +7,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from legalc.cli import run
+from legalc.normalize import preprocess
+from legalc.parser import parse_document
+from legalc.scanner import reconstruct_words
 
 GOOD = """مرسوم رقم ٥
 عنوان قصير
@@ -116,6 +119,29 @@ def test_invisible_marks_in_keywords_are_matched_through(tmp_path, corpus_dir, g
     assert code == 0 and f"\t{new}" in tokens        # the keyword keeps its spelling
     code, xml, _ = invoke([str(p), "-o", "-"])
     assert code == 0 and xml == (golden_dir / "decree-25.xml").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("line,word", [
+    (3, "الجمهورية،"), (4, "منه،"), (5, "الوزراء،"), (6, "يأتي:"), (7, "١:"), (10, "٢:"),
+    (11, "يلي:"), (13, "المجلس."), (14, "٣:"), (17, "الامضاء:"), (20, "الامضاء:"),
+])
+def test_format_control_after_a_delimiter_keeps_it_a_delimiter(tmp_path, corpus_dir, line, word):
+    source = (corpus_dir / "decree-25.txt").read_text(encoding="utf-8")
+    lines = source.split("\n")
+    assert lines[line - 1].count(word) == 1
+    lines[line - 1] = lines[line - 1].replace(word, word + "\u200f")    # an RLM after it
+    p = tmp_path / "doc.txt"
+    p.write_text("\n".join(lines), encoding="utf-8")
+    assert invoke([str(p), "--validate"]) == (0, "", "")
+    plain = tmp_path / "plain.txt"
+    plain.write_text(source, encoding="utf-8")
+    want = invoke([str(plain), "--dump-ast"])[1]
+    if line in (11, 13):   # inside article content, which keeps the mark
+        want = want.replace(word, word + "\u200f")
+    assert invoke([str(p), "--dump-ast"]) == (0, want, "")
+    text = preprocess(p.read_bytes(), "doc")
+    words = [w for line_words in text.lines for w in line_words]
+    assert reconstruct_words(parse_document(text).tokens) == words
 
 
 def test_dump_tokens(good):

@@ -1,9 +1,10 @@
 """The first-word keyword index matches exactly like three fixed-length tables.
 
 The reference below is the straightforward matcher: for each phrase length
-3, 2, 1 it folds the whole window and looks it up in that length's table.
-The scanner's index must agree with it on every word sequence, start and
-``limit``.
+3, 2, 1 it folds the whole window and looks it up in that length's table,
+keeping the longest phrase that ends before ``limit``.  The scanner's index
+must agree with it on every word sequence and start, and the scanner's
+bounded lookup on every ``limit`` as well.
 """
 
 import random
@@ -11,7 +12,7 @@ import random
 import pytest
 
 from legalc.normalize import fold_for_matching, preprocess, split_trailing
-from legalc.scanner import _SPELLINGS, KeywordMatch, match_keyword_phrase
+from legalc.scanner import _SPELLINGS, KeywordMatch, Scanner, _build_index, match_keyword_phrase
 from legalc.tokens import TokenKind
 
 K = TokenKind
@@ -96,12 +97,16 @@ def test_index_agrees_with_reference_tables():
     matched = 0
     for _ in range(600):
         text = preprocess(random_document(rng).encode("utf-8"), "random")
+        sc = Scanner(text)
         places = positions(text)
         for line, word in places:
+            assert match_keyword_phrase(text, line, word) == reference_match(text, line, word), \
+                (text.lines, line, word)
+            if line == text.line_count:
+                continue   # the scanner never looks up a keyword at the end of input
             for limit in [None, *places]:
                 want = reference_match(text, line, word, limit)
-                assert match_keyword_phrase(text, line, word, limit) == want, \
-                    (text.lines, line, word, limit)
+                assert sc._match(line, word, limit) == want, (text.lines, line, word, limit)
                 matched += want is not None
     assert matched > 5000  # the draw really exercises the keywords
 
@@ -132,6 +137,15 @@ def test_index_agrees_with_reference_tables():
 ])
 def test_shared_first_words(source, limit, expected):
     text = preprocess(source.encode("utf-8"), "case")
-    got = match_keyword_phrase(text, 0, 0, limit)
+    assert match_keyword_phrase(text, 0, 0) == reference_match(text, 0, 0)
+    got = Scanner(text)._match(0, 0, limit)
     assert got == reference_match(text, 0, 0, limit)
     assert (None if got is None else (got.kind, got.word_count)) == expected
+
+
+def test_phrases_sharing_a_first_word_have_one_length():
+    # A bound can only keep a phrase whole or rule it out because no phrase
+    # is a proper prefix of another; a table breaking that is refused.
+    with pytest.raises(ValueError, match="one length"):
+        _build_index((("وبعد", K.BINAA), ("وبعد أن", K.HAYSOU)))
+    assert _build_index((("وبعد الاطلاع", K.BINAA), ("وبعد أن", K.HAYSOU)))

@@ -1,13 +1,12 @@
 """A line start reads its keyword from the line heads exactly like a probe.
 
-``Scanner.heads`` holds each line's unlimited line-initial match.  Looked up
-under a ``limit``, it must give what ``match_keyword_phrase`` gives at that
-limit, and it must probe again only where the limit cuts the cached phrase.
-Scanning a whole document then matches each line's head exactly once.
+``Scanner.heads`` holds each line's line-initial match.  Looked up under a
+``limit``, it must give what the reference matcher gives at that limit,
+without probing again.  Scanning a whole document then matches each line's
+head exactly once, when the scanner is built.
 """
 
 import random
-from collections import Counter
 
 import pytest
 
@@ -18,7 +17,7 @@ from legalc.parser import scan_document
 from legalc.scanner import _SPELLINGS, Scanner, match_keyword_phrase
 from legalc.tokens import TokenKind
 from test_cli import many_articles
-from test_keyword_index import variant
+from test_keyword_index import reference_match, variant
 
 K = TokenKind
 
@@ -56,39 +55,33 @@ def limits(text, line):
 
 @pytest.fixture
 def probes(monkeypatch):
-    """Every ``match_keyword_phrase`` call the scanner makes, as (line, word, limit)."""
+    """Every ``match_keyword_phrase`` call the scanner makes, as (line, word)."""
     calls = []
 
-    def probe(text, line, word, limit=None):
-        calls.append((line, word, limit))
-        return match_keyword_phrase(text, line, word, limit)
+    def probe(text, line, word):
+        calls.append((line, word))
+        return match_keyword_phrase(text, line, word)
     monkeypatch.setattr(scanner, "match_keyword_phrase", probe)
     return calls
 
 
-def cut(text, line, limit):
-    """Whether ``limit`` cuts the unlimited match at the start of ``line``."""
-    head = match_keyword_phrase(text, line, 0)
-    return limit is not None and head is not None and (line, head.word_count - 1) >= limit
-
-
 def test_cached_lookup_agrees_with_a_direct_probe(probes):
     rng = random.Random(20261018)
-    matched = fallbacks = 0
+    matched = cuts = 0
     for _ in range(800):
         text = preprocess(random_document(rng).encode("utf-8"), "random")
         sc = Scanner(text)
-        assert probes == [(line, 0, None) for line in range(text.line_count)]
+        assert probes == [(line, 0) for line in range(text.line_count)]
+        probes.clear()
         for line in range(text.line_count):
             for limit in limits(text, line):
-                probes.clear()
-                want = match_keyword_phrase(text, line, 0, limit)
+                want = reference_match(text, line, 0, limit)
                 assert sc._match(line, 0, limit) == want, (text.lines, line, limit)
-                # it probes again only where the limit cuts the cached phrase
-                assert probes == ([(line, 0, limit)] if cut(text, line, limit) else [])
                 matched += want is not None
-                fallbacks += bool(probes)
-    assert matched > 3000 and fallbacks > 300, (matched, fallbacks)
+                # the limit cuts the line's phrase
+                cuts += want is None and sc.heads[line] is not None
+        assert probes == []
+    assert matched > 3000 and cuts > 300, (matched, cuts)
 
 
 @pytest.mark.parametrize("source,limit,expected", [
@@ -105,7 +98,7 @@ def test_cached_lookup_agrees_with_a_direct_probe(probes):
 def test_limits_that_cut_a_phrase(source, limit, expected):
     text = preprocess(source.encode("utf-8"), "case")
     got = Scanner(text)._match(0, 0, limit)
-    assert got == match_keyword_phrase(text, 0, 0, limit)
+    assert got == reference_match(text, 0, 0, limit)
     assert (None if got is None else (got.kind, got.word_count)) == expected
 
 
@@ -116,7 +109,7 @@ def test_limits_that_cut_a_phrase(source, limit, expected):
 def test_scan_matches_each_line_head_once(probes, make_text):
     text = preprocess(make_text().encode("utf-8"), "doc")
     scan_document(text)
-    heads = Counter((line, limit) for line, word, limit in probes if word == 0 and limit is None)
-    assert heads == Counter((line, None) for line in range(text.line_count))
-    for line, word, limit in probes:
-        assert word > 0 or limit is None or cut(text, line, limit), (line, word, limit)
+    # building the scanner probes each line start once; the scan itself
+    # never probes at a line start
+    assert probes[:text.line_count] == [(line, 0) for line in range(text.line_count)]
+    assert all(word > 0 for _, word in probes[text.line_count:])

@@ -17,7 +17,7 @@ from legalc import (
     reconstruct_words,
     segment_trailer,
 )
-from legalc.parser import parse_grammar_tokens, rejects_all_extensions
+from legalc.parser import dump_ast, parse_grammar_tokens, rejects_all_extensions
 from legalc.tokens import Span, Token, TokenKind
 
 K = TokenKind
@@ -371,6 +371,26 @@ def test_generated_documents_round_trip_exactly():
         assert result.document == rendered.document
         original = [w for line in text.lines for w in line]
         assert reconstruct_words(result.tokens) == original
+
+
+def test_fold_invariant_noise_leaves_the_parse_unchanged():
+    # harakat, ZWNJ and RLM inside keywords, and RLM after delimiters
+    rng = random.Random(618)
+    drop = str.maketrans(dict.fromkeys(docgen.FOLDED_NOISE))
+    noisy_delimiters = 0
+    for _ in range(300):
+        rendered = docgen.generate_document(rng)
+        noisy = docgen.add_fold_noise(rng, rendered.text)
+        assert noisy.translate(drop) == rendered.text
+        text = norm(noisy)
+        result = parse_document(text)
+        assert result.ok, (result.diagnostics, noisy)
+        assert dump_ast(result.document).translate(drop) == dump_ast(rendered.document)
+        original = [w for line in text.lines for w in line]
+        assert reconstruct_words(result.tokens) == original
+        noisy_delimiters += sum(t.lexeme.endswith("\u200f") for t in result.tokens
+                                if t.kind in (K.COMMA, K.DOT, K.COLON))
+    assert noisy_delimiters > 500
 
 
 def test_mutated_documents_fail_safely():

@@ -1,22 +1,23 @@
 """Line-at-a-time STRING accumulation scans exactly like the per-word loop.
 
 The reference below is the straightforward scanner: it moves the cursor one
-word at a time through the cursor helpers, asks a helper per word whether a
-keyword stops the text, and splits each word's trailing delimiter before
-deciding, and it matches keywords afresh at every word, line starts too.
-The scanner's line walk must produce the same tokens, spans and cursor
-positions under every stop set and scope bound.  It must probe for keywords
-at the same places in the same order, except at a line's first word, which
-it reads from the line heads: there it may only probe again where the scope
-bound cuts the cached phrase.
+word at a time through its own cursor helpers, asks a helper per word whether
+a keyword stops the text, and splits each word's trailing delimiter before
+deciding, and it matches keywords afresh at every word, line starts too,
+bounded like the three-table reference matcher.  The scanner's line walk
+must produce the same tokens, spans and cursor positions under every stop
+set and scope bound.  It must probe for keywords at the same places in the
+same order, except at a line's first word, which it reads from the line
+heads.
 """
 
 import random
 
 import legalc.scanner as scanner
-from legalc.normalize import preprocess, split_trailing
+from legalc.normalize import _FORMAT_CONTROLS, preprocess, split_trailing
 from legalc.scanner import _KEYWORD_KINDS, _SPELLINGS, ScanError, Scanner
 from legalc.tokens import Span, StopSet, Token, TokenKind, punctuation_kind
+from test_keyword_index import reference_match
 
 K = TokenKind
 
@@ -26,7 +27,18 @@ class ReferenceScanner(Scanner):
     and which never reads a keyword match from the line heads."""
 
     def _match(self, line, word, limit):
-        return scanner.match_keyword_phrase(self.text, line, word, limit)
+        scanner.match_keyword_phrase(self.text, line, word)   # a probe, counted like the scanner's
+        return reference_match(self.text, line, word, limit)
+
+    def _at_bound(self, stop_before):
+        return stop_before is not None and self.position >= stop_before
+
+    def _advance(self):
+        if self.word + 1 < len(self.text.words(self.line)):
+            self.word += 1
+        else:
+            self.line += 1
+            self.word = 0
 
     def _take_string(self, expect):
         pieces = []
@@ -37,25 +49,27 @@ class ReferenceScanner(Scanner):
             if pieces and self._keyword_stops_here(expect):
                 break
             original = self.text.word(line, word)
-            lone_kind = punctuation_kind(original) if len(original) == 1 else None
+            # a lone delimiter, perhaps followed by format controls
+            lone_kind = punctuation_kind(original.rstrip(_FORMAT_CONTROLS))
             if lone_kind is not None and self._delimiter_stops(lone_kind, expect):
-                self._pending.append(Token(lone_kind, original, Span.point(line, word)))
+                self._pending = Token(lone_kind, original, Span.point(line, word))
                 self._advance()
                 break
             body, trailing = split_trailing(original)
-            trailing_kind = punctuation_kind(trailing) if trailing else None
+            trailing_kind = punctuation_kind(trailing[:1])
             if trailing_kind is not None and self._delimiter_stops(trailing_kind, expect):
                 pieces.append(body)
                 end = (line, word)
-                self._queue_trailing(trailing, line, word)
+                self._pending = Token(trailing_kind, trailing, Span.point(line, word), True)
                 self._advance()
                 break
             pieces.append(original)
             end = (line, word)
             self._advance()
         if not pieces:
-            if self._pending:
-                return self._pending.popleft()
+            if self._pending is not None:
+                lone, self._pending = self._pending, None
+                return lone
             raise ScanError("expected text, found none", Span.point(*start))
         return Token(K.STRING, " ".join(pieces), Span(*start, *end))
 
@@ -64,7 +78,7 @@ class ReferenceScanner(Scanner):
             return False
         if expect.kinds.isdisjoint(_KEYWORD_KINDS):
             return False
-        match = scanner.match_keyword_phrase(self.text, self.line, self.word, expect.stop_before)
+        match = self._match(self.line, self.word, expect.stop_before)
         return match is not None and match.kind in expect.kinds
 
     def _delimiter_stops(self, kind, expect):
@@ -80,10 +94,14 @@ class ReferenceScanner(Scanner):
 KEYWORD_WORDS = sorted({w for phrase, _ in _SPELLINGS for w in phrase.split(" ")})
 PHRASES = sorted(phrase for phrase, _ in _SPELLINGS if " " in phrase)
 FILLER = ["نص", "عمل", "خبر", "الوزير", "١٢", "25", "٣أ"]
+CONTROLS = "\u200c\u200f\u061c\u202b\u2067"   # ZWNJ, RLM, ALM, RLE, RLI
 STOP_KINDS = sorted(_KEYWORD_KINDS | {K.NUM, K.COLON, K.COMMA, K.DOT}, key=lambda k: k.value)
 
 
-def random_document(rng: random.Random) -> str:
+def random_document(rng: random.Random, controls: bool = False) -> str:
+    """Random lines of keyword words, filler and delimiters; with ``controls``,
+    some words also end in format controls, after a delimiter or not, and
+    some are nothing but controls."""
     lines = []
     for _ in range(rng.randint(1, 5)):
         words = []
@@ -101,6 +119,10 @@ def random_document(rng: random.Random) -> str:
                 w = rng.choice(FILLER)
             if len(w) > 1 and rng.random() < 0.15:
                 w += rng.choice("،.:")           # a trailing delimiter
+            if controls and rng.random() < 0.3:
+                if rng.random() < 0.2:
+                    w = ""                               # a word of controls alone
+                w += "".join(rng.choices(CONTROLS, k=rng.randint(1, 2)))
             words.append(w)
         lines.append(" ".join(words))
     return "\n".join(lines)
@@ -122,13 +144,15 @@ def random_stop_set(rng: random.Random, text, cursor) -> StopSet:
     return StopSet.of(*kinds, line_break_stops=line_break_stops, stop_before=stop_before)
 
 
-def test_line_walk_agrees_with_per_word_reference(monkeypatch):
+def walk_both(monkeypatch, rng, documents, controls=False):
+    """Scan random documents under random stop sets with both scanners,
+    asserting each step agrees; return counts of how the STRINGs ended."""
     match_keyword_phrase = scanner.match_keyword_phrase
     probes = []
 
-    def probe(text, line, word, limit=None):
-        probes.append((line, word, limit))
-        return match_keyword_phrase(text, line, word, limit)
+    def probe(text, line, word):
+        probes.append((line, word))
+        return match_keyword_phrase(text, line, word)
     monkeypatch.setattr(scanner, "match_keyword_phrase", probe)
 
     def step(sc: Scanner, expect: StopSet):
@@ -139,24 +163,17 @@ def test_line_walk_agrees_with_per_word_reference(monkeypatch):
             outcome = ("ScanError", str(exc), exc.span)
         return outcome, sc.position, list(probes)
 
-    def cuts_head(text, line, word, limit):
-        """Whether ``limit`` cuts the unlimited match at this line start."""
-        head = match_keyword_phrase(text, line, 0)
-        return (word == 0 and limit is not None and head is not None
-                and (line, head.word_count - 1) >= limit)
-
-    rng = random.Random(20261018)
-    strings = ended_by_delimiter = cut_heads = 0
+    strings = ended_by_delimiter = head_probes = 0
     ended_by_keyword = {"mid-line": 0, "line start": 0}
-    for _ in range(1500):
-        text = preprocess(random_document(rng).encode("utf-8"), "random")
+    for _ in range(documents):
+        text = preprocess(random_document(rng, controls).encode("utf-8"), "random")
         ours, ref = Scanner(text), ReferenceScanner(text)
         for _ in range(40):
             expect = random_stop_set(rng, text, ref.position)
             token, position, ref_probes = step(ref, expect)
-            want_probes = [p for p in ref_probes if p[1] > 0 or cuts_head(text, *p)]
+            want_probes = [p for p in ref_probes if p[1] > 0]
             assert step(ours, expect) == (token, position, want_probes), (text.lines, expect)
-            cut_heads += sum(p[1] == 0 for p in want_probes)
+            head_probes += len(ref_probes) - len(want_probes)
             if token[0] is K.EOF:
                 break
             if token[0] is K.STRING:
@@ -164,10 +181,22 @@ def test_line_walk_agrees_with_per_word_reference(monkeypatch):
                 if ref.has_pending:
                     ended_by_delimiter += 1
                 elif not ref.at_end():
-                    m = match_keyword_phrase(text, *ref.position, expect.stop_before)
+                    m = reference_match(text, *ref.position, expect.stop_before)
                     if m is not None and m.kind in expect.kinds:
                         ended_by_keyword["line start" if ref.word == 0 else "mid-line"] += 1
-    # the draw really exercises every way a STRING ends
+    return strings, ended_by_delimiter, ended_by_keyword, head_probes
+
+
+def test_line_walk_agrees_with_per_word_reference(monkeypatch):
+    strings, ended_by_delimiter, ended_by_keyword, head_probes = walk_both(
+        monkeypatch, random.Random(20261018), 1500)
+    # the draw really exercises every way a STRING ends, and line heads
     assert strings > 2000 and ended_by_delimiter > 800
     assert min(ended_by_keyword.values()) > 25, ended_by_keyword
-    assert cut_heads > 0, cut_heads
+    assert head_probes > 0, head_probes
+
+
+def test_line_walk_looks_past_format_controls(monkeypatch):
+    strings, ended_by_delimiter, _, _ = walk_both(monkeypatch, random.Random(20261019), 400,
+                                                  controls=True)
+    assert strings > 500 and ended_by_delimiter > 200
