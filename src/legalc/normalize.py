@@ -47,7 +47,7 @@ _FOLD_TABLE = str.maketrans(
 
 _DIGIT_TABLE = str.maketrans("٠١٢٣٤٥٦٧٨٩", "0123456789")
 
-_DIGITS = frozenset("0123456789٠١٢٣٤٥٦٧٨٩")
+_DIGITS = "0123456789٠١٢٣٤٥٦٧٨٩"
 
 # Delimiters that may trail a word and still let it match a keyword.  The
 # Arabic comma terminates issuer/reference/justification phrases; '.' and ':'
@@ -147,7 +147,7 @@ def to_western_digits(text: str) -> str:
 
 def is_digit_run(word: str) -> bool:
     """True when the word is one or more digit characters (either script)."""
-    return bool(word) and all(ch in _DIGITS for ch in word)
+    return bool(word) and not word.strip(_DIGITS)
 
 
 def has_digit(word: str) -> bool:

@@ -436,6 +436,10 @@ def _looks_like_loc_date(text: NormalizedText, line: int) -> bool:
 
 
 def _merge_region(tokens: list[Token]) -> Token:
+    """One STRING covering a content region; a region that already is one
+    STRING is returned as it is."""
+    if len(tokens) == 1 and tokens[0].kind is K.STRING:
+        return tokens[0]
     parts: list[str] = []
     for tok in tokens:
         if tok.kind is K.STRING or not tok.detached:
@@ -447,14 +451,16 @@ def _merge_region(tokens: list[Token]) -> Token:
     return Token(K.STRING, "".join(parts), span)
 
 
-# The driver's unbounded stop sets, built once.  Sets bounded by a
-# ``stop_before`` are built where that bound is known.
+# Every stop set the driver uses, built once.  Where a scan is scoped to a
+# line or region, the constant is bounded with ``StopSet.until(bound)``,
+# which shares its kinds instead of building them again.
 _ANY = StopSet.of()
 _TEXT = StopSet.of(K.COMMA, K.DOT)
 _TITLE = StopSet.of(K.INNA, line_break_stops=True)
+_NUMBER = StopSet.of(K.NUM, K.COLON)
 _STOP_AT = {kind: StopSet.of(kind) for kind in (
     K.TYPE, K.RAQM, K.NUM, K.INNA, K.COMMA, K.BINAA, K.HAYSOU, K.YAKOUR, K.COLON,
-    K.MADA, K.IMDAA)}
+    K.MADA, K.FI, K.IMDAA)}
 
 
 class _Driver:
@@ -483,7 +489,7 @@ class _Driver:
         """Scan plain text, split at ، and ., up to ``bound`` and through any
         delimiter still pending there."""
         sc = self.sc
-        stop = StopSet.of(K.COMMA, K.DOT, stop_before=bound)
+        stop = _TEXT.until(bound)
         while sc.position < bound or sc.has_pending:
             self.take(stop)
 
@@ -554,15 +560,17 @@ class _Driver:
 
     def _one_article(self, boundary_line: int) -> None:
         sc = self.sc
+        # The cursor only moves forward, so it is short of header_end exactly
+        # while it is still on the header line.
         header_line = sc.line
         header_end = (header_line + 1, 0)
         self.take(_STOP_AT[K.MADA])
-        if sc.has_pending or sc.position < header_end:
-            self.take(StopSet.of(K.NUM, K.COLON, stop_before=header_end))   # number
-        if sc.has_pending or sc.position < header_end:
-            self.take(StopSet.of(K.COLON, stop_before=header_end))          # colon
-        if not sc.has_pending and sc.position < header_end:
-            self.take(StopSet.of(stop_before=header_end))                   # title
+        if sc.has_pending or sc.line == header_line:
+            self.take(_NUMBER.until(header_end))                            # number
+        if sc.has_pending or sc.line == header_line:
+            self.take(_STOP_AT[K.COLON].until(header_end))                  # colon
+        if not sc.has_pending and sc.line == header_line:
+            self.take(_ANY.until(header_end))                               # title
         self.drain()
         content_end = _first_line_opening(sc.heads, K.MADA, header_line + 1, boundary_line)
         start = len(self.grammar)
@@ -578,11 +586,12 @@ class _Driver:
         words = self.text.words(line)
         fi_index = next((i for i, w in enumerate(words) if fold_for_matching(w) == "في"), None)
         if fi_index is not None:
+            at_fi = _STOP_AT[K.FI].until(line_end)
             if fi_index > 0:
-                self.take(StopSet.of(K.FI, stop_before=line_end))            # location
-            self.take(StopSet.of(K.FI, stop_before=line_end))                # في
+                self.take(at_fi)                                             # location
+            self.take(at_fi)                                                 # في
             if not sc.has_pending and sc.position < line_end:
-                self.take(StopSet.of(stop_before=line_end))                  # date
+                self.take(_ANY.until(line_end))                              # date
         else:
             digit_index = next((i for i, w in enumerate(words) if has_digit(w)), None)
             if len(words) < 2 or digit_index is None:
@@ -591,9 +600,9 @@ class _Driver:
                              "(في or a digit-bearing word)",
                     Span(line, 0, line, max(len(words) - 1, 0))))
             if digit_index is not None and digit_index > 0:
-                self.take(StopSet.of(stop_before=(line, digit_index)))       # location
+                self.take(_ANY.until((line, digit_index)))                   # location
             if sc.position < line_end:
-                self.take(StopSet.of(stop_before=line_end))                  # date (or whole line)
+                self.take(_ANY.until(line_end))                              # date (or whole line)
         self.text_to(line_end)
 
     def _signatures(self) -> None:
@@ -607,9 +616,9 @@ class _Driver:
             if sc.word == 0 and m is not None and m.kind is K.IMDAA:
                 self.take(_STOP_AT[K.IMDAA])
                 if sc.has_pending or sc.position < line_end:
-                    self.take(StopSet.of(K.COLON, stop_before=line_end))
+                    self.take(_STOP_AT[K.COLON].until(line_end))
                 if not sc.has_pending and sc.position < line_end:
-                    self.take(StopSet.of(stop_before=line_end))              # name
+                    self.take(_ANY.until(line_end))                          # name
             else:
                 self.text_to(line_end)
 

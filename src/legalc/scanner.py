@@ -16,10 +16,11 @@ matched phrase's last word.
 
 STRING accumulation walks one line's word tuple at a time.  The scope bound
 becomes a word limit once per line; each word is tested for a stopping
-delimiter by its last character (past any trailing format controls), and
-probed for a keyword only when the stop set expects one (never at a line
-start unless the stop set asks for line-break stops).  The cursor is written
-back once, when the token is done.
+delimiter by its last character (past any trailing format controls) against
+one of four module-constant stop strings, chosen by whether ':' is expected
+and whether the word ends its line, and probed for a keyword only when the
+stop set expects one (never at a line start unless the stop set asks for
+line-break stops).  The cursor is written back once, when the token is done.
 
 Every line's head, the keyword phrase that opens it, is matched once per
 document into ``Scanner.heads``; a probe at a line's first word reads that
@@ -104,15 +105,24 @@ _KEYWORDS = _build_index(_SPELLINGS)
 _KEYWORD_KINDS = frozenset(kind for _, kind in _SPELLINGS)
 
 
+# Characters that end STRING accumulation when a word ends in them, keyed by
+# whether ':' is expected: (mid-line, line-final).  A ',' always ends the
+# text, a ':' when expected, and a '.' only on a line's last word; the format
+# controls let the test see a delimiter that they follow.
+_STOP_CHARS = {colon: (mid, mid + ".") for colon, mid in (
+    (False, "،" + _FORMAT_CONTROLS), (True, "،:" + _FORMAT_CONTROLS))}
+
+
 def match_keyword_phrase(text: NormalizedText, line: int, word: int) -> KeywordMatch | None:
     """The keyword phrase starting at (line, word), or None.
 
     Phrases never span lines; words before the last must carry no trailing
     delimiter.
     """
-    if line >= text.line_count:
+    lines = text.lines
+    if line >= len(lines):
         return None
-    words = text.words(line)
+    words = lines[line]
     if word >= len(words):
         return None
     entry = _KEYWORDS.get(fold_for_matching(words[word]))
@@ -192,18 +202,20 @@ class Scanner:
             pending, self._pending = self._pending, None
             return pending
 
-        if self.at_end():
+        line, word = self.line, self.word
+        lines = self.text.lines
+        if line >= len(lines):
             return Token(TokenKind.EOF, "", self._eof_span())
-        if expect.stop_before is not None and self.position >= expect.stop_before:
-            raise ScanError("no input left in this scan region", Span.point(self.line, self.word))
+        kinds, stop_before = expect.kinds, expect.stop_before
+        if stop_before is not None and (line, word) >= stop_before:
+            raise ScanError("no input left in this scan region", Span.point(line, word))
 
-        if not expect.kinds.isdisjoint(_KEYWORD_KINDS):
-            match = self._match(self.line, self.word, expect.stop_before)
-            if match is not None and match.kind in expect.kinds:
+        if not kinds.isdisjoint(_KEYWORD_KINDS):
+            match = self._match(line, word, stop_before)
+            if match is not None and match.kind in kinds:
                 return self._take_words(match.kind, match.word_count)
 
-        if TokenKind.NUM in expect.kinds and is_digit_run(
-                fold_for_matching(self.text.word(self.line, self.word))):
+        if TokenKind.NUM in kinds and is_digit_run(fold_for_matching(lines[line][word])):
             return self._take_words(TokenKind.NUM, 1)
 
         return self._take_string(expect)
@@ -219,7 +231,8 @@ class Scanner:
             self._pending = Token(punctuation_kind(trailing[0]), trailing,
                                   Span.point(line, last), True)
         self.line, self.word = (line, last + 1) if last + 1 < len(words) else (line + 1, 0)
-        return Token(kind, " ".join((*words[word:last], body)), Span(line, word, line, last))
+        lexeme = body if count == 1 else " ".join((*words[word:last], body))
+        return Token(kind, lexeme, Span(line, word, line, last))
 
     def _take_string(self, expect: StopSet) -> Token:
         lines = self.text.lines
@@ -229,10 +242,7 @@ class Scanner:
         stop_before = expect.stop_before
         probe = not kinds.isdisjoint(_KEYWORD_KINDS)
         line_break_stops = expect.line_break_stops
-        # A ',' always ends the text, a ':' when expected, and a '.' only on
-        # a line's last word, also when format controls follow it.
-        mid_line = ("،:" if TokenKind.COLON in kinds else "،") + _FORMAT_CONTROLS
-        line_end = mid_line + "."
+        mid_line, line_end = _STOP_CHARS[TokenKind.COLON in kinds]
         pieces: list[str] = []
         end_line = end_word = 0
         delimiter: Token | None = None

@@ -119,3 +119,8 @@ class StopSet(NamedTuple):
         if TokenKind.STRING in kinds:
             raise ValueError("STRING cannot be an expected stop kind")
         return cls(frozenset(kinds), line_break_stops, stop_before)
+
+    def until(self, bound: tuple[int, int]) -> StopSet:
+        """This stop set with ``stop_before`` set to ``bound``; the kinds are
+        shared, not checked or rebuilt again."""
+        return StopSet(self.kinds, self.line_break_stops, bound)

@@ -189,6 +189,16 @@ def generate_document(rng: random.Random) -> Rendered:
     return Rendered("\n".join(lines) + "\n", document)
 
 
+def many_articles(count: int) -> str:
+    """A valid document with ``count`` articles, every third one titled."""
+    lines = ["مرسوم رقم ٥", "عنوان قصير", "إن الوزير،", "بناء على الدستور،", "يرسم ما يأتي:"]
+    for n in range(1, count + 1):
+        lines.append(f"مادة {n}: عنوان فرعي" if n % 3 == 0 else f"مادة {n}:")
+        lines.append(f"نص المادة رقمها {n}")
+    lines.append("بيروت في ٢٠٢٠")
+    return "\n".join(lines) + "\n"
+
+
 def mutate_text(rng: random.Random, text: str) -> str:
     """Break (or maybe not) a document in a structurally interesting way."""
     lines = text.splitlines()

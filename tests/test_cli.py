@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from docgen import many_articles
 from legalc.cli import run
 from legalc.normalize import preprocess
 from legalc.parser import parse_document
@@ -235,16 +236,6 @@ def test_help_exits_zero():
     code, out, _ = invoke(["--help"])
     assert code == 0
     assert "usage:" in out and "--validate" in out
-
-
-def many_articles(count: int) -> str:
-    """A valid document with ``count`` articles, every third one titled."""
-    lines = GOOD.splitlines()[:5]
-    for n in range(1, count + 1):
-        lines.append(f"مادة {n}: عنوان فرعي" if n % 3 == 0 else f"مادة {n}:")
-        lines.append(f"نص المادة رقمها {n}")
-    lines.append("بيروت في ٢٠٢٠")
-    return "\n".join(lines) + "\n"
 
 
 def test_thousands_of_articles(tmp_path):

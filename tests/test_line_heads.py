@@ -16,7 +16,6 @@ from legalc.normalize import preprocess
 from legalc.parser import scan_document
 from legalc.scanner import _SPELLINGS, Scanner, match_keyword_phrase
 from legalc.tokens import TokenKind
-from test_cli import many_articles
 from test_keyword_index import reference_match, variant
 
 K = TokenKind
@@ -104,7 +103,7 @@ def test_limits_that_cut_a_phrase(source, limit, expected):
 
 @pytest.mark.parametrize("make_text", [
     lambda: docgen.generate_document(random.Random(7)).text,
-    lambda: many_articles(2000),
+    lambda: docgen.many_articles(2000),
 ], ids=["docgen", "2000-articles"])
 def test_scan_matches_each_line_head_once(probes, make_text):
     text = preprocess(make_text().encode("utf-8"), "doc")

@@ -156,3 +156,23 @@ def test_digit_run_predicates():
     assert not is_digit_run("")
     assert has_digit("بتاريخ٢٠١٨")
     assert not has_digit("قمر")
+
+
+def test_digit_run_agrees_with_per_character_reference():
+    # The per-character test is_digit_run replaced, with its 20 digits.
+    # Look-alikes stay non-digits: extended Arabic-Indic U+06F0-U+06F9,
+    # superscript two, fullwidth one and Devanagari one (str.isdigit takes
+    # all of these).
+    reference_digits = frozenset(ASCII_DIGITS + ARABIC_DIGITS)
+    look_alikes = "".join(map(chr, range(0x06F0, 0x06FA))) + "\u00b2\uff11\u0967"
+    pools = (ASCII_DIGITS + ARABIC_DIGITS, look_alikes, "ابجمن،.:")
+    rng = random.Random(23)
+    seen, isdigit_differs = set(), 0
+    for _ in range(3000):
+        # mostly digits, so that whole digit runs are drawn often
+        w = "".join(rng.choice(rng.choices(pools, (8, 1, 1))[0]) for _ in range(rng.randint(0, 6)))
+        expected = bool(w) and all(ch in reference_digits for ch in w)
+        assert is_digit_run(w) == expected, repr(w)
+        seen.add(expected)
+        isdigit_differs += w.isdigit() != expected
+    assert seen == {True, False} and isdigit_differs > 100

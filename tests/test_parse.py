@@ -17,7 +17,7 @@ from legalc import (
     reconstruct_words,
     segment_trailer,
 )
-from legalc.parser import dump_ast, parse_grammar_tokens, rejects_all_extensions
+from legalc.parser import _merge_region, dump_ast, parse_grammar_tokens, rejects_all_extensions
 from legalc.tokens import Span, Token, TokenKind
 
 K = TokenKind
@@ -124,6 +124,17 @@ def test_multiline_article_content_merges_with_punctuation():
     result = parse(MINIMAL.replace("نص المادة", "نص المادة، تابع\nسطر ثان."))
     assert result.ok
     assert result.document.articles[0].content == "نص المادة، تابع سطر ثان."
+
+
+def test_merge_region_keeps_a_lone_string():
+    content = Token(K.STRING, "نص المادة", Span(6, 0, 7, 1))
+    assert _merge_region([content]) is content
+    lone_dot = Token(K.DOT, ".", Span.point(8, 0))
+    assert _merge_region([lone_dot]) == Token(K.STRING, ".", Span.point(8, 0))
+    detached_dot = Token(K.DOT, ".", Span.point(7, 1), detached=True)
+    assert _merge_region([content, detached_dot]) == Token(K.STRING, "نص المادة.", Span(6, 0, 7, 1))
+    # a standalone delimiter word is joined with a space, as it was written
+    assert _merge_region([content, lone_dot]) == Token(K.STRING, "نص المادة .", Span(6, 0, 8, 0))
 
 
 def test_article_headers_accept_word_numbers():

@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from legalc.normalize import is_digit_run, preprocess
+from legalc.parser import _ANY, _NUMBER, _STOP_AT, _TEXT, _TITLE
 from legalc.scanner import (
     ScanError,
     Scanner,
@@ -285,6 +286,19 @@ def test_string_is_never_a_stop_kind():
         StopSet.of(K.STRING)
     with pytest.raises(ValueError, match="STRING"):
         StopSet.of(K.COMMA, K.STRING, stop_before=(0, 1))
+
+
+def test_until_equals_of_with_a_bound():
+    constants = [_ANY, _TEXT, _TITLE, _NUMBER, *_STOP_AT.values()]
+    text = norm("مادة ١: عنوان\nنص المادة الأولى هنا")
+    end = (text.line_count, 0)
+    # a line start, mid-line, and past the end of the text
+    for bound in ((1, 0), (1, 2), end, (end[0] + 5, 3)):
+        for s in constants:
+            bounded = s.until(bound)
+            assert bounded == StopSet.of(*s.kinds, line_break_stops=s.line_break_stops,
+                                         stop_before=bound)
+            assert bounded.kinds is s.kinds and s.stop_before is None
 
 
 def test_spans_and_tokens_compare_and_hash_by_value():
