@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .normalize import is_digit_run, to_western_digits
-from .parser import Document, SignatureKind
+from .parser import Document, SignatureKind, _gc_paused
 
 
 class Element:
@@ -104,6 +104,7 @@ def _render(el: Element, depth: int, lines: list[str], indent: int) -> None:
         lines.append(f"{pad}<{el.tag}/>")
 
 
+@_gc_paused
 def emit(doc: Document, config: EmitConfig = EmitConfig()) -> bytes:
     """Generate and serialize in one step, as UTF-8 bytes."""
     return serialize(generate(doc, config.root_tag), config).encode("utf-8")

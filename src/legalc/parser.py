@@ -23,8 +23,10 @@ The first error aborts; there is no recovery.
 from __future__ import annotations
 
 import enum
+import functools
+import gc
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .normalize import NormalizedText, fold_for_matching, has_digit
 # match_keyword_phrase is not called here, but stays importable from this
@@ -33,6 +35,28 @@ from .scanner import KeywordMatch, Scanner, line_heads, match_keyword_phrase  # 
 from .tokens import KIND_DISPLAY, Span, StopSet, Token, TokenKind
 
 K = TokenKind
+_F = TypeVar("_F", bound=Callable)
+
+
+def _gc_paused(fn: _F) -> _F:
+    """Run ``fn`` with the cyclic garbage collector paused.
+
+    A compile builds tens of thousands of tokens, spans and elements that
+    form no reference cycles, so reference counting frees all of them and
+    the collector's passes over them are pure overhead.  The collector is
+    re-enabled on the way out, also when ``fn`` raises; a caller that has
+    already disabled it (or a nested call) is left as it is.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused  # type: ignore[return-value]
 
 
 # -- AST ------------------------------------------------------------------
@@ -632,6 +656,7 @@ def scan_document(text: NormalizedText) -> ScanResult:
     return _Driver(text).run()
 
 
+@_gc_paused
 def parse_document(text: NormalizedText) -> ParseResult:
     """Scan and parse one document.  On failure the result carries exactly
     one diagnostic, the earliest detected."""

@@ -9,10 +9,10 @@ matches the الإمضاء keyword; emitted lexemes always keep the original tex
 Keyword phrases (at most three words) live in one index keyed by their
 folded first word: a cut-down Aho & Corasick trie (CACM 1975).  A probe
 folds the word under the cursor once and, for the great majority of words,
-stops at a missed lookup.  All phrases that share a first word have the same
-length, so no phrase is a proper prefix of another, and a scope bound can
-only keep a phrase whole or rule it out: the bound is one comparison on the
-matched phrase's last word.
+stops at a missed lookup; a hit on a one-word phrase is the match at once.
+All phrases that share a first word have the same length, so no phrase is a
+proper prefix of another, and a scope bound can only keep a phrase whole or
+rule it out: the bound is one comparison on the matched phrase's last word.
 
 STRING accumulation walks one line's word tuple at a time.  The scope bound
 becomes a word limit once per line; each word is tested for a stopping
@@ -129,6 +129,8 @@ def match_keyword_phrase(text: NormalizedText, line: int, word: int) -> KeywordM
     if entry is None:
         return None
     count, phrases = entry
+    if count == 1:
+        return phrases[()]
     end = word + count
     if end > len(words) or any(split_trailing(w)[1] for w in words[word:end - 1]):
         return None

@@ -1,9 +1,16 @@
+import sys
 from pathlib import Path
 
 import pytest
 
-CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS_DIR = ROOT / "corpus"
 GOLDEN_DIR = CORPUS_DIR / "golden"
+
+# Runs from a checkout without installing: this checkout's src comes last on
+# the path, so an explicit PYTHONPATH (another tree's src, say) is tested.
+if str(ROOT / "src") not in sys.path:
+    sys.path.append(str(ROOT / "src"))
 
 
 @pytest.fixture(scope="session")

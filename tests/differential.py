@@ -14,7 +14,8 @@ standard error, and the count of each exit code.
 
 Inputs: the corpus files, 1,500 ``docgen.generate_document`` documents, a
 ``mutate_text`` mutant of each, ``add_fold_noise`` variants of the first 300,
-and ``many_articles`` documents of 100 to 3,000 articles.
+``many_articles`` documents of 100 to 3,000 articles, and documents whose
+article content region is one lone delimiter word, which no other input has.
 """
 
 from __future__ import annotations
@@ -47,8 +48,17 @@ def inputs() -> list[bytes]:
     mutants = [docgen.mutate_text(rng, text) for text in generated]
     noisy = [docgen.add_fold_noise(rng, text) for text in generated[:NOISY]]
     large = [docgen.many_articles(n) for n in ARTICLE_COUNTS]
-    docs += [text.encode("utf-8") for text in (*generated, *mutants, *noisy, *large)]
+    docs += [text.encode("utf-8")
+             for text in (*generated, *mutants, *noisy, *large, *lone_delimiters())]
     return docs
+
+
+def lone_delimiters() -> list[str]:
+    """A content line that is only ``.`` or ``،``, under an untitled article
+    followed by another and under a titled last article."""
+    base = docgen.many_articles(3)
+    return [base.replace(f"نص المادة رقمها {n}\n", f"{delimiter}\n")
+            for delimiter in (".", "،") for n in (1, 3)]
 
 
 def run_cli(argv: list[str], data: bytes) -> tuple[int, str, str]:
