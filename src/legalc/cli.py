@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import re
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ EXIT_USAGE = 2
 _TAG_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
 
 
+@functools.cache   # one parser per process: argparse builds reference cycles
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="legalc",

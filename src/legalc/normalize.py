@@ -19,6 +19,7 @@ the XML generator need them:
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from typing import NamedTuple
 
@@ -49,6 +50,15 @@ _DIGIT_TABLE = str.maketrans("٠١٢٣٤٥٦٧٨٩", "0123456789")
 
 _DIGITS = "0123456789٠١٢٣٤٥٦٧٨٩"
 
+# The Unicode space separators (category Zs) other than the ASCII space:
+# no-break, ogham, en/em and the other typographic spaces, narrow no-break,
+# medium mathematical and ideographic.  They separate words like a space.
+_OTHER_SPACES = re.compile("[\u00a0\u1680\u2000-\u200a\u202f\u205f\u3000]")
+# Their UTF-8 lead bytes.  Arabic letters and digits and ASCII have none of
+# them, so a byte search (memchr) passes most documents over, where the
+# regex would scan every character of a long line.
+_OTHER_SPACE_LEADS = (b"\xc2", b"\xe1", b"\xe2", b"\xe3")
+
 # Delimiters that may trail a word and still let it match a keyword.  The
 # Arabic comma terminates issuer/reference/justification phrases; '.' and ':'
 # close clauses and headers.
@@ -68,8 +78,9 @@ class NormalizedText(NamedTuple):
     """Canonical form of one input document.
 
     ``lines`` holds the non-blank lines in order, each a tuple of its words.
-    A word never contains a space or tab, so a line's canonical text is its
-    words joined by single spaces (:meth:`line_text`).
+    A word never contains a space (of any Unicode Zs kind) or tab, so a
+    line's canonical text is its words joined by single spaces
+    (:meth:`line_text`).
     """
 
     lines: tuple[tuple[str, ...], ...]
@@ -93,8 +104,9 @@ def preprocess(data: bytes, source_name: str = "<input>") -> NormalizedText:
     """Decode, normalise and segment one raw document.
 
     Steps, in order: UTF-8 decode (a leading BOM is tolerated and dropped),
-    CR/LF and CR to LF, Unicode NFC, line split, space/tab runs collapse,
-    blank lines drop.  Raises :class:`DecodeError` on bad UTF-8.
+    CR/LF and CR to LF, Unicode NFC, every other Unicode space (category
+    Zs) to a plain space, line split, space/tab runs collapse, blank lines
+    drop.  Raises :class:`DecodeError` on bad UTF-8.
     """
     try:
         decoded = data.decode("utf-8-sig")
@@ -102,6 +114,8 @@ def preprocess(data: bytes, source_name: str = "<input>") -> NormalizedText:
         raise DecodeError(exc.start, exc.reason) from None
     decoded = decoded.replace("\r\n", "\n").replace("\r", "\n")
     decoded = unicodedata.normalize("NFC", decoded)
+    if any(lead in data for lead in _OTHER_SPACE_LEADS):
+        decoded = _OTHER_SPACES.sub(" ", decoded)
 
     lines: list[tuple[str, ...]] = []
     for raw_line in decoded.split("\n"):
@@ -112,8 +126,9 @@ def preprocess(data: bytes, source_name: str = "<input>") -> NormalizedText:
 
 
 def _split_words(line: str) -> list[str]:
-    # Only spaces and tabs separate words; other whitespace-like characters
-    # are content and survive inside words.
+    # Only spaces (the other Zs spaces are plain spaces by now) and tabs
+    # separate words; other whitespace-like characters are content and
+    # survive inside words.
     return line.replace("\t", " ").split(" ")
 
 

@@ -136,42 +136,16 @@ class ParseResult(NamedTuple):
 # -- grammar phase ---------------------------------------------------------
 
 
-class NeedMoreTokens(Exception):
-    """Probe mode only: a parse path consulted tokens past the given prefix."""
-
-
-class _TokenSource:
-    """Indexed token access; reads past the end return the final EOF.  Every
-    token the parser looks at goes through :meth:`get`."""
-
-    def __init__(self, tokens: Sequence[Token]):
-        self._tokens = tokens
-
-    def get(self, i: int) -> Token:
-        try:
-            return self._tokens[i]
-        except IndexError:
-            return self._tokens[-1]
-
-    def kind_at(self, i: int) -> TokenKind:
-        return self.get(i).kind
-
-
-class _PrefixSource(_TokenSource):
-    """A token prefix that raises :class:`NeedMoreTokens` on any read past
-    its end, so a rejection is known to depend on the prefix alone."""
-
-    def get(self, i: int) -> Token:
-        if i >= len(self._tokens):
-            raise NeedMoreTokens
-        return self._tokens[i]
-
-
 class _Ctx:
-    """Parse state: the token source and the furthest failure seen so far."""
+    """Parse state: the token list and the furthest failure seen so far.
 
-    def __init__(self, src: _TokenSource):
-        self.src = src
+    The descent reads a token only at 0 or right after a token it matched,
+    and EOF matches no step, so over a list that ends in EOF no read passes
+    that EOF.  Over a bare prefix, a read past its end raises IndexError.
+    """
+
+    def __init__(self, toks: Sequence[Token]):
+        self.toks = toks
         self.fail_pos = -1
         self.fail_expected: set[TokenKind] = set()
         self.fail_message: str | None = None
@@ -227,22 +201,22 @@ _TYPE2_REST = _TYPE1_REST[:2]             # after "position الإمضاء": ": 
 def _expect(ctx: _Ctx, i: int, steps: _Steps) -> list[Token] | None:
     """The tokens of one fixed run from ``i`` on, or None once the first
     mismatch is recorded."""
-    get = ctx.src.get
-    toks: list[Token] = []
+    toks = ctx.toks
+    run: list[Token] = []
     for kinds, message in steps:
-        tok = get(i)
+        tok = toks[i]
         if tok.kind not in kinds:
             ctx.fail(i, set(kinds), message)
             return None
-        toks.append(tok)
+        run.append(tok)
         i += 1
-    return toks
+    return run
 
 
 def _parse_clause_list(ctx: _Ctx, i: int, opener: TokenKind,
                        body: _Steps) -> tuple[list[str], int] | None:
     items: list[str] = []
-    while ctx.src.kind_at(i) is opener:
+    while ctx.toks[i].kind is opener:
         toks = _expect(ctx, i + 1, body)
         if toks is None:
             return None
@@ -269,14 +243,14 @@ def _gen_article_list(ctx: _Ctx, i: int) -> Iterator[tuple[list[Article], int]]:
     while (head := _expect(ctx, i, _ARTICLE_HEAD)) is not None:
         number, first = head[1].lexeme, head[3].lexeme
         i += len(_ARTICLE_HEAD)
-        if ctx.src.kind_at(i) is K.STRING:
+        if ctx.toks[i].kind is K.STRING:
             titled.append((len(articles), number, first, i))
-            articles.append(Article(number, first, ctx.src.get(i).lexeme))
+            articles.append(Article(number, first, ctx.toks[i].lexeme))
             i += 1
         else:
             articles.append(Article(number, None, first))
         # Another MADA must belong to the article list; anything else ends it.
-        if ctx.src.kind_at(i) is not K.MADA:
+        if ctx.toks[i].kind is not K.MADA:
             yield articles, i
             break
     for k, number, first, end in reversed(titled):
@@ -286,17 +260,17 @@ def _gen_article_list(ctx: _Ctx, i: int) -> Iterator[tuple[list[Article], int]]:
 
 
 def _parse_loc_date(ctx: _Ctx, i: int) -> tuple[LocDate, int] | None:
-    loc_tok = ctx.src.get(i)
+    loc_tok = ctx.toks[i]
     if loc_tok.kind is not K.STRING:
         ctx.fail(i, {K.STRING}, "expected the location/date line")
         return None
-    nxt = ctx.src.kind_at(i + 1)
+    nxt = ctx.toks[i + 1].kind
     if nxt is K.FI:
-        if ctx.src.kind_at(i + 2) is K.STRING:
-            return LocDate(loc_tok.lexeme, ctx.src.get(i + 2).lexeme, True), i + 3
+        if ctx.toks[i + 2].kind is K.STRING:
+            return LocDate(loc_tok.lexeme, ctx.toks[i + 2].lexeme, True), i + 3
         ctx.fail(i + 2, {K.STRING}, "expected the date after في")
     elif nxt is K.STRING:
-        return LocDate(loc_tok.lexeme, ctx.src.get(i + 1).lexeme, False), i + 2
+        return LocDate(loc_tok.lexeme, ctx.toks[i + 1].lexeme, False), i + 2
     else:
         ctx.fail(i + 1, {K.FI, K.STRING}, "expected في or the date text after the location")
     return None
@@ -304,17 +278,17 @@ def _parse_loc_date(ctx: _Ctx, i: int) -> tuple[LocDate, int] | None:
 
 def _greedy_type2(ctx: _Ctx, i: int) -> tuple[list[Signature], int] | None:
     sigs: list[Signature] = []
-    while ctx.src.kind_at(i) is K.STRING and ctx.src.kind_at(i + 1) is K.IMDAA:
+    while ctx.toks[i].kind is K.STRING and ctx.toks[i + 1].kind is K.IMDAA:
         rest = _expect(ctx, i + 2, _TYPE2_REST)
         if rest is None:
             return None
-        sigs.append(Signature(SignatureKind.TYPE2, rest[1].lexeme, ctx.src.get(i).lexeme))
+        sigs.append(Signature(SignatureKind.TYPE2, rest[1].lexeme, ctx.toks[i].lexeme))
         i += 4
     return sigs, i
 
 
 def _gen_sig_list(ctx: _Ctx, i: int) -> Iterator[tuple[list[Signature], int]]:
-    if ctx.src.kind_at(i) is K.IMDAA and (first := _expect(ctx, i + 1, _TYPE1_REST)) is not None:
+    if ctx.toks[i].kind is K.IMDAA and (first := _expect(ctx, i + 1, _TYPE1_REST)) is not None:
         rest = _greedy_type2(ctx, i + 4)
         if rest is not None:
             sigs2, k = rest
@@ -347,7 +321,7 @@ def _parse_document_tokens(ctx: _Ctx) -> Document | None:
             continue
         loc_date, k = rl
         for signatures, m in _gen_sig_list(ctx, k):
-            if ctx.src.kind_at(m) is K.EOF:
+            if ctx.toks[m].kind is K.EOF:
                 return Document(
                     statement=Statement(pre[0].lexeme, pre[2].lexeme),
                     title=pre[3].lexeme,
@@ -373,11 +347,11 @@ def _with_eof(tokens: Sequence[Token]) -> list[Token]:
 def parse_grammar_tokens(tokens: Sequence[Token]) -> tuple[Document | None, Diagnostic | None]:
     """Run the grammar over a token stream (an EOF token is appended if missing)."""
     toks = _with_eof(tokens)
-    ctx = _Ctx(_TokenSource(toks))
+    ctx = _Ctx(toks)
     doc = _parse_document_tokens(ctx)
     if doc is not None:
         return doc, None
-    at = toks[min(max(ctx.fail_pos, 0), len(toks) - 1)]
+    at = toks[ctx.fail_pos]
     expected = tuple(sorted(ctx.fail_expected, key=lambda k: k.value))
     message = ctx.fail_message or "expected " + ", ".join(KIND_DISPLAY[k] for k in expected)
     return None, Diagnostic("error", message, at.span, expected, at.kind)
@@ -394,10 +368,10 @@ def rejects_all_extensions(kinds: Sequence[TokenKind]) -> bool:
     token at or past ``len(kinds)``.  Every extension of such a prefix is
     rejected identically, which lets bounded-exhaustive equivalence checks
     prune whole subtrees soundly."""
-    ctx = _Ctx(_PrefixSource([Token(k, k.value, Span.point(0, i)) for i, k in enumerate(kinds)]))
+    ctx = _Ctx([Token(k, k.value, Span.point(0, i)) for i, k in enumerate(kinds)])
     try:
         return _parse_document_tokens(ctx) is None
-    except NeedMoreTokens:
+    except IndexError:   # a read past the prefix: the outcome depends on later tokens
         return False
 
 
@@ -479,11 +453,9 @@ def _merge_region(tokens: list[Token]) -> Token:
 # line or region, the constant is bounded with ``StopSet.until(bound)``,
 # which shares its kinds instead of building them again.
 _ANY = StopSet.of()
-_TEXT = StopSet.of(K.COMMA, K.DOT)
-_TITLE = StopSet.of(K.INNA, line_break_stops=True)
 _NUMBER = StopSet.of(K.NUM, K.COLON)
 _STOP_AT = {kind: StopSet.of(kind) for kind in (
-    K.TYPE, K.RAQM, K.NUM, K.INNA, K.COMMA, K.BINAA, K.HAYSOU, K.YAKOUR, K.COLON,
+    K.TYPE, K.RAQM, K.NUM, K.INNA, K.BINAA, K.HAYSOU, K.YAKOUR, K.COLON,
     K.MADA, K.FI, K.IMDAA)}
 
 
@@ -513,7 +485,7 @@ class _Driver:
         """Scan plain text, split at ، and ., up to ``bound`` and through any
         delimiter still pending there."""
         sc = self.sc
-        stop = _TEXT.until(bound)
+        stop = _ANY.until(bound)
         while sc.position < bound or sc.has_pending:
             self.take(stop)
 
@@ -536,13 +508,16 @@ class _Driver:
         self.take(_STOP_AT[K.TYPE])
         self.take(_STOP_AT[K.RAQM])
         self.take(_STOP_AT[K.NUM])
-        tok = self.take(_TITLE)                                      # title
+        # The title may span lines, but not into a later line opening with إن.
+        title_end = _first_line_opening(sc.heads, K.INNA, sc.line + 1, self.text.line_count)
+        at_inna = _STOP_AT[K.INNA]
+        tok = self.take(at_inna if title_end is None else at_inna.until((title_end, 0)))
         if tok.kind is not K.INNA:
-            tok = self.take(_STOP_AT[K.INNA])
+            tok = self.take(at_inna)
         if tok.kind is K.INNA:
-            tok = self.take(_STOP_AT[K.COMMA])                       # issuer text
+            tok = self.take(_ANY)                                    # issuer text
             if tok.kind is K.STRING:
-                self.take(_STOP_AT[K.COMMA])                         # terminator
+                self.drain()                                         # terminator
         self._clauses(K.BINAA)
         self._clauses(K.HAYSOU)
         m = sc.peek_keyword()
@@ -567,9 +542,9 @@ class _Driver:
             if m is None or m.kind is not opener:
                 return
             self.take(_STOP_AT[opener])
-            tok = self.take(_TEXT)                                   # clause text
+            tok = self.take(_ANY)                                    # clause text
             if tok.kind is K.STRING:
-                self.take(_TEXT)                                     # terminator
+                self.drain()                                         # terminator
 
     def _articles(self, boundary_line: int) -> None:
         sc = self.sc

@@ -18,9 +18,9 @@ STRING accumulation walks one line's word tuple at a time.  The scope bound
 becomes a word limit once per line; each word is tested for a stopping
 delimiter by its last character (past any trailing format controls) against
 one of four module-constant stop strings, chosen by whether ':' is expected
-and whether the word ends its line, and probed for a keyword only when the
-stop set expects one (never at a line start unless the stop set asks for
-line-break stops).  The cursor is written back once, when the token is done.
+and whether the word ends its line, and probed for a keyword only mid-line
+and only when the stop set expects one.  The cursor is written back once,
+when the token is done.
 
 Every line's head, the keyword phrase that opens it, is matched once per
 document into ``Scanner.heads``; a probe at a line's first word reads that
@@ -243,7 +243,6 @@ class Scanner:
         kinds = expect.kinds
         stop_before = expect.stop_before
         probe = not kinds.isdisjoint(_KEYWORD_KINDS)
-        line_break_stops = expect.line_break_stops
         mid_line, line_end = _STOP_CHARS[TokenKind.COLON in kinds]
         pieces: list[str] = []
         end_line = end_word = 0
@@ -258,9 +257,9 @@ class Scanner:
                 break
             last = len(words) - 1
             while word < limit:
-                # Mid-line keywords always end accumulation; line-initial
-                # keywords only do when the stop set asks for line-break stops.
-                if probe and pieces and (word or line_break_stops):
+                # Only a mid-line keyword ends accumulation; a line's head
+                # does not.
+                if probe and pieces and word:
                     match = self._match(line, word, stop_before)
                     if match is not None and match.kind in kinds:
                         break

@@ -101,26 +101,25 @@ def punctuation_kind(char: str) -> TokenKind | None:
 class StopSet(NamedTuple):
     """What the parser expects next; drives scanning decisions.
 
-    ``kinds`` are the token kinds that may terminate or preempt free-text
-    accumulation.  ``line_break_stops`` additionally ends accumulation at a
-    line boundary whose next line opens with an expected keyword.
-    ``stop_before`` is a hard (line, word) bound the scan may not cross; the
-    parser uses it to scope line- and region-local scans.
+    Of ``kinds`` the scanner reads only the keyword kinds, NUM and COLON: an
+    expected keyword phrase is taken as its token and ends free text
+    mid-line (never at a line start), NUM takes a digit run, and COLON lets a
+    ':' end text.  A '،' and a line-final '.' always end text, whatever the
+    kinds.  ``stop_before`` is a hard (line, word) bound the scan may not
+    cross; the parser uses it to scope line- and region-local scans.
     """
 
     kinds: frozenset[TokenKind] = frozenset()
-    line_break_stops: bool = False
     stop_before: tuple[int, int] | None = None
 
     @classmethod
-    def of(cls, *kinds: TokenKind, line_break_stops: bool = False,
-           stop_before: tuple[int, int] | None = None) -> StopSet:
+    def of(cls, *kinds: TokenKind, stop_before: tuple[int, int] | None = None) -> StopSet:
         """The stop set for ``kinds``; STRING is never a stop kind."""
         if TokenKind.STRING in kinds:
             raise ValueError("STRING cannot be an expected stop kind")
-        return cls(frozenset(kinds), line_break_stops, stop_before)
+        return cls(frozenset(kinds), stop_before)
 
     def until(self, bound: tuple[int, int]) -> StopSet:
         """This stop set with ``stop_before`` set to ``bound``; the kinds are
         shared, not checked or rebuilt again."""
-        return StopSet(self.kinds, self.line_break_stops, bound)
+        return StopSet(self.kinds, bound)

@@ -122,6 +122,17 @@ def test_invisible_marks_in_keywords_are_matched_through(tmp_path, corpus_dir, g
     assert code == 0 and xml == (golden_dir / "decree-25.xml").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("space", ["\u00a0", "\u2009", "\u202f"], ids=["nbsp", "thin", "narrow-nbsp"])
+def test_non_ascii_space_separates_words(tmp_path, corpus_dir, golden_dir, space):
+    lines = (corpus_dir / "decree-25.txt").read_text(encoding="utf-8").split("\n")
+    lines[3] = lines[3].replace("بناء على", f"بناء{space}على", 1)
+    p = tmp_path / "doc.txt"
+    p.write_text("\n".join(lines), encoding="utf-8")
+    assert invoke([str(p), "--validate"]) == (0, "", "")
+    code, xml, _ = invoke([str(p), "-o", "-"])
+    assert code == 0 and xml == (golden_dir / "decree-25.xml").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("line,word", [
     (3, "الجمهورية،"), (4, "منه،"), (5, "الوزراء،"), (6, "يأتي:"), (7, "١:"), (10, "٢:"),
     (11, "يلي:"), (13, "المجلس."), (14, "٣:"), (17, "الامضاء:"), (20, "الامضاء:"),

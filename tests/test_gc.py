@@ -44,7 +44,7 @@ def sample_inputs(corpus_paths) -> list[bytes]:
             *(rng.randbytes(rng.randrange(400)) for _ in range(200))]
 
 
-def test_compiles_leave_no_cyclic_garbage(corpus_paths, tmp_path, monkeypatch):
+def test_compiles_leave_no_cyclic_garbage(corpus_paths, tmp_path):
     docs = sample_inputs(corpus_paths)
     paths = []
     for i, data in enumerate(docs):
@@ -52,10 +52,9 @@ def test_compiles_leave_no_cyclic_garbage(corpus_paths, tmp_path, monkeypatch):
         path.write_bytes(data)
         paths.append(str(path))
     # An argparse parser and its help formatter hold reference cycles of
-    # their own; build the one parser before the count starts, so that only
-    # what cli.run does with it is counted.
-    arg_parser = cli.build_arg_parser()
-    monkeypatch.setattr(cli, "build_arg_parser", lambda: arg_parser)
+    # their own; the process builds its one parser here, before the count
+    # starts, so that only what cli.run does with it is counted.
+    cli.build_arg_parser()
     runs = [
         paths, ["--dump-tokens", *paths], ["--dump-ast", *paths],
         # usage errors: -o with two inputs, a negative indent, a missing file
@@ -73,6 +72,15 @@ def test_compiles_leave_no_cyclic_garbage(corpus_paths, tmp_path, monkeypatch):
             codes.append(cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO()))
         assert gc.collect() == 0
     assert codes == [cli.EXIT_REJECTED] * 3 + [cli.EXIT_USAGE] * 3
+
+
+def test_a_second_cli_run_leaves_no_cyclic_garbage(corpus_paths):
+    argv = ["--validate", *map(str, corpus_paths)]
+    with collector(False):
+        cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO())   # may build the parser
+        gc.collect()
+        assert cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == cli.EXIT_OK
+        assert gc.collect() == 0
 
 
 @pytest.mark.parametrize("enabled", [True, False])

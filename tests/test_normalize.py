@@ -1,6 +1,7 @@
 """Preprocessing: decoding, line/word structure, folding, digits."""
 
 import random
+import sys
 import unicodedata
 
 import pytest
@@ -56,6 +57,16 @@ def test_blank_lines_are_dropped():
 def test_tabs_and_spaces_split_words():
     text = preprocess("أ\tب  ج \t د".encode("utf-8"), "t")
     assert text.words(0) == ("أ", "ب", "ج", "د")
+
+
+def test_every_unicode_space_separates_words():
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if unicodedata.category(c) == "Zs"]
+    for space in spaces:
+        text = preprocess(f"أ{space}ب {space}\tج{space}".encode("utf-8"), "t")
+        assert text.lines == (("أ", "ب", "ج"),), hex(ord(space))
+    # other invisible or whitespace-like characters stay inside words
+    for other in "\u200b\u0085\u2028\u180e":
+        assert preprocess(f"أ{other}ب".encode("utf-8"), "t").lines == ((f"أ{other}ب",),)
 
 
 def test_lines_keep_every_word_in_order_without_blank_lines():

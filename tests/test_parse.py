@@ -2,6 +2,8 @@
 
 import dataclasses
 import random
+import sys
+import unicodedata
 
 import pytest
 
@@ -153,6 +155,21 @@ def test_title_may_span_lines():
     result = parse(MINIMAL.replace("عنوان قصير", "عنوان قصير\nيمتد سطرين"))
     assert result.ok
     assert result.document.title == "عنوان قصير يمتد سطرين"
+
+
+def test_title_ends_at_the_first_later_line_opening_with_inna():
+    # a mid-line إن on the title's second line ends the title there
+    result = parse(MINIMAL.replace("عنوان قصير", "عنوان قصير\nيمتد إن سطرين"))
+    assert result.ok
+    assert (result.document.title, result.document.issuer) == ("عنوان قصير يمتد",
+                                                               "سطرين إن الوزير")
+    # a later line that also opens with إن does not move the title's end
+    source = MINIMAL.replace("عنوان قصير", "عنوان قصير\nيمتد سطرين")
+    result = parse(source.replace("نص المادة", "نص المادة\nإن النص نافذ"))
+    assert result.ok
+    assert (result.document.title, result.document.issuer) == ("عنوان قصير يمتد سطرين",
+                                                               "الوزير")
+    assert result.document.articles[0].content == "نص المادة إن النص نافذ"
 
 
 def test_reference_clause_may_span_lines():
@@ -370,7 +387,58 @@ def test_grammar_failure_diagnostics(name):
     assert diag.found is (kinds + [K.EOF])[at]
 
 
+def _grammar_diagnostic(kinds):
+    """What parse_grammar_tokens reports for a kind sequence, by token index."""
+    _, diag = parse_grammar_tokens([Token(k, k.value, Span.point(0, i)) for i, k in enumerate(kinds)])
+    return diag and (diag.message, diag.expected, diag.found, diag.span.start_word)
+
+
+def test_determined_prefixes_reject_every_extension_identically():
+    # Criterion 2 prunes the subtree under a prefix that rejects_all_extensions
+    # calls determined; that is sound only if every extension is rejected
+    # exactly as the prefix alone is.
+    rng = random.Random(20261018)
+    kinds = [k for k in K if k is not K.EOF]
+    valid = [_DOC, MIN_KINDS, MIN_KINDS[:16] + [K.STRING] + MIN_KINDS[16:],
+             _DOC + [K.IMDAA, K.COLON, K.STRING, K.STRING, K.STRING, K.IMDAA, K.COLON, K.STRING],
+             _PRE + _REF + [K.HAYSOU, K.STRING, K.DOT] + _ACK + _DOC[len(_PRE + _REF + _ACK):]]
+    determined = set()
+    for _ in range(3000):
+        seq = list(rng.choice(valid))
+        for _ in range(rng.randint(0, 2)):   # replace, insert or delete one kind
+            at = rng.randrange(len(seq))
+            edit = rng.randrange(3)
+            if edit == 0:
+                seq[at] = rng.choice(kinds)
+            elif edit == 1:
+                seq.insert(at, rng.choice(kinds))
+            else:
+                del seq[at]
+        prefix = seq[:rng.randint(0, len(seq))]
+        if not rejects_all_extensions(prefix):
+            continue
+        want = _grammar_diagnostic(prefix)
+        assert want is not None
+        determined.add(want)
+        for kind in kinds:
+            assert _grammar_diagnostic(prefix + [kind]) == want, (prefix, kind)
+    # the draw reaches most failure sites, all along the document
+    assert len({d[0] for d in determined}) > 20 and len({d[3] for d in determined}) > 20
+
+
 # -- generated-document properties ----------------------------------------------
+
+def test_unicode_spaces_read_like_ascii_spaces():
+    rng = random.Random(2026)
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if unicodedata.category(c) == "Zs"]
+    for _ in range(200):
+        rendered = docgen.generate_document(rng)
+        swapped = "".join(rng.choice(spaces) if ch == " " and rng.random() < 0.3 else ch
+                          for ch in rendered.text)
+        result = parse_document(norm(swapped))
+        assert result.ok, (result.diagnostics, swapped)
+        assert result.document == rendered.document
+
 
 def test_generated_documents_round_trip_exactly():
     rng = random.Random(1402)

@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from legalc.normalize import is_digit_run, preprocess
-from legalc.parser import _ANY, _NUMBER, _STOP_AT, _TEXT, _TITLE
+from legalc.parser import _ANY, _NUMBER, _STOP_AT
 from legalc.scanner import (
     ScanError,
     Scanner,
@@ -199,15 +199,9 @@ def test_keyword_stops_string_mid_line():
     assert sc.next_token(StopSet.of(K.FI)).kind is K.FI
 
 
-def test_keyword_at_line_start_needs_line_break_stops():
-    sc = Scanner(norm("عنوان طويل\nإن الوزير"))
-    tok = sc.next_token(StopSet.of(K.INNA, line_break_stops=True))
-    assert tok.lexeme == "عنوان طويل"
-    assert sc.next_token(StopSet.of(K.INNA)).kind is K.INNA
-
+def test_keyword_at_line_start_does_not_end_text():
     sc = Scanner(norm("عنوان طويل\nإن الوزير"))
     tok = sc.next_token(StopSet.of(K.INNA))
-    # without line-break stops the line-initial keyword does not interrupt
     assert tok.lexeme == "عنوان طويل إن الوزير"
 
 
@@ -289,15 +283,14 @@ def test_string_is_never_a_stop_kind():
 
 
 def test_until_equals_of_with_a_bound():
-    constants = [_ANY, _TEXT, _TITLE, _NUMBER, *_STOP_AT.values()]
+    constants = [_ANY, _NUMBER, *_STOP_AT.values()]
     text = norm("مادة ١: عنوان\nنص المادة الأولى هنا")
     end = (text.line_count, 0)
     # a line start, mid-line, and past the end of the text
     for bound in ((1, 0), (1, 2), end, (end[0] + 5, 3)):
         for s in constants:
             bounded = s.until(bound)
-            assert bounded == StopSet.of(*s.kinds, line_break_stops=s.line_break_stops,
-                                         stop_before=bound)
+            assert bounded == StopSet.of(*s.kinds, stop_before=bound)
             assert bounded.kinds is s.kinds and s.stop_before is None
 
 
