@@ -19,6 +19,7 @@ the XML generator need them:
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from typing import NamedTuple
@@ -132,12 +133,18 @@ def _split_words(line: str) -> list[str]:
     return line.replace("\t", " ").split(" ")
 
 
+@functools.lru_cache(maxsize=1024)
 def fold_for_matching(word: str) -> str:
     """The folded body of one word, for keyword comparison.
 
     A trailing delimiter is dropped first, as :func:`split_trailing` detaches
     it (a lone delimiter word stays whole).  Callers that need the delimiter
     call :func:`split_trailing` themselves.
+
+    The function is pure, so its results are cached: a document repeats its
+    words, and the scanner folds the same word at a line head, in mid-line
+    probes and in NUM checks.  The cache is bounded: each entry keeps its
+    word and folded form alive until evicted, so at most 1,024 are held.
     """
     return split_trailing(word)[0].translate(_FOLD_TABLE)
 

@@ -32,7 +32,7 @@ from .normalize import NormalizedText, fold_for_matching, has_digit
 # match_keyword_phrase is not called here, but stays importable from this
 # module: bench/worker.py counts probes wherever a module looks it up.
 from .scanner import KeywordMatch, Scanner, line_heads, match_keyword_phrase  # noqa: F401
-from .tokens import KIND_DISPLAY, Span, StopSet, Token, TokenKind
+from .tokens import KIND_DISPLAY, Span, StopSet, Token, TokenKind, _tuple_new
 
 K = TokenKind
 _F = TypeVar("_F", bound=Callable)
@@ -444,9 +444,9 @@ def _merge_region(tokens: list[Token]) -> Token:
             if parts:
                 parts.append(" ")
         parts.append(tok.lexeme)
-    span = Span(tokens[0].span.start_line, tokens[0].span.start_word,
-                tokens[-1].span.end_line, tokens[-1].span.end_word)
-    return Token(K.STRING, "".join(parts), span)
+    first, last = tokens[0].span, tokens[-1].span
+    span = _tuple_new(Span, (first.start_line, first.start_word, last.end_line, last.end_word))
+    return _tuple_new(Token, (K.STRING, "".join(parts), span, False))
 
 
 # Every stop set the driver uses, built once.  Where a scan is scoped to a

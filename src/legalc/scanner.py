@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .normalize import (_FORMAT_CONTROLS, NormalizedText, fold_for_matching, is_digit_run,
                         split_trailing)
-from .tokens import Span, StopSet, Token, TokenKind, punctuation_kind
+from .tokens import Span, StopSet, Token, TokenKind, _tuple_new, punctuation_kind
 
 
 class ScanError(Exception):
@@ -230,11 +230,11 @@ class Scanner:
         last = word + count - 1
         body, trailing = split_trailing(words[last])
         if trailing:
-            self._pending = Token(punctuation_kind(trailing[0]), trailing,
-                                  Span.point(line, last), True)
+            self._pending = _tuple_new(Token, (punctuation_kind(trailing[0]), trailing,
+                                               _tuple_new(Span, (line, last, line, last)), True))
         self.line, self.word = (line, last + 1) if last + 1 < len(words) else (line + 1, 0)
         lexeme = body if count == 1 else " ".join((*words[word:last], body))
-        return Token(kind, lexeme, Span(line, word, line, last))
+        return _tuple_new(Token, (kind, lexeme, _tuple_new(Span, (line, word, line, last)), False))
 
     def _take_string(self, expect: StopSet) -> Token:
         lines = self.text.lines
@@ -270,12 +270,13 @@ class Scanner:
                     if tail and tail in stops:   # a word of controls alone is text
                         kind = punctuation_kind(tail)
                         body, trailing = split_trailing(original)
+                        point = _tuple_new(Span, (line, word, line, word))
                         if trailing:
                             pieces.append(body)
                             end_line, end_word = line, word
-                            delimiter = Token(kind, trailing, Span.point(line, word), True)
+                            delimiter = _tuple_new(Token, (kind, trailing, point, True))
                         else:
-                            delimiter = Token(kind, original, Span.point(line, word))
+                            delimiter = _tuple_new(Token, (kind, original, point, False))
                         word += 1
                         break
                 pieces.append(original)
@@ -300,7 +301,8 @@ class Scanner:
             self._pending = delimiter
         if not pieces:
             raise ScanError("expected text, found none", Span.point(*start))
-        return Token(TokenKind.STRING, " ".join(pieces), Span(*start, end_line, end_word))
+        return _tuple_new(Token, (TokenKind.STRING, " ".join(pieces),
+                                  _tuple_new(Span, (start[0], start[1], end_line, end_word)), False))
 
 
 def reconstruct_words(tokens: list[Token]) -> list[str]:

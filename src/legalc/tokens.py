@@ -3,12 +3,23 @@
 Spans, tokens and stop sets are made in the scanner's inner loop, so they
 are plain :class:`typing.NamedTuple` records: immutable, compared and hashed
 by value, and cheaper to build than frozen dataclasses.
+
+The hot paths (the scanner's token sites, :meth:`StopSet.until` and the
+parser's region merge) build them with ``tuple.__new__(Token, (...))``, as
+the record's own ``_make`` does less its length check: the generated
+constructor is a Python-level function, and skipping it halves the cost of a
+record.  Such a site passes every field, defaults included (``detached`` as
+a real ``bool``), since nothing checks a missing or extra value.  Cold sites
+use the constructor.
 """
 
 from __future__ import annotations
 
 import enum
 from typing import NamedTuple
+
+# Bound once: a module global is found faster than the builtin's attribute.
+_tuple_new = tuple.__new__
 
 
 class TokenKind(enum.Enum):
@@ -122,4 +133,4 @@ class StopSet(NamedTuple):
     def until(self, bound: tuple[int, int]) -> StopSet:
         """This stop set with ``stop_before`` set to ``bound``; the kinds are
         shared, not checked or rebuilt again."""
-        return StopSet(self.kinds, bound)
+        return _tuple_new(StopSet, (self.kinds, bound))

@@ -1,0 +1,111 @@
+"""Time two checkouts of legalc side by side in one process.
+
+    python3 tests/interleave.py PARENT/src/legalc CHANGE/src/legalc \
+        [--workload large-docs] [--seed 1] [--rounds 7]
+
+Each argument is a ``src/legalc`` package directory.  The two trees are
+imported under distinct package names, so both live in this one process, and
+whole rounds over one workload's documents (built by ``bench/inputs.py``,
+which is only read) alternate between them, the tree that goes first
+swapping each round.  A machine whose speed drifts between runs slows both
+trees alike within a round, so the per-round ratio is steadier than two
+separate benchmark runs.
+
+``bench/inputs.py`` imports this checkout's ``legalc`` for the AST records
+it builds; only the two loaded trees are timed.
+
+Before timing, one untimed round per tree compiles every document and
+asserts that both trees give the same output (the XML, or the rendered
+diagnostics of a rejected document, or the exception type of a failure).
+It prints each tree's minimum and median round time and the median of the
+per-round ratios A/B: above 1 means tree B is faster.  It is a script, not a
+test module, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src"), str(ROOT / "tests")]
+
+import inputs  # noqa: E402
+
+
+def load_tree(package_dir: Path, name: str):
+    """Import the package in ``package_dir`` as ``name``, with its submodules
+    resolved from that directory."""
+    spec = importlib.util.spec_from_file_location(
+        name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)])
+    if spec is None or spec.loader is None:
+        raise SystemExit(f"{package_dir}: not a package directory")
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def compiler(package):
+    """One document's output under ``package``, as the bench worker makes it."""
+    normalize, parser = package.normalize, package.parser
+    emit = package.codegen.emit
+    render = importlib.import_module(package.__name__ + ".cli").render_diagnostic
+
+    def compile_doc(doc) -> bytes | str:
+        try:
+            text = normalize.preprocess(doc.data, doc.name)
+            result = parser.parse_document(text)
+            if result.document is not None:
+                return emit(result.document)
+            return "".join(render(d, text) for d in result.diagnostics)
+        except Exception as exc:  # a known failure is output too; it must match
+            return type(exc).__name__
+    return compile_doc
+
+
+def time_round(compile_doc, docs) -> float:
+    start = perf_counter()
+    for doc in docs:
+        compile_doc(doc)
+    return perf_counter() - start
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("tree_a", type=Path, help="src/legalc directory of tree A (the parent)")
+    ap.add_argument("tree_b", type=Path, help="src/legalc directory of tree B (the change)")
+    ap.add_argument("--workload", default="large-docs",
+                    choices=("cli-cold", "batch-mixed", "large-docs"))
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--rounds", type=int, default=7)
+    args = ap.parse_args()
+
+    trees = [compiler(load_tree(args.tree_a.resolve(), "legalc_a")),
+             compiler(load_tree(args.tree_b.resolve(), "legalc_b"))]
+    docs = inputs.build(args.workload, args.seed)
+    for doc in docs:
+        out_a, out_b = (compile_doc(doc) for compile_doc in trees)
+        if out_a != out_b:
+            raise SystemExit(f"{doc.name}: the trees' outputs differ")
+    print(f"{args.workload} seed {args.seed}: {len(docs)} documents, outputs identical")
+
+    times: list[list[float]] = [[], []]
+    for r in range(args.rounds):
+        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+            times[side].append(time_round(trees[side], docs))
+    for label, ts in zip("AB", times):
+        print(f"{label}: min {min(ts) * 1e3:.1f} ms  median {statistics.median(ts) * 1e3:.1f} ms"
+              f"  ({args.rounds} rounds)")
+    ratios = [a / b for a, b in zip(*times)]
+    print(f"A/B median per-round ratio {statistics.median(ratios):.3f}"
+          f"  (range {min(ratios):.3f}-{max(ratios):.3f})")
+
+
+if __name__ == "__main__":
+    main()

@@ -3,10 +3,17 @@
 import random
 import sys
 import unicodedata
+from pathlib import Path
 
 import pytest
 
+import docgen
+import legalc.parser
+import legalc.scanner
+from legalc.cli import render_diagnostic
+from legalc.codegen import emit
 from legalc.normalize import (
+    _FORMAT_CONTROLS,
     DecodeError,
     fold_for_matching,
     has_digit,
@@ -133,6 +140,60 @@ def test_fold_detaches_only_the_last_mark():
 def test_body_preserves_original_spelling():
     assert fold_for_matching("الإمضاء:") == "الامضاء"
     assert split_trailing("الإمضاء:") == ("الإمضاء", ":")
+
+
+def test_cached_fold_equals_the_uncached_function():
+    rng = random.Random(31)
+    vocabulary = [*docgen.WORDS, *docgen.KEYWORD_WORDS]
+    digits = docgen.ARABIC_DIGITS + docgen.ASCII_DIGITS
+    words = []
+    for _ in range(400):
+        line = " ".join(rng.choice(vocabulary) + rng.choice(("", "", "،", ".", ":"))
+                        for _ in range(rng.randint(1, 8)))
+        words += docgen.add_fold_noise(rng, line).split()
+        words += ["".join(rng.choices(digits, k=rng.randint(1, 4))) + rng.choice(("", "،", "."))]
+        words += [rng.choice("،.:") + "".join(rng.choices(_FORMAT_CONTROLS, k=rng.randint(0, 2)))]
+        words += [rng.choice(vocabulary) + rng.choice("،.:") + rng.choice(_FORMAT_CONTROLS)]
+    fold_for_matching.cache_clear()
+    for word in words:   # each word twice: a miss, then (mostly) a hit
+        assert fold_for_matching(word) == fold_for_matching.__wrapped__(word), repr(word)
+        assert fold_for_matching(word) == fold_for_matching.__wrapped__(word), repr(word)
+    assert fold_for_matching.cache_info().hits >= len(words)
+
+
+def test_fold_cache_is_bounded():
+    assert fold_for_matching.cache_info().maxsize == 1024
+
+
+def _outputs(sources: list[bytes]) -> list[bytes | str]:
+    """The XML of each accepted document, the rendered diagnostics of each
+    rejected one."""
+    outputs = []
+    for data in sources:
+        text = preprocess(data, "t")
+        result = legalc.parser.parse_document(text)
+        outputs.append(emit(result.document) if result.document is not None
+                       else "".join(render_diagnostic(d, text) for d in result.diagnostics))
+    return outputs
+
+
+def test_compiles_do_not_depend_on_the_fold_cache(monkeypatch):
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    rng = random.Random(32)
+    generated = [docgen.generate_document(rng).text for _ in range(200)]
+    # every fourth one broken, so diagnostics are compared too; the rest noisy
+    sources = [p.read_bytes() for p in sorted(corpus.glob("*.txt"))]
+    sources += [(docgen.mutate_text(rng, t) if i % 4 == 0 else docgen.add_fold_noise(rng, t))
+                .encode("utf-8") for i, t in enumerate(generated)]
+    with monkeypatch.context() as patch:
+        for module in (legalc.scanner, legalc.parser):
+            patch.setattr(module, "fold_for_matching", fold_for_matching.__wrapped__)
+        uncached = _outputs(sources)
+    assert any(isinstance(out, str) and out for out in uncached)   # some are rejected
+    fold_for_matching.cache_clear()
+    assert _outputs(sources) == uncached     # cold cache
+    assert _outputs(sources) == uncached     # warm cache
+    assert fold_for_matching.cache_info().hits > 0
 
 
 # -- digits ----------------------------------------------------------------

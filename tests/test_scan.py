@@ -2,11 +2,14 @@
 
 import copy
 import pickle
+import random
+from pathlib import Path
 
 import pytest
 
+import docgen
 from legalc.normalize import is_digit_run, preprocess
-from legalc.parser import _ANY, _NUMBER, _STOP_AT
+from legalc.parser import _ANY, _NUMBER, _STOP_AT, scan_document
 from legalc.scanner import (
     ScanError,
     Scanner,
@@ -303,6 +306,32 @@ def test_spans_and_tokens_compare_and_hash_by_value():
     assert token != Token(K.STRING, "نص", span, detached=True)
     assert token != Token(K.STRING, "نص", Span(0, 1, 2, 4))
     assert str(span) == "1:2-3:4" and token.detached is False
+
+
+def test_hot_path_records_are_full_namedtuples():
+    # The scanner, StopSet.until and the region merge build their records
+    # with tuple.__new__, which checks nothing; a plain tuple or a detached
+    # flag of 0 would still compare equal, so the types are checked here.
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    rng = random.Random(12)
+    sources = [p.read_text(encoding="utf-8") for p in sorted(corpus.glob("*.txt"))]
+    sources += [docgen.generate_document(rng).text for _ in range(100)]
+    sources += [docgen.many_articles(300),
+                docgen.many_articles(3).replace("نص المادة رقمها 1\n", ".\n"),
+                docgen.many_articles(3).replace("نص المادة رقمها 3\n", "،\n")]
+    kinds_seen = set()
+    for source in sources:
+        result = scan_document(norm(source))
+        for tok in (*result.tokens, *result.grammar_tokens):
+            assert type(tok) is Token and len(tok) == 4, tok
+            assert type(tok.span) is Span and len(tok.span) == 4, tok
+            assert type(tok.detached) is bool, tok
+            kinds_seen.add((tok.kind, tok.detached))
+    # every scanner site ran: keyword, NUM, STRING, detached and whole delimiters
+    assert {(K.MADA, False), (K.NUM, False), (K.STRING, False),
+            (K.COMMA, True), (K.DOT, True), (K.DOT, False), (K.COMMA, False)} <= kinds_seen
+    for stop in (_ANY, _NUMBER, *_STOP_AT.values()):
+        assert type(stop.until((1, 2))) is StopSet
 
 
 @pytest.mark.parametrize("kind", list(TokenKind))
