@@ -1,10 +1,10 @@
-"""Document grammar and a brute-force membership oracle.
+"""Document grammar and a membership oracle.
 
 The context-free grammar below defines which token-kind sequences form a
-well-shaped legal document.  :func:`oracle_accepts` decides membership by
-dynamic programming (CYK over an automatically derived Chomsky normal form)
-and shares no code with the recursive-descent parser, so the two can be
-checked against each other.
+well-shaped legal document.  :func:`oracle_accepts` decides membership with
+a memoized top-down recognizer read straight off the productions, and shares
+no code with the recursive-descent parser, so the two can be checked against
+each other.
 
 The signature block accepts an optional leading name/position signature
 followed by any number of position/name signatures; both shapes occur in
@@ -13,8 +13,7 @@ real decrees.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .tokens import TokenKind
 
@@ -61,187 +60,55 @@ class LengthBoundError(ValueError):
     """Sequence longer than the configured oracle bound."""
 
 
-def _compute_nullable(prods: dict[str, set[tuple[Symbol, ...]]]) -> frozenset[str]:
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for nt, bodies in prods.items():
-            if nt in nullable:
-                continue
-            for body in bodies:
-                if all(isinstance(s, str) and s in nullable for s in body):
-                    nullable.add(nt)
-                    changed = True
-                    break
-    return frozenset(nullable)
-
-
-class _Cnf:
-    """Chomsky normal form of :data:`GRAMMAR`, with bitmask lookup tables."""
-
-    def __init__(self, grammar: dict[str, tuple[tuple[Symbol, ...], ...]]):
-        prods: dict[str, set[tuple[Symbol, ...]]] = {
-            nt: {tuple(b) for b in bodies} for nt, bodies in grammar.items()
-        }
-        self.nullable = _compute_nullable(prods)
-        prods = self._isolate_terminals(prods)
-        prods = self._binarize(prods)
-        prods = self._drop_epsilons(prods)
-        term_rules, pair_rules = self._inline_units(prods)
-
-        self.index = {nt: i for i, nt in enumerate(sorted(prods))}
-        self.term_masks: dict[TokenKind, int] = {}
-        for nt, terms in term_rules.items():
-            for t in terms:
-                self.term_masks[t] = self.term_masks.get(t, 0) | (1 << self.index[nt])
-        self.pair_by_left: dict[int, dict[int, int]] = {}
-        for nt, pairs in pair_rules.items():
-            mask = 1 << self.index[nt]
-            for left, right in pairs:
-                li, ri = self.index[left], self.index[right]
-                self.pair_by_left.setdefault(li, {})
-                self.pair_by_left[li][ri] = self.pair_by_left[li].get(ri, 0) | mask
-
-    @staticmethod
-    def _isolate_terminals(prods):
-        wrappers: dict[TokenKind, str] = {}
-        out: dict[str, set[tuple[Symbol, ...]]] = {}
-        for nt, bodies in prods.items():
-            rebuilt = set()
-            for body in bodies:
-                if len(body) >= 2:
-                    body = tuple(
-                        wrappers.setdefault(s, f"_t.{s.value}") if isinstance(s, TokenKind) else s
-                        for s in body
-                    )
-                rebuilt.add(body)
-            out[nt] = rebuilt
-        for term, name in wrappers.items():
-            out[name] = {(term,)}
-        return out
-
-    @staticmethod
-    def _binarize(prods):
-        out: dict[str, set[tuple[Symbol, ...]]] = {}
-        counter = 0
-
-        def emit(target: str, body: tuple[Symbol, ...]) -> None:
-            nonlocal counter
-            while len(body) > 2:
-                counter += 1
-                helper = f"_b.{counter}"
-                out.setdefault(target, set()).add((body[0], helper))
-                target, body = helper, body[1:]
-            out.setdefault(target, set()).add(body)
-
-        for nt, bodies in prods.items():
-            out.setdefault(nt, set())
-            for body in bodies:
-                emit(nt, body)
-        return out
-
-    @staticmethod
-    def _drop_epsilons(prods):
-        nullable = _compute_nullable(prods)
-        out: dict[str, set[tuple[Symbol, ...]]] = {}
-        for nt, bodies in prods.items():
-            rebuilt = set()
-            for body in bodies:
-                variants: set[tuple[Symbol, ...]] = {()}
-                for sym in body:
-                    grown = set()
-                    for v in variants:
-                        grown.add(v + (sym,))
-                        if isinstance(sym, str) and sym in nullable:
-                            grown.add(v)
-                    variants = grown
-                rebuilt.update(v for v in variants if v)
-            out[nt] = rebuilt
-        return out
-
-    @staticmethod
-    def _inline_units(prods):
-        reach = {nt: {nt} for nt in prods}
-        changed = True
-        while changed:
-            changed = False
-            for nt in prods:
-                for body in prods[nt]:
-                    if len(body) == 1 and isinstance(body[0], str):
-                        extra = reach[body[0]] - reach[nt]
-                        if extra:
-                            reach[nt].update(extra)
-                            changed = True
-        term_rules: dict[str, set[TokenKind]] = {}
-        pair_rules: dict[str, set[tuple[str, str]]] = {}
-        for nt, closure in reach.items():
-            for src in closure:
-                for body in prods[src]:
-                    if len(body) == 1 and isinstance(body[0], TokenKind):
-                        term_rules.setdefault(nt, set()).add(body[0])
-                    elif len(body) == 2:
-                        pair_rules.setdefault(nt, set()).add(body)  # both nonterminals here
-        return term_rules, pair_rules
-
-
-@lru_cache(maxsize=1)
-def _cnf() -> _Cnf:
-    return _Cnf(GRAMMAR)
-
-
-def _iter_bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def oracle_accepts(kinds: Sequence[TokenKind], start: str = START,
                    max_len: int = DEFAULT_LENGTH_BOUND) -> bool:
     """True iff the token-kind sequence is derivable from ``start``.
 
-    Pure CYK table fill; no shortcuts.  Raises :class:`LengthBoundError` for
-    sequences longer than ``max_len`` and ``KeyError`` for unknown start
-    symbols.
+    A memoized top-down recognizer read straight off :data:`GRAMMAR`: for a
+    symbol and a position it computes every end position the symbol can
+    reach, once per call.  It is exact for any grammar without left
+    recursion, and raises ``ValueError`` naming the rule when it meets one.
+    Raises ``KeyError`` for unknown start symbols, then
+    :class:`LengthBoundError` for sequences longer than ``max_len``.
     """
-    cnf = _cnf()
     if start not in GRAMMAR:
         raise KeyError(start)
     n = len(kinds)
     if n > max_len:
         raise LengthBoundError(f"sequence length {n} exceeds bound {max_len}")
-    if n == 0:
-        return start in cnf.nullable
-    want = 1 << cnf.index[start]
+    memo: dict[tuple[str, int], frozenset[int] | None] = {}
 
-    # table[i][length] = bitmask of nonterminals deriving kinds[i:i+length]
-    table = [[0] * (n + 1) for _ in range(n)]
-    for i, kind in enumerate(kinds):
-        table[i][1] = cnf.term_masks.get(kind, 0)
-    for length in range(2, n + 1):
-        for i in range(n - length + 1):
-            acc = 0
-            for split in range(1, length):
-                left = table[i][split]
-                right = table[i + split][length - split]
-                if not left or not right:
-                    continue
-                for li in _iter_bits(left):
-                    row = cnf.pair_by_left.get(li)
-                    if not row:
-                        continue
-                    for ri in _iter_bits(right):
-                        acc |= row.get(ri, 0)
-            table[i][length] = acc
-    return bool(table[0][n] & want)
+    def ends(symbol: Symbol, i: int) -> frozenset[int]:
+        """Every j such that ``symbol`` derives ``kinds[i:j]``."""
+        if isinstance(symbol, TokenKind):
+            return frozenset((i + 1,)) if i < n and kinds[i] == symbol else frozenset()
+        key = (symbol, i)
+        if key in memo:
+            found = memo[key]
+            if found is None:
+                raise ValueError(f"left recursion through {symbol!r}")
+            return found
+        memo[key] = None   # in progress
+        reached: set[int] = set()
+        for body in GRAMMAR[symbol]:
+            frontier = {i}
+            for sym in body:
+                frontier = {j for k in frontier for j in ends(sym, k)}
+                if not frontier:
+                    break
+            reached |= frontier
+        memo[key] = found = frozenset(reached)
+        return found
+
+    return n in ends(start, 0)
 
 
 def derivable_strings(start: str, max_len: int) -> frozenset[tuple[TokenKind, ...]]:
     """Every token-kind sequence of length <= max_len derivable from ``start``.
 
-    Independent of the CYK tables: a fixpoint enumeration straight off the
-    raw productions.  Intended for tests and bounded-exhaustive checks.
+    Independent of :func:`oracle_accepts`: a bottom-up fixpoint enumeration
+    of the raw productions, where the oracle works top-down over one input.
+    Intended for tests and bounded-exhaustive checks.
     """
     if start not in GRAMMAR:
         raise KeyError(start)

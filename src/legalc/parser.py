@@ -12,10 +12,11 @@ implements the document grammar exactly (see :mod:`legalc.grammar`), with
 ordered-choice backtracking for the places the grammar is locally ambiguous
 (article titles, the location/date line, the signature block).  Because it
 reads nothing but tokens, the same code parses synthetic token sequences,
-which is how it is cross-checked against the CYK oracle.  Each fixed run of
-tokens (the preamble, a clause body, the acknowledgment, an article header,
-the rest of a signature) is a module-level table of (kinds, message) steps
-that one function, :func:`_expect`, checks in order.
+which is how it is cross-checked against the membership oracle of
+:mod:`legalc.grammar`.  Each fixed run of tokens (the preamble, a clause
+body, the acknowledgment, an article header, the rest of a signature) is a
+module-level table of (kinds, message) steps that one function,
+:func:`_expect`, checks in order.
 
 The first error aborts; there is no recovery.
 """
@@ -495,7 +496,7 @@ class _Driver:
             self._residual()
         except _EndOfInput:
             pass
-        eof = Token(K.EOF, "", self.sc._eof_span())
+        eof = self.sc.next_token(_ANY)
         self.fine.append(eof)
         self.grammar.append(eof)
         return ScanResult(self.fine, self.grammar, self.diagnostics)
@@ -515,9 +516,8 @@ class _Driver:
         if tok.kind is not K.INNA:
             tok = self.take(at_inna)
         if tok.kind is K.INNA:
-            tok = self.take(_ANY)                                    # issuer text
-            if tok.kind is K.STRING:
-                self.drain()                                         # terminator
+            self.take(_ANY)                                          # issuer text
+            self.drain()                                             # terminator
         self._clauses(K.BINAA)
         self._clauses(K.HAYSOU)
         m = sc.peek_keyword()
@@ -542,9 +542,8 @@ class _Driver:
             if m is None or m.kind is not opener:
                 return
             self.take(_STOP_AT[opener])
-            tok = self.take(_ANY)                                    # clause text
-            if tok.kind is K.STRING:
-                self.drain()                                         # terminator
+            self.take(_ANY)                                          # clause text
+            self.drain()                                             # terminator
 
     def _articles(self, boundary_line: int) -> None:
         sc = self.sc

@@ -299,8 +299,6 @@ class Scanner:
                 # accumulation; hand it out directly instead of an empty STRING.
                 return delimiter
             self._pending = delimiter
-        if not pieces:
-            raise ScanError("expected text, found none", Span.point(*start))
         return _tuple_new(Token, (TokenKind.STRING, " ".join(pieces),
                                   _tuple_new(Span, (start[0], start[1], end_line, end_word)), False))
 

@@ -16,22 +16,34 @@ Inputs: the corpus files, 1,500 ``docgen.generate_document`` documents, a
 ``mutate_text`` mutant of each, ``add_fold_noise`` variants of the first 300,
 ``many_articles`` documents of 100 to 3,000 articles, and documents whose
 article content region is one lone delimiter word, which no other input has.
+
+The ``oracle`` line is one SHA-256 over :func:`legalc.grammar.oracle_accepts`
+verdicts on a fixed set of token-kind sequences: for each start symbol, every
+sequence of length <= 5 over the terminals it reaches; every one-token edit of
+every ``document`` string of length <= 20; and 20,000 seeded random sequences
+of length 0 to 16, each over the terminals of a random start symbol.  It pins
+the oracle, which no CLI mode reaches.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import random
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 import docgen
 from legalc.cli import run
+from legalc.grammar import GRAMMAR, derivable_strings, oracle_accepts
 from legalc.normalize import preprocess
 from legalc.parser import scan_document
 from legalc.scanner import dump_tokens
+from legalc.tokens import TokenKind
+from test_grammar_oracle import reachable_terminals, single_edits
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GENERATED = 1500
@@ -77,6 +89,36 @@ def grammar_stream(data: bytes) -> tuple[int, str, str]:
     return 0, dump_tokens(scan_document(preprocess(data, "<stdin>")).grammar_tokens), ""
 
 
+def oracle_cases() -> Iterator[tuple[str, tuple[TokenKind, ...], int]]:
+    """(start, kinds, max_len) for every sequence the ``oracle`` line covers."""
+    for start in GRAMMAR:
+        alphabet = reachable_terminals(start)
+        for n in range(6):
+            for kinds in itertools.product(alphabet, repeat=n):
+                yield start, kinds, 5
+    everything = [k for k in TokenKind if k is not TokenKind.EOF]
+    documents = sorted(derivable_strings("document", 20), key=lambda s: [k.name for k in s])
+    for s in documents:
+        for kinds in single_edits(s, everything):
+            yield "document", kinds, 21
+    rng = random.Random(2026)
+    starts = list(GRAMMAR)
+    for _ in range(20000):
+        start = rng.choice(starts)
+        alphabet = reachable_terminals(start)
+        yield start, tuple(rng.choice(alphabet) for _ in range(rng.randrange(17))), 16
+
+
+def oracle_digest() -> str:
+    digest = hashlib.sha256()
+    verdicts: Counter[bool] = Counter()
+    for start, kinds, max_len in oracle_cases():
+        ok = oracle_accepts(kinds, start=start, max_len=max_len)
+        verdicts[ok] += 1
+        digest.update(b"1" if ok else b"0")
+    return f"{digest.hexdigest()}  accept={verdicts[True]} reject={verdicts[False]}"
+
+
 def main() -> None:
     docs = inputs()
     modes = {name: (lambda data, argv=argv: run_cli(argv, data)) for name, argv in CLI_MODES.items()}
@@ -93,6 +135,7 @@ def main() -> None:
                 digest.update(b"\0")
         counts = " ".join(f"exit{code}={n}" for code, n in sorted(codes.items()))
         print(f"{name:15} {digest.hexdigest()}  {counts}")
+    print(f"{'oracle':15} {oracle_digest()}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
-"""Grammar membership oracle: CYK vs direct enumeration, bounds, shapes.
+"""Grammar membership oracle: recognizer vs direct enumeration, bounds, shapes.
 
-The oracle is checked against a second, independent route: a fixpoint
-enumeration of derivable strings straight from the raw productions.  The
-two implementations share nothing but the grammar table itself.
+The oracle, a memoized top-down recognizer, is checked against a second,
+independent route: a bottom-up fixpoint enumeration of derivable strings
+straight from the raw productions.  The two implementations share nothing
+but the grammar table itself.
 """
 
 import itertools
@@ -59,8 +60,42 @@ def test_nullable_starts():
     assert not oracle_accepts([], start="ref-list")
 
 
+def reachable_terminals(start):
+    """The token kinds that ``start`` can derive, in declaration order."""
+    seen, todo, terms = set(), [start], set()
+    while todo:
+        nt = todo.pop()
+        if nt not in seen:
+            seen.add(nt)
+            for body in GRAMMAR[nt]:
+                for sym in body:
+                    if isinstance(sym, TokenKind):
+                        terms.add(sym)
+                    else:
+                        todo.append(sym)
+    return tuple(k for k in TokenKind if k in terms)
+
+
+def single_edits(seq, alphabet):
+    """Every one-token insertion, deletion and substitution of ``seq``."""
+    for i in range(len(seq) + 1):
+        for k in alphabet:
+            yield seq[:i] + (k,) + seq[i:]
+    for i in range(len(seq)):
+        yield seq[:i] + seq[i + 1:]
+        for k in alphabet:
+            if k != seq[i]:
+                yield seq[:i] + (k,) + seq[i + 1:]
+
+
+# Longest sequence swept per nonterminal; long enough for two items of a list.
+SWEEP_LENGTHS = {"article": 6, "loc-date": 4, "sig-list": 8, "ref": 4,
+                 "article-list": 8, "sig-type2-list": 8}
+
+
 def _exhaustive_cross_check(start, alphabet, max_len):
-    """CYK and the raw-grammar enumeration must agree on every string."""
+    """The recognizer and the raw-grammar enumeration must agree on every
+    string over ``alphabet`` of length <= ``max_len``."""
     derivable = derivable_strings(start, max_len)
     seen = set()
     for n in range(max_len + 1):
@@ -72,20 +107,30 @@ def _exhaustive_cross_check(start, alphabet, max_len):
     assert seen == derivable
 
 
-def test_article_shapes_exhaustively():
-    _exhaustive_cross_check("article", (K.MADA, K.NUM, K.COLON, K.STRING), 6)
+@pytest.mark.parametrize("start", [nt for nt in GRAMMAR if nt != "document"])
+def test_nonterminal_shapes_exhaustively(start):
+    alphabet = reachable_terminals(start)
+    assert len(alphabet) <= 4
+    _exhaustive_cross_check(start, alphabet, SWEEP_LENGTHS.get(start, 6))
 
 
-def test_loc_date_shapes_exhaustively():
-    _exhaustive_cross_check("loc-date", (K.STRING, K.FI), 4)
+def test_document_single_edits():
+    alphabet = [k for k in K if k is not K.EOF]
+    derivable = derivable_strings("document", 21)
+    checked = 0
+    for s in derivable_strings("document", 20):
+        for edit in single_edits(s, alphabet):
+            ok = oracle_accepts(list(edit), max_len=21)
+            assert ok == (edit in derivable), edit
+            checked += 1
+    assert checked == 8736
 
 
-def test_sig_list_shapes_exhaustively():
-    _exhaustive_cross_check("sig-list", (K.IMDAA, K.COLON, K.STRING), 8)
-
-
-def test_ref_shapes_exhaustively():
-    _exhaustive_cross_check("ref", (K.BINAA, K.STRING, K.COMMA, K.DOT), 4)
+def test_left_recursion_raises(monkeypatch):
+    monkeypatch.setitem(GRAMMAR, "loop", (("loop", K.STRING), (K.STRING,)))
+    with pytest.raises(ValueError, match="loop") as info:
+        oracle_accepts([K.STRING, K.STRING], start="loop", max_len=2)
+    assert not isinstance(info.value, LengthBoundError)
 
 
 def test_clause_list_shapes():
