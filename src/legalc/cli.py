@@ -55,7 +55,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def render_diagnostic(diag: Diagnostic, text: NormalizedText) -> str:
     """Human-readable rendering: location header, offending line, caret."""
     line, word = diag.span.start_line, diag.span.start_word
-    out = [f"{diag.severity}: {diag.message} at {text.source_name}:{line + 1}:{word + 1}"]
+    out = [f"error: {diag.message} at {text.source_name}:{line + 1}:{word + 1}"]
     if line < text.line_count and text.words(line):
         words = text.words(line)
         line_str = text.line_text(line)

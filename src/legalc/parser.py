@@ -8,10 +8,10 @@ the fine-grained stream exactly as scanned, and a grammar stream in which
 each article's multi-line content region is merged into a single STRING.
 
 The second phase is a recursive-descent parser over the grammar stream.  It
-implements the document grammar exactly (see :mod:`legalc.grammar`), with
-ordered-choice backtracking for the places the grammar is locally ambiguous
-(article titles, the location/date line, the signature block).  Because it
-reads nothing but tokens, the same code parses synthetic token sequences,
+implements the document grammar exactly (see :mod:`legalc.grammar`) and
+decides each step from the next token, except once: the last article's title,
+which the article list retries without (:func:`_gen_article_list`).  Because
+it reads nothing but tokens, the same code parses synthetic token sequences,
 which is how it is cross-checked against the membership oracle of
 :mod:`legalc.grammar`.  Each fixed run of tokens (the preamble, a clause
 body, the acknowledgment, an article header, the rest of a signature) is a
@@ -108,7 +108,6 @@ class Document:
 
 
 class Diagnostic(NamedTuple):
-    severity: str
     message: str
     span: Span
     expected: tuple[TokenKind, ...] = ()
@@ -227,37 +226,34 @@ def _parse_clause_list(ctx: _Ctx, i: int, opener: TokenKind,
 
 
 def _gen_article_list(ctx: _Ctx, i: int) -> Iterator[tuple[list[Article], int]]:
-    """Every reading of the article list at i, in ordered-choice order.
+    """The greedy reading of the article list at i, then at most one retry.
 
     An article reads as titled when ``STRING STRING`` follows its header, and
-    as untitled when one STRING does; another MADA continues the list.  The
-    walk takes each article's first reading and yields where the list ends.
-    The only readings left are the untitled ones of titled articles, and each
-    of those ends the list: the token after it is the STRING the titled
-    reading took as content.  They follow deepest first, the order in which a
-    recursive descent backtracking per article yields, but without a stack
-    frame per article.  The yielded list is reused: it is valid only until
-    the generator resumes.
+    as untitled when one STRING does; another MADA continues the list.  When
+    the last article took a title, the retry reads it untitled, one token
+    shorter, so that its content STRING opens the location/date line.  An
+    earlier article needs no retry: untitled, the next MADA would follow the
+    location STRING, failing before anything the greedy reading records.  The
+    yielded list is reused: it is valid only until the generator resumes.
     """
+    toks = ctx.toks
     articles: list[Article] = []
-    titled: list[tuple[int, str, str, int]] = []   # (list position, number, first STRING, its end)
     while (head := _expect(ctx, i, _ARTICLE_HEAD)) is not None:
         number, first = head[1].lexeme, head[3].lexeme
         i += len(_ARTICLE_HEAD)
-        if ctx.toks[i].kind is K.STRING:
-            titled.append((len(articles), number, first, i))
-            articles.append(Article(number, first, ctx.toks[i].lexeme))
+        titled = toks[i].kind is K.STRING
+        if titled:
+            articles.append(Article(number, first, toks[i].lexeme))
             i += 1
         else:
             articles.append(Article(number, None, first))
         # Another MADA must belong to the article list; anything else ends it.
-        if ctx.toks[i].kind is not K.MADA:
+        if toks[i].kind is not K.MADA:
             yield articles, i
-            break
-    for k, number, first, end in reversed(titled):
-        del articles[k:]
-        articles.append(Article(number, None, first))
-        yield articles, end
+            if titled:
+                articles[-1] = Article(number, None, first)
+                yield articles, i - 1
+            return
 
 
 def _parse_loc_date(ctx: _Ctx, i: int) -> tuple[LocDate, int] | None:
@@ -277,26 +273,26 @@ def _parse_loc_date(ctx: _Ctx, i: int) -> tuple[LocDate, int] | None:
     return None
 
 
-def _greedy_type2(ctx: _Ctx, i: int) -> tuple[list[Signature], int] | None:
+def _parse_sig_list(ctx: _Ctx, i: int) -> tuple[list[Signature], int] | None:
+    """The signature block at i: one type-1 signature when it opens with
+    الإمضاء, then type-2 signatures.  Read as type-2 only, such a block is
+    empty and fails at that الإمضاء, before anything the type-1 reading does.
+    """
+    toks = ctx.toks
     sigs: list[Signature] = []
-    while ctx.toks[i].kind is K.STRING and ctx.toks[i + 1].kind is K.IMDAA:
+    if toks[i].kind is K.IMDAA:
+        first = _expect(ctx, i + 1, _TYPE1_REST)
+        if first is None:
+            return None
+        sigs.append(Signature(SignatureKind.TYPE1, first[1].lexeme, first[2].lexeme))
+        i += 1 + len(_TYPE1_REST)
+    while toks[i].kind is K.STRING and toks[i + 1].kind is K.IMDAA:
         rest = _expect(ctx, i + 2, _TYPE2_REST)
         if rest is None:
             return None
-        sigs.append(Signature(SignatureKind.TYPE2, rest[1].lexeme, ctx.toks[i].lexeme))
-        i += 4
+        sigs.append(Signature(SignatureKind.TYPE2, rest[1].lexeme, toks[i].lexeme))
+        i += 2 + len(_TYPE2_REST)
     return sigs, i
-
-
-def _gen_sig_list(ctx: _Ctx, i: int) -> Iterator[tuple[list[Signature], int]]:
-    if ctx.toks[i].kind is K.IMDAA and (first := _expect(ctx, i + 1, _TYPE1_REST)) is not None:
-        rest = _greedy_type2(ctx, i + 4)
-        if rest is not None:
-            sigs2, k = rest
-            yield [Signature(SignatureKind.TYPE1, first[1].lexeme, first[2].lexeme)] + sigs2, k
-    rest = _greedy_type2(ctx, i)
-    if rest is not None:
-        yield rest
 
 
 def _parse_document_tokens(ctx: _Ctx) -> Document | None:
@@ -321,19 +317,22 @@ def _parse_document_tokens(ctx: _Ctx) -> Document | None:
         if rl is None:
             continue
         loc_date, k = rl
-        for signatures, m in _gen_sig_list(ctx, k):
-            if ctx.toks[m].kind is K.EOF:
-                return Document(
-                    statement=Statement(pre[0].lexeme, pre[2].lexeme),
-                    title=pre[3].lexeme,
-                    issuer=pre[5].lexeme,
-                    references=tuple(references),
-                    justifications=tuple(justifications),
-                    articles=tuple(articles),
-                    loc_date=loc_date,
-                    signatures=tuple(signatures),
-                )
-            ctx.fail(m, {K.EOF}, "unexpected trailing input after the signature block")
+        rs = _parse_sig_list(ctx, k)
+        if rs is None:
+            continue
+        signatures, m = rs
+        if ctx.toks[m].kind is K.EOF:
+            return Document(
+                statement=Statement(pre[0].lexeme, pre[2].lexeme),
+                title=pre[3].lexeme,
+                issuer=pre[5].lexeme,
+                references=tuple(references),
+                justifications=tuple(justifications),
+                articles=tuple(articles),
+                loc_date=loc_date,
+                signatures=tuple(signatures),
+            )
+        ctx.fail(m, {K.EOF}, "unexpected trailing input after the signature block")
     return None
 
 
@@ -355,7 +354,7 @@ def parse_grammar_tokens(tokens: Sequence[Token]) -> tuple[Document | None, Diag
     at = toks[ctx.fail_pos]
     expected = tuple(sorted(ctx.fail_expected, key=lambda k: k.value))
     message = ctx.fail_message or "expected " + ", ".join(KIND_DISPLAY[k] for k in expected)
-    return None, Diagnostic("error", message, at.span, expected, at.kind)
+    return None, Diagnostic(message, at.span, expected, at.kind)
 
 
 def parse_token_kinds(kinds: Sequence[TokenKind]) -> bool:
@@ -407,14 +406,14 @@ def _segment_trailer(text: NormalizedText, heads: Sequence[KeywordMatch | None],
         if last >= start_line and _looks_like_loc_date(text, last):
             return (last, text.line_count)
         span = Span.point(max(last, 0), 0)
-        return Diagnostic("error", "no signature line found and the final line "
-                                   "does not look like a location/date line", span)
+        return Diagnostic("no signature line found and the final line "
+                          "does not look like a location/date line", span)
     if anchor - 1 >= start_line and _looks_like_loc_date(text, anchor - 1):
         return (anchor - 1, anchor)
     if anchor - 2 >= start_line:
         return (anchor - 2, anchor - 1)
-    return Diagnostic("error", "signature block leaves no room for article content "
-                               "and a location/date line", Span.point(anchor, 0))
+    return Diagnostic("signature block leaves no room for article content "
+                      "and a location/date line", Span.point(anchor, 0))
 
 
 def _first_line_opening(heads: Sequence[KeywordMatch | None], kind: TokenKind,
@@ -464,7 +463,6 @@ class _Driver:
     """Walks the document shape, choosing stop sets and scoping line scans."""
 
     def __init__(self, text: NormalizedText):
-        self.text = text
         self.sc = Scanner(text)
         self.fine: list[Token] = []
         self.grammar: list[Token] = []
@@ -481,6 +479,16 @@ class _Driver:
     def drain(self) -> None:
         if self.sc.has_pending:
             self.take(_ANY)
+
+    def slot(self, stop: StopSet, end: tuple[int, int]) -> None:
+        """Take one token short of ``end``, or the delimiter still pending."""
+        if self.sc.has_pending or self.sc.position < end:
+            self.take(stop.until(end))
+
+    def at(self, kind: TokenKind) -> bool:
+        """True when the keyword at the cursor is of ``kind``."""
+        m = self.sc.peek_keyword()
+        return m is not None and m.kind is kind
 
     def text_to(self, bound: tuple[int, int]) -> None:
         """Scan plain text, split at ، and ., up to ``bound`` and through any
@@ -510,7 +518,7 @@ class _Driver:
         self.take(_STOP_AT[K.RAQM])
         self.take(_STOP_AT[K.NUM])
         # The title may span lines, but not into a later line opening with إن.
-        title_end = _first_line_opening(sc.heads, K.INNA, sc.line + 1, self.text.line_count)
+        title_end = _first_line_opening(sc.heads, K.INNA, sc.line + 1, sc.text.line_count)
         at_inna = _STOP_AT[K.INNA]
         tok = self.take(at_inna if title_end is None else at_inna.until((title_end, 0)))
         if tok.kind is not K.INNA:
@@ -520,13 +528,12 @@ class _Driver:
             self.drain()                                             # terminator
         self._clauses(K.BINAA)
         self._clauses(K.HAYSOU)
-        m = sc.peek_keyword()
-        if m is not None and m.kind is K.YAKOUR:
+        if self.at(K.YAKOUR):
             self.take(_STOP_AT[K.YAKOUR])
             self.take(_STOP_AT[K.COLON])
         if sc.at_end() and not sc.has_pending:
             raise _EndOfInput
-        seg = _segment_trailer(self.text, sc.heads, sc.line)
+        seg = _segment_trailer(sc.text, sc.heads, sc.line)
         if isinstance(seg, Diagnostic):
             self.diagnostics.append(seg)
             return
@@ -536,21 +543,14 @@ class _Driver:
         self._signatures()
 
     def _clauses(self, opener: TokenKind) -> None:
-        sc = self.sc
-        while True:
-            m = sc.peek_keyword()
-            if m is None or m.kind is not opener:
-                return
+        while self.at(opener):
             self.take(_STOP_AT[opener])
             self.take(_ANY)                                          # clause text
             self.drain()                                             # terminator
 
     def _articles(self, boundary_line: int) -> None:
         sc = self.sc
-        while sc.line < boundary_line and sc.word == 0:
-            m = sc.peek_keyword()
-            if m is None or m.kind is not K.MADA:
-                break
+        while sc.line < boundary_line and sc.word == 0 and self.at(K.MADA):
             self._one_article(boundary_line)
         # Anything left before the location/date line is scanned as plain
         # text; the grammar phase reports what was actually wrong.
@@ -558,17 +558,12 @@ class _Driver:
 
     def _one_article(self, boundary_line: int) -> None:
         sc = self.sc
-        # The cursor only moves forward, so it is short of header_end exactly
-        # while it is still on the header line.
         header_line = sc.line
         header_end = (header_line + 1, 0)
         self.take(_STOP_AT[K.MADA])
-        if sc.has_pending or sc.line == header_line:
-            self.take(_NUMBER.until(header_end))                            # number
-        if sc.has_pending or sc.line == header_line:
-            self.take(_STOP_AT[K.COLON].until(header_end))                  # colon
-        if not sc.has_pending and sc.line == header_line:
-            self.take(_ANY.until(header_end))                               # title
+        self.slot(_NUMBER, header_end)                                      # number
+        self.slot(_STOP_AT[K.COLON], header_end)                            # colon
+        self.slot(_ANY, header_end)                                         # title
         self.drain()
         content_end = _first_line_opening(sc.heads, K.MADA, header_line + 1, boundary_line)
         start = len(self.grammar)
@@ -581,44 +576,33 @@ class _Driver:
         if sc.position != (line, 0) or sc.has_pending:
             return
         line_end = (line + 1, 0)
-        words = self.text.words(line)
+        words = sc.text.words(line)
         fi_index = next((i for i, w in enumerate(words) if fold_for_matching(w) == "في"), None)
         if fi_index is not None:
             at_fi = _STOP_AT[K.FI].until(line_end)
             if fi_index > 0:
                 self.take(at_fi)                                             # location
             self.take(at_fi)                                                 # في
-            if not sc.has_pending and sc.position < line_end:
-                self.take(_ANY.until(line_end))                              # date
         else:
             digit_index = next((i for i, w in enumerate(words) if has_digit(w)), None)
             if len(words) < 2 or digit_index is None:
                 self.diagnostics.append(Diagnostic(
-                    "error", "location/date line needs a location and a date "
-                             "(في or a digit-bearing word)",
+                    "location/date line needs a location and a date "
+                    "(في or a digit-bearing word)",
                     Span(line, 0, line, max(len(words) - 1, 0))))
             if digit_index is not None and digit_index > 0:
                 self.take(_ANY.until((line, digit_index)))                   # location
-            if sc.position < line_end:
-                self.take(_ANY.until(line_end))                              # date (or whole line)
-        self.text_to(line_end)
+        self.text_to(line_end)                                               # date
 
     def _signatures(self) -> None:
         sc = self.sc
-        while not sc.at_end() or sc.has_pending:
-            if sc.has_pending:
-                self.drain()
-                continue
+        self.drain()
+        while not sc.at_end():
             line_end = (sc.line + 1, 0)
-            m = sc.peek_keyword()
-            if sc.word == 0 and m is not None and m.kind is K.IMDAA:
+            if sc.word == 0 and self.at(K.IMDAA):
                 self.take(_STOP_AT[K.IMDAA])
-                if sc.has_pending or sc.position < line_end:
-                    self.take(_STOP_AT[K.COLON].until(line_end))
-                if not sc.has_pending and sc.position < line_end:
-                    self.take(_ANY.until(line_end))                          # name
-            else:
-                self.text_to(line_end)
+                self.slot(_STOP_AT[K.COLON], line_end)
+            self.text_to(line_end)                                           # name, or the line
 
     def _residual(self) -> None:
         while not self.sc.at_end() or self.sc.has_pending:

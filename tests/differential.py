@@ -23,6 +23,18 @@ sequence of length <= 5 over the terminals it reaches; every one-token edit of
 every ``document`` string of length <= 20; and 20,000 seeded random sequences
 of length 0 to 16, each over the terminals of a random start symbol.  It pins
 the oracle, which no CLI mode reaches.
+
+The ``descent`` line is one SHA-256 over what
+:func:`legalc.parser.parse_grammar_tokens` returns for a fixed set of
+token-kind sequences (acceptance with the :func:`~legalc.parser.dump_ast`
+rendering, or the diagnostic's message, span, expected kinds and found kind)
+and each sequence's :func:`~legalc.parser.rejects_all_extensions` verdict.
+The sequences: every tail of length <= 6 over the kinds that can follow the
+acknowledgment, after a valid prefix that ends there; every one-token edit of
+every ``document`` string of length <= 22; and 30,000 seeded random
+sequences of length 0 to 29, each a cut of a ``document`` string padded with
+random kinds.  It pins the descent parser's readings and diagnostics on token
+streams the driver never produces.
 """
 
 from __future__ import annotations
@@ -40,9 +52,9 @@ import docgen
 from legalc.cli import run
 from legalc.grammar import GRAMMAR, derivable_strings, oracle_accepts
 from legalc.normalize import preprocess
-from legalc.parser import scan_document
+from legalc.parser import dump_ast, parse_grammar_tokens, rejects_all_extensions, scan_document
 from legalc.scanner import dump_tokens
-from legalc.tokens import TokenKind
+from legalc.tokens import Span, Token, TokenKind
 from test_grammar_oracle import reachable_terminals, single_edits
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -119,6 +131,50 @@ def oracle_digest() -> str:
     return f"{digest.hexdigest()}  accept={verdicts[True]} reject={verdicts[False]}"
 
 
+K = TokenKind
+# A valid document up to and including the acknowledgment, and the kinds that
+# the article list, location/date line and signature block are made of.
+ACKNOWLEDGED = (K.TYPE, K.RAQM, K.NUM, K.STRING, K.INNA, K.STRING, K.COMMA,
+                K.BINAA, K.STRING, K.COMMA, K.YAKOUR, K.COLON)
+TAIL_KINDS = (K.MADA, K.NUM, K.STRING, K.COLON, K.FI, K.IMDAA, K.COMMA)
+
+
+def descent_cases() -> Iterator[tuple[TokenKind, ...]]:
+    """Every token-kind sequence the ``descent`` line covers."""
+    for n in range(7):
+        for tail in itertools.product(TAIL_KINDS, repeat=n):
+            yield ACKNOWLEDGED + tail
+    everything = [k for k in TokenKind if k is not TokenKind.EOF]
+    documents = sorted(derivable_strings("document", 22), key=lambda s: [k.name for k in s])
+    for s in documents:
+        yield from single_edits(s, everything)
+    rng = random.Random(2026)
+    for _ in range(30000):
+        n = rng.randrange(30)
+        head = rng.choice(documents)[:rng.randrange(n + 1)]
+        yield head + tuple(rng.choice(everything) for _ in range(n - len(head)))
+
+
+def descent_digest() -> str:
+    digest = hashlib.sha256()
+    counts: Counter[str] = Counter()
+    for kinds in descent_cases():
+        doc, diag = parse_grammar_tokens([Token(k, k.value, Span.point(0, i))
+                                          for i, k in enumerate(kinds)])
+        if doc is not None:
+            counts["accept"] += 1
+            record = "accept\n" + dump_ast(doc)
+        else:
+            counts["reject"] += 1
+            expected = ",".join(k.name for k in diag.expected)
+            record = f"{diag.message}\n{diag.span}\n{expected}\n{diag.found.name}"
+        determined = rejects_all_extensions(kinds)
+        counts["determined"] += determined
+        digest.update(f"{record}\n{int(determined)}\0".encode("utf-8"))
+    return (f"{digest.hexdigest()}  accept={counts['accept']} reject={counts['reject']} "
+            f"determined={counts['determined']}")
+
+
 def main() -> None:
     docs = inputs()
     modes = {name: (lambda data, argv=argv: run_cli(argv, data)) for name, argv in CLI_MODES.items()}
@@ -136,6 +192,7 @@ def main() -> None:
         counts = " ".join(f"exit{code}={n}" for code, n in sorted(codes.items()))
         print(f"{name:15} {digest.hexdigest()}  {counts}")
     print(f"{'oracle':15} {oracle_digest()}")
+    print(f"{'descent':15} {descent_digest()}")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 The oracle, a memoized top-down recognizer, is checked against a second,
 independent route: a bottom-up fixpoint enumeration of derivable strings
 straight from the raw productions.  The two implementations share nothing
-but the grammar table itself.
+but the grammar table itself.  The sweep over one-token edits of whole
+documents also checks the descent parser against the oracle.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from legalc.grammar import (
     min_derivable_length,
     oracle_accepts,
 )
+from legalc.parser import parse_token_kinds
 from legalc.tokens import TokenKind
 
 K = TokenKind
@@ -122,6 +124,7 @@ def test_document_single_edits():
         for edit in single_edits(s, alphabet):
             ok = oracle_accepts(list(edit), max_len=21)
             assert ok == (edit in derivable), edit
+            assert parse_token_kinds(list(edit)) == ok, edit
             checked += 1
     assert checked == 8736
 

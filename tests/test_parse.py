@@ -272,6 +272,48 @@ def test_rejection_never_raises_on_structured_text():
     assert len(result.diagnostics) == 1
 
 
+# -- driver paths no other input reaches ------------------------------------------
+
+def _with_line(corpus_dir, number: int, line: str) -> str:
+    """corpus/decree-25.txt with its 1-based line ``number`` replaced."""
+    lines = (corpus_dir / "decree-25.txt").read_text(encoding="utf-8").split("\n")
+    lines[number - 1] = line
+    return "\n".join(lines)
+
+
+def _rejected_with(source: str, message: str, span: str, *tokens: str) -> None:
+    """The one diagnostic (message and 1-based span), and each listed token
+    as ``KIND span lexeme`` in the fine-grained stream."""
+    result = parse(source)
+    assert result.document is None
+    assert [(d.message, str(d.span)) for d in result.diagnostics] == [(message, span)]
+    stream = {f"{tok.kind} {tok.span} {tok.lexeme}" for tok in result.tokens}
+    for tok in tokens:
+        assert tok in stream
+
+
+def test_delimiter_pending_after_a_signature_name(corpus_dir):
+    # the name's scan leaves the ، after it pending
+    _rejected_with(_with_line(corpus_dir, 17, "الامضاء: ميشال عون،"),
+                   "expected a position line under the signature", "17:3-17:3",
+                   "STRING 17:2-17:3 ميشال عون", "COMMA 17:3-17:3 ،")
+
+
+def test_delimiter_pending_after_the_last_signature(corpus_dir):
+    _rejected_with(_with_line(corpus_dir, 20, "الامضاء: سعد الدين الحريري."),
+                   "unexpected trailing input after the signature block", "20:4-20:4",
+                   "DOT 20:4-20:4 .")
+
+
+def test_loc_date_line_already_entered_is_scanned_as_text():
+    # the location/date line is the acknowledgment's own line, so the cursor
+    # is past its start and the loc/date steps are skipped
+    src = ("مرسوم رقم ٢٥\nعنوان\nإن رئيس الجمهورية،\nبناء على الدستور،\n"
+           "يرسم ما يأتي: بيروت ٢٠١٨\nالامضاء: ميشال عون\nرئيس الجمهورية")
+    _rejected_with(src, "expected مادة opening an article", "5:4-5:5",
+                   "STRING 5:4-5:5 بيروت ٢٠١٨")
+
+
 # -- synthetic token-kind parsing ------------------------------------------------
 
 MIN_KINDS = [
