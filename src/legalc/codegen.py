@@ -12,6 +12,7 @@ Western digits; every other field keeps its original script.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .normalize import is_digit_run, to_western_digits
@@ -87,21 +88,30 @@ def serialize(root: Element, config: EmitConfig = EmitConfig()) -> str:
     lines: list[str] = []
     if config.xml_declaration:
         lines.append('<?xml version="1.0" encoding="UTF-8"?>')
-    _render(root, 0, lines, config.indent)
+    _render([root], 0, lines, config.indent)
     return "\n".join(lines) + "\n"
 
 
-def _render(el: Element, depth: int, lines: list[str], indent: int) -> None:
+# Any character that escape_xml replaces.
+_NEEDS_ESCAPE = re.compile("[&<>\"']")
+
+
+def _render(elements: list[Element], depth: int, lines: list[str], indent: int) -> None:
+    """Render sibling elements: a leaf on one line, written here, and an
+    element with children around its children, one level deeper."""
     pad = " " * (indent * depth)
-    if el.children:
-        lines.append(f"{pad}<{el.tag}>")
-        for child in el.children:
-            _render(child, depth + 1, lines, indent)
-        lines.append(f"{pad}</{el.tag}>")
-    elif el.text:
-        lines.append(f"{pad}<{el.tag}>{escape_xml(el.text)}</{el.tag}>")
-    else:
-        lines.append(f"{pad}<{el.tag}/>")
+    for el in elements:
+        if el.children:
+            lines.append(f"{pad}<{el.tag}>")
+            _render(el.children, depth + 1, lines, indent)
+            lines.append(f"{pad}</{el.tag}>")
+        elif el.text:
+            text = el.text
+            if _NEEDS_ESCAPE.search(text):
+                text = escape_xml(text)
+            lines.append(f"{pad}<{el.tag}>{text}</{el.tag}>")
+        else:
+            lines.append(f"{pad}<{el.tag}/>")
 
 
 @_gc_paused

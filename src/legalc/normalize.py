@@ -118,19 +118,21 @@ def preprocess(data: bytes, source_name: str = "<input>") -> NormalizedText:
     if any(lead in data for lead in _OTHER_SPACE_LEADS):
         decoded = _OTHER_SPACES.sub(" ", decoded)
 
-    lines: list[tuple[str, ...]] = []
-    for raw_line in decoded.split("\n"):
-        words = [w for w in _split_words(raw_line) if w]
-        if words:
-            lines.append(tuple(words))
-    return NormalizedText(tuple(lines), source_name)
-
-
-def _split_words(line: str) -> list[str]:
     # Only spaces (the other Zs spaces are plain spaces by now) and tabs
     # separate words; other whitespace-like characters are content and
-    # survive inside words.
-    return line.replace("\t", " ").split(" ")
+    # survive inside words.  An empty string comes only from a separator at
+    # a line's end or in a run, so only a line with one is filtered, and a
+    # line left with no words drops.
+    decoded = decoded.replace("\t", " ")
+    lines: list[tuple[str, ...]] = []
+    for raw_line in decoded.split("\n"):
+        words = raw_line.split(" ")
+        if "" in words:
+            words = [*filter(None, words)]
+            if not words:
+                continue
+        lines.append(tuple(words))
+    return NormalizedText(tuple(lines), source_name)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -382,6 +382,12 @@ class _EndOfInput(Exception):
     pass
 
 
+# Kinds read once per token or per article, bound once: in Python 3.11 the
+# enum metaclass's ``__getattr__`` keeps a read such as ``K.EOF`` off the fast
+# class-attribute path, and it costs ~10 times a module global's.
+_EOF, _MADA, _STRING = K.EOF, K.MADA, K.STRING
+
+
 def segment_trailer(text: NormalizedText, start_line: int) -> tuple[int, int] | Diagnostic:
     """Split the lines from ``start_line`` on into article content, the
     location/date line, and the signature block.
@@ -436,54 +442,62 @@ def _looks_like_loc_date(text: NormalizedText, line: int) -> bool:
 def _merge_region(tokens: list[Token]) -> Token:
     """One STRING covering a content region; a region that already is one
     STRING is returned as it is."""
-    if len(tokens) == 1 and tokens[0].kind is K.STRING:
+    if len(tokens) == 1 and tokens[0].kind is _STRING:
         return tokens[0]
     parts: list[str] = []
     for tok in tokens:
-        if tok.kind is K.STRING or not tok.detached:
+        if tok.kind is _STRING or not tok.detached:
             if parts:
                 parts.append(" ")
         parts.append(tok.lexeme)
     first, last = tokens[0].span, tokens[-1].span
     span = _tuple_new(Span, (first.start_line, first.start_word, last.end_line, last.end_word))
-    return _tuple_new(Token, (K.STRING, "".join(parts), span, False))
+    return _tuple_new(Token, (_STRING, "".join(parts), span, False))
 
 
-# Every stop set the driver uses, built once.  Where a scan is scoped to a
-# line or region, the constant is bounded with ``StopSet.until(bound)``,
-# which shares its kinds instead of building them again.
+# Every stop set the driver uses, built once.  The driver hands the scanner a
+# constant's kinds and, where a scan is scoped to a line or region, the bound
+# as they are, so a bounded scan builds no stop set.
 _ANY = StopSet.of()
 _NUMBER = StopSet.of(K.NUM, K.COLON)
 _STOP_AT = {kind: StopSet.of(kind) for kind in (
     K.TYPE, K.RAQM, K.NUM, K.INNA, K.BINAA, K.HAYSOU, K.YAKOUR, K.COLON,
     K.MADA, K.FI, K.IMDAA)}
+_AT_MADA, _AT_COLON = _STOP_AT[K.MADA], _STOP_AT[K.COLON]
 
 
 class _Driver:
-    """Walks the document shape, choosing stop sets and scoping line scans."""
+    """Walks the document shape, choosing stop sets and scoping line scans.
+
+    Only the fine stream grows while scanning.  Each article content region
+    that merges into a new STRING is recorded as (start, end, merged) over
+    the fine stream, and :meth:`run` builds the grammar stream from both at
+    the end.
+    """
 
     def __init__(self, text: NormalizedText):
         self.sc = Scanner(text)
         self.fine: list[Token] = []
-        self.grammar: list[Token] = []
+        self.merged: list[tuple[int, int, Token]] = []
         self.diagnostics: list[Diagnostic] = []
 
-    def take(self, stop: StopSet) -> Token:
-        tok = self.sc.next_token(stop)
-        if tok.kind is K.EOF:
+    def take(self, stop: StopSet, bound: tuple[int, int] | None = None) -> Token:
+        """The next token under ``stop``'s kinds, scoped to end before ``bound``."""
+        tok = self.sc._take(stop.kinds, bound)
+        if tok.kind is _EOF:
             raise _EndOfInput
         self.fine.append(tok)
-        self.grammar.append(tok)
         return tok
 
     def drain(self) -> None:
-        if self.sc.has_pending:
+        if self.sc._pending is not None:
             self.take(_ANY)
 
     def slot(self, stop: StopSet, end: tuple[int, int]) -> None:
         """Take one token short of ``end``, or the delimiter still pending."""
-        if self.sc.has_pending or self.sc.position < end:
-            self.take(stop.until(end))
+        sc = self.sc
+        if sc._pending is not None or (sc.line, sc.word) < end:
+            self.take(stop, end)
 
     def at(self, kind: TokenKind) -> bool:
         """True when the keyword at the cursor is of ``kind``."""
@@ -494,9 +508,12 @@ class _Driver:
         """Scan plain text, split at ، and ., up to ``bound`` and through any
         delimiter still pending there."""
         sc = self.sc
-        stop = _ANY.until(bound)
-        while sc.position < bound or sc.has_pending:
-            self.take(stop)
+        take, append, kinds = sc._take, self.fine.append, _ANY.kinds
+        while sc._pending is not None or (sc.line, sc.word) < bound:
+            tok = take(kinds, bound)
+            if tok.kind is _EOF:
+                raise _EndOfInput
+            append(tok)
 
     def run(self) -> ScanResult:
         try:
@@ -504,10 +521,16 @@ class _Driver:
             self._residual()
         except _EndOfInput:
             pass
-        eof = self.sc.next_token(_ANY)
-        self.fine.append(eof)
-        self.grammar.append(eof)
-        return ScanResult(self.fine, self.grammar, self.diagnostics)
+        fine = self.fine
+        fine.append(self.sc._take(_ANY.kinds, None))
+        grammar: list[Token] = []
+        done = 0
+        for start, end, merged in self.merged:
+            grammar += fine[done:start]
+            grammar.append(merged)
+            done = end
+        grammar += fine[done:]
+        return ScanResult(fine, grammar, self.diagnostics)
 
     # The policy mirrors the document shape.  It never fails on mismatches:
     # it keeps scanning something sensible and lets the grammar phase report
@@ -520,7 +543,7 @@ class _Driver:
         # The title may span lines, but not into a later line opening with إن.
         title_end = _first_line_opening(sc.heads, K.INNA, sc.line + 1, sc.text.line_count)
         at_inna = _STOP_AT[K.INNA]
-        tok = self.take(at_inna if title_end is None else at_inna.until((title_end, 0)))
+        tok = self.take(at_inna, None if title_end is None else (title_end, 0))
         if tok.kind is not K.INNA:
             tok = self.take(at_inna)
         if tok.kind is K.INNA:
@@ -531,7 +554,7 @@ class _Driver:
         if self.at(K.YAKOUR):
             self.take(_STOP_AT[K.YAKOUR])
             self.take(_STOP_AT[K.COLON])
-        if sc.at_end() and not sc.has_pending:
+        if sc.at_end() and sc._pending is None:
             raise _EndOfInput
         seg = _segment_trailer(sc.text, sc.heads, sc.line)
         if isinstance(seg, Diagnostic):
@@ -550,7 +573,9 @@ class _Driver:
 
     def _articles(self, boundary_line: int) -> None:
         sc = self.sc
-        while sc.line < boundary_line and sc.word == 0 and self.at(K.MADA):
+        heads = sc.heads
+        while (sc.line < boundary_line and sc.word == 0 and sc._pending is None
+               and (head := heads[sc.line]) is not None and head.kind is _MADA):
             self._one_article(boundary_line)
         # Anything left before the location/date line is scanned as plain
         # text; the grammar phase reports what was actually wrong.
@@ -560,29 +585,32 @@ class _Driver:
         sc = self.sc
         header_line = sc.line
         header_end = (header_line + 1, 0)
-        self.take(_STOP_AT[K.MADA])
+        self.take(_AT_MADA)
         self.slot(_NUMBER, header_end)                                      # number
-        self.slot(_STOP_AT[K.COLON], header_end)                            # colon
+        self.slot(_AT_COLON, header_end)                                    # colon
         self.slot(_ANY, header_end)                                         # title
         self.drain()
-        content_end = _first_line_opening(sc.heads, K.MADA, header_line + 1, boundary_line)
-        start = len(self.grammar)
+        content_end = _first_line_opening(sc.heads, _MADA, header_line + 1, boundary_line)
+        fine = self.fine
+        start = len(fine)
         self.text_to((boundary_line if content_end is None else content_end, 0))
-        if len(self.grammar) > start:
-            self.grammar[start:] = [_merge_region(self.grammar[start:])]
+        if len(fine) > start:
+            merged = _merge_region(fine[start:])
+            if merged is not fine[start]:
+                self.merged.append((start, len(fine), merged))
 
     def _loc_date(self, line: int) -> None:
         sc = self.sc
-        if sc.position != (line, 0) or sc.has_pending:
+        if (sc.line, sc.word) != (line, 0) or sc._pending is not None:
             return
         line_end = (line + 1, 0)
         words = sc.text.words(line)
         fi_index = next((i for i, w in enumerate(words) if fold_for_matching(w) == "في"), None)
         if fi_index is not None:
-            at_fi = _STOP_AT[K.FI].until(line_end)
+            at_fi = _STOP_AT[K.FI]
             if fi_index > 0:
-                self.take(at_fi)                                             # location
-            self.take(at_fi)                                                 # في
+                self.take(at_fi, line_end)                                   # location
+            self.take(at_fi, line_end)                                       # في
         else:
             digit_index = next((i for i, w in enumerate(words) if has_digit(w)), None)
             if len(words) < 2 or digit_index is None:
@@ -591,7 +619,7 @@ class _Driver:
                     "(في or a digit-bearing word)",
                     Span(line, 0, line, max(len(words) - 1, 0))))
             if digit_index is not None and digit_index > 0:
-                self.take(_ANY.until((line, digit_index)))                   # location
+                self.take(_ANY, (line, digit_index))                         # location
         self.text_to(line_end)                                               # date
 
     def _signatures(self) -> None:
@@ -605,7 +633,7 @@ class _Driver:
             self.text_to(line_end)                                           # name, or the line
 
     def _residual(self) -> None:
-        while not self.sc.at_end() or self.sc.has_pending:
+        while not self.sc.at_end() or self.sc._pending is not None:
             self.text_to((self.sc.line + 1, 0))
 
 

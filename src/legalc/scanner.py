@@ -14,13 +14,22 @@ All phrases that share a first word have the same length, so no phrase is a
 proper prefix of another, and a scope bound can only keep a phrase whole or
 rule it out: the bound is one comparison on the matched phrase's last word.
 
+Handing over a token is one call.  :meth:`Scanner.next_token` unpacks its
+:class:`~legalc.tokens.StopSet` into the private ``Scanner._take(kinds,
+stop_before)``, which the layout driver calls directly with a module-constant
+kinds set and a bound, so a scoped scan builds no stop set.  What a kinds set
+decides (probe for keywords or not, take a NUM or not, which stop strings
+end text) is worked out once per set, on first use, in the module dict
+``_FACTS``.
+
 STRING accumulation walks one line's word tuple at a time.  The scope bound
-becomes a word limit once per line; each word is tested for a stopping
-delimiter by its last character (past any trailing format controls) against
-one of four module-constant stop strings, chosen by whether ':' is expected
-and whether the word ends its line, and probed for a keyword only mid-line
-and only when the stop set expects one.  The cursor is written back once,
-when the token is done.
+becomes a word limit once per line.  A word's last character is tested
+against the line-final stop string, which holds every character that can
+stop the text; only on a hit is the word checked, past any trailing format
+controls, against the string for its place (mid-line or line-final).  A
+word is probed for a keyword only mid-line and only when the stop set
+expects one.  The words a line gives the text are taken with one slice, and
+the cursor is written back once, when the token is done.
 
 Every line's head, the keyword phrase that opens it, is matched once per
 document into ``Scanner.heads``; a probe at a line's first word reads that
@@ -37,7 +46,7 @@ from typing import NamedTuple
 
 from .normalize import (_FORMAT_CONTROLS, NormalizedText, fold_for_matching, is_digit_run,
                         split_trailing)
-from .tokens import Span, StopSet, Token, TokenKind, _tuple_new, punctuation_kind
+from .tokens import _PUNCTUATION, Span, StopSet, Token, TokenKind, _tuple_new
 
 
 class ScanError(Exception):
@@ -112,6 +121,28 @@ _KEYWORD_KINDS = frozenset(kind for _, kind in _SPELLINGS)
 _STOP_CHARS = {colon: (mid, mid + ".") for colon, mid in (
     (False, "،" + _FORMAT_CONTROLS), (True, "،:" + _FORMAT_CONTROLS))}
 
+# The last characters of a word that may carry a trailing delimiter.
+_CAN_TRAIL = _STOP_CHARS[True][1]
+
+
+class _StopFacts(dict):
+    """Expected kinds -> what they decide for a scan: (probe for keywords,
+    take a NUM, the stop strings).  Each kinds set is worked out on first
+    use, and a document's scan meets only a handful of them."""
+
+    def __missing__(self, kinds: frozenset[TokenKind]) -> tuple[bool, bool, tuple[str, str]]:
+        facts = self[kinds] = (not kinds.isdisjoint(_KEYWORD_KINDS), TokenKind.NUM in kinds,
+                               _STOP_CHARS[TokenKind.COLON in kinds])
+        return facts
+
+
+_FACTS = _StopFacts()
+
+# Kinds read once per token, bound once: in Python 3.11 the enum metaclass's
+# ``__getattr__`` keeps a read such as ``TokenKind.STRING`` off the fast
+# class-attribute path, and it costs ~10 times a module global's.
+_NUM, _STRING = TokenKind.NUM, TokenKind.STRING
+
 
 def match_keyword_phrase(text: NormalizedText, line: int, word: int) -> KeywordMatch | None:
     """The keyword phrase starting at (line, word), or None.
@@ -132,8 +163,11 @@ def match_keyword_phrase(text: NormalizedText, line: int, word: int) -> KeywordM
     if count == 1:
         return phrases[()]
     end = word + count
-    if end > len(words) or any(split_trailing(w)[1] for w in words[word:end - 1]):
+    if end > len(words):
         return None
+    for w in words[word:end - 1]:
+        if w[-1] in _CAN_TRAIL and split_trailing(w)[1]:
+            return None
     return phrases.get(tuple(map(fold_for_matching, words[word + 1:end])))
 
 
@@ -186,7 +220,7 @@ class Scanner:
     def peek_keyword(self) -> KeywordMatch | None:
         """Non-consuming keyword match at the cursor, regardless of kind; None
         at the end of input and while a delimiter is pending."""
-        if self._pending is not None or self.at_end():
+        if self._pending is not None or self.line >= len(self.text.lines):
             return None
         return self._match(self.line, self.word, None)
 
@@ -200,27 +234,32 @@ class Scanner:
         word is a digit run; otherwise STRING accumulation.  Raises
         :class:`ScanError` when asked for a token in an exhausted scope.
         """
-        if self._pending is not None:
-            pending, self._pending = self._pending, None
+        return self._take(expect.kinds, expect.stop_before)
+
+    def _take(self, kinds: frozenset[TokenKind], stop_before: tuple[int, int] | None) -> Token:
+        """:meth:`next_token` for a stop set given as its two fields."""
+        pending = self._pending
+        if pending is not None:
+            self._pending = None
             return pending
 
         line, word = self.line, self.word
         lines = self.text.lines
         if line >= len(lines):
             return Token(TokenKind.EOF, "", self._eof_span())
-        kinds, stop_before = expect.kinds, expect.stop_before
         if stop_before is not None and (line, word) >= stop_before:
             raise ScanError("no input left in this scan region", Span.point(line, word))
 
-        if not kinds.isdisjoint(_KEYWORD_KINDS):
+        probe, take_num, stops = _FACTS[kinds]
+        if probe:
             match = self._match(line, word, stop_before)
             if match is not None and match.kind in kinds:
                 return self._take_words(match.kind, match.word_count)
 
-        if TokenKind.NUM in kinds and is_digit_run(fold_for_matching(lines[line][word])):
-            return self._take_words(TokenKind.NUM, 1)
+        if take_num and is_digit_run(fold_for_matching(lines[line][word])):
+            return self._take_words(_NUM, 1)
 
-        return self._take_string(expect)
+        return self._take_string(kinds, stop_before, probe, stops)
 
     def _take_words(self, kind: TokenKind, count: int) -> Token:
         """A ``kind`` token of the ``count`` words at the cursor, holding the
@@ -228,70 +267,74 @@ class Scanner:
         line, word = self.line, self.word
         words = self.text.lines[line]
         last = word + count - 1
-        body, trailing = split_trailing(words[last])
-        if trailing:
-            self._pending = _tuple_new(Token, (punctuation_kind(trailing[0]), trailing,
-                                               _tuple_new(Span, (line, last, line, last)), True))
+        body = words[last]
+        if body[-1] in _CAN_TRAIL:
+            body, trailing = split_trailing(body)
+            if trailing:
+                self._pending = _tuple_new(Token, (_PUNCTUATION[trailing[0]], trailing,
+                                                   _tuple_new(Span, (line, last, line, last)), True))
         self.line, self.word = (line, last + 1) if last + 1 < len(words) else (line + 1, 0)
         lexeme = body if count == 1 else " ".join((*words[word:last], body))
         return _tuple_new(Token, (kind, lexeme, _tuple_new(Span, (line, word, line, last)), False))
 
-    def _take_string(self, expect: StopSet) -> Token:
+    def _take_string(self, kinds: frozenset[TokenKind], stop_before: tuple[int, int] | None,
+                     probe: bool, stops: tuple[str, str]) -> Token:
+        """Free text from the cursor: whole lines' words are taken by slice,
+        up to an expected mid-line keyword, a stopping delimiter or the scope
+        bound, whichever comes first."""
         lines = self.text.lines
-        start = (self.line, self.word)
-        line, word = start
-        kinds = expect.kinds
-        stop_before = expect.stop_before
-        probe = not kinds.isdisjoint(_KEYWORD_KINDS)
-        mid_line, line_end = _STOP_CHARS[TokenKind.COLON in kinds]
+        start_line, start_word = line, word = self.line, self.word
+        mid_line, line_end = stops
+        bound_line, bound_word = stop_before or (len(lines), 0)
         pieces: list[str] = []
         end_line = end_word = 0
         delimiter: Token | None = None
-        while line < len(lines):
+        while True:
             words = lines[line]
-            if stop_before is None or line < stop_before[0]:
-                limit = len(words)
-            elif line == stop_before[0]:
-                limit = min(stop_before[1], len(words))
-            else:
-                break
-            last = len(words) - 1
+            count = len(words)
+            limit = count if line < bound_line else min(bound_word, count)
+            first = word
             while word < limit:
                 # Only a mid-line keyword ends accumulation; a line's head
                 # does not.
-                if probe and pieces and word:
+                if probe and word > first:
                     match = self._match(line, word, stop_before)
                     if match is not None and match.kind in kinds:
                         break
                 original = words[word]
-                stops = line_end if word == last else mid_line
-                if original[-1] in stops:
-                    tail = original.rstrip(_FORMAT_CONTROLS)[-1:]
-                    if tail and tail in stops:   # a word of controls alone is text
-                        kind = punctuation_kind(tail)
-                        body, trailing = split_trailing(original)
+                if original[-1] in line_end:   # every stop character: most words miss
+                    stop = mid_line if word < count - 1 else line_end
+                    body = original.rstrip(_FORMAT_CONTROLS)
+                    if body and body[-1] in stop:   # a word of controls alone is text
                         point = _tuple_new(Span, (line, word, line, word))
-                        if trailing:
-                            pieces.append(body)
-                            end_line, end_word = line, word
-                            delimiter = _tuple_new(Token, (kind, trailing, point, True))
+                        cut = len(body) - 1
+                        if cut:
+                            delimiter = _tuple_new(Token, (_PUNCTUATION[body[-1]], original[cut:],
+                                                           point, True))
+                            body = original[:cut]
                         else:
-                            delimiter = _tuple_new(Token, (kind, original, point, False))
-                        word += 1
+                            delimiter = _tuple_new(Token, (_PUNCTUATION[body], original,
+                                                           point, False))
                         break
-                pieces.append(original)
-                end_line, end_word = line, word
                 word += 1
-            else:
-                if word < len(words):   # the scope bound ends this line
-                    break
-                line += 1
-                word = 0
-                continue
-            break   # a keyword or a delimiter ended the text
-        if line < len(lines) and word == len(lines[line]):   # the delimiter ended its line
+            if word > first:
+                pieces += words[first:word]
+                end_line, end_word = line, word - 1
+            if delimiter is not None:
+                if delimiter.detached:
+                    pieces.append(body)
+                    end_line, end_word = line, word
+                word += 1
+                if word == count:   # the delimiter ended its line
+                    line += 1
+                    word = 0
+                break
+            if word < count:   # a keyword or the scope bound ends the text
+                break
             line += 1
             word = 0
+            if line > bound_line or line == len(lines):
+                break
         self.line, self.word = line, word
         if delimiter is not None:
             if not pieces:
@@ -299,8 +342,9 @@ class Scanner:
                 # accumulation; hand it out directly instead of an empty STRING.
                 return delimiter
             self._pending = delimiter
-        return _tuple_new(Token, (TokenKind.STRING, " ".join(pieces),
-                                  _tuple_new(Span, (start[0], start[1], end_line, end_word)), False))
+        return _tuple_new(Token, (_STRING, " ".join(pieces),
+                                  _tuple_new(Span, (start_line, start_word, end_line, end_word)),
+                                  False))
 
 
 def reconstruct_words(tokens: list[Token]) -> list[str]:

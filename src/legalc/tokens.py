@@ -1,16 +1,18 @@
 """Token kinds, source spans and scanner stop sets.
 
-Spans, tokens and stop sets are made in the scanner's inner loop, so they
-are plain :class:`typing.NamedTuple` records: immutable, compared and hashed
-by value, and cheaper to build than frozen dataclasses.
+Spans and tokens are made in the scanner's inner loop, so they, and stop
+sets with them, are plain :class:`typing.NamedTuple` records: immutable,
+compared and hashed by value, and cheaper to build than frozen dataclasses.
 
-The hot paths (the scanner's token sites, :meth:`StopSet.until` and the
-parser's region merge) build them with ``tuple.__new__(Token, (...))``, as
-the record's own ``_make`` does less its length check: the generated
-constructor is a Python-level function, and skipping it halves the cost of a
-record.  Such a site passes every field, defaults included (``detached`` as
-a real ``bool``), since nothing checks a missing or extra value.  Cold sites
-use the constructor.
+The hot paths (the scanner's token sites and the parser's region merge)
+build them with ``tuple.__new__(Token, (...))``, as the record's own
+``_make`` does less its length check: the generated constructor is a
+Python-level function, and skipping it halves the cost of a record.  Such a
+site passes every field, defaults included (``detached`` as a real
+``bool``), since nothing checks a missing or extra value.  Cold sites use
+the constructor.  :meth:`StopSet.until` builds its stop set the same way;
+the layout driver does not call it, but hands the scanner a constant stop
+set's kinds and the bound as they are.
 """
 
 from __future__ import annotations

@@ -1,0 +1,85 @@
+"""The driver's two token streams, and what scanning one token costs.
+
+The grammar stream is the fine stream with each article content region
+merged into one STRING; the driver records the merged regions while it
+scans and builds the grammar stream from them at the end.  The walk below
+checks that shape from the two streams alone, without the driver's records.
+
+Scanning cost is pinned by a count, not a timing: the number of Python-level
+function calls per scanned token is deterministic, so a change that adds
+work to the per-token path fails here on any machine.
+"""
+
+import random
+import sys
+
+import docgen
+from differential import lone_delimiters
+from legalc.normalize import fold_for_matching, preprocess
+from legalc.parser import _merge_region, scan_document
+from legalc.tokens import TokenKind
+
+# Python-level calls per token over the inputs of the test below.  Measured
+# at 6.33; a change that raises it must raise this on purpose and say why.
+CALLS_PER_TOKEN_CEILING = 6.5
+
+
+def norm(source: str):
+    return preprocess(source.encode("utf-8"), "test")
+
+
+def walk_streams(fine, grammar) -> int:
+    """Check that ``grammar`` is ``fine`` with some runs merged; return how
+    many grammar tokens are merged runs."""
+    assert fine[-1].kind is TokenKind.EOF and grammar[-1] is fine[-1]
+    merged = i = 0
+    for n, tok in enumerate(grammar):
+        if fine[i] is tok:
+            i += 1
+            continue
+        # a merged run ends where the next grammar token's own object is
+        following = grammar[n + 1]
+        j = next(k for k in range(i + 1, len(fine)) if fine[k] is following)
+        assert tok == _merge_region(fine[i:j]), (tok, fine[i:j])
+        assert tok.kind is TokenKind.STRING and not tok.detached
+        merged += 1
+        i = j
+    assert i == len(fine)
+    return merged
+
+
+def test_grammar_stream_is_the_fine_stream_with_merged_regions():
+    rng = random.Random(15)
+    sources = [docgen.generate_document(rng).text for _ in range(300)]
+    sources += [docgen.mutate_text(rng, text) for text in sources]
+    sources += lone_delimiters()
+    merged = 0
+    for source in sources:
+        result = scan_document(norm(source))
+        merged += walk_streams(result.tokens, result.grammar_tokens)
+    # regions of several tokens and lone delimiters both merged
+    assert merged > 500, merged
+
+
+def test_scan_calls_per_token_stay_under_the_ceiling():
+    rng = random.Random(7)
+    sources = [docgen.generate_document(rng).text for _ in range(200)]
+    sources.append(docgen.many_articles(300))
+    texts = [norm(source) for source in sources]
+    fold_for_matching.cache_clear()   # a cache miss is a call: start from none cached
+    calls = tokens = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    for text in texts:
+        sys.setprofile(count)
+        try:
+            result = scan_document(text)
+        finally:
+            sys.setprofile(None)
+        tokens += len(result.tokens)
+    assert tokens > 9000, tokens
+    assert calls / tokens <= CALLS_PER_TOKEN_CEILING, (calls, tokens, calls / tokens)

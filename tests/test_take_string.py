@@ -40,7 +40,8 @@ class ReferenceScanner(Scanner):
             self.line += 1
             self.word = 0
 
-    def _take_string(self, expect):
+    def _take_string(self, kinds, stop_before, _probe, _stops):
+        expect = StopSet(kinds, stop_before)
         pieces = []
         start = self.position
         end = self.position
