@@ -22,9 +22,7 @@ from .parser import (
     dump_ast,
     parse_document,
     parse_grammar_tokens,
-    parse_token_kinds,
     scan_document,
-    segment_trailer,
 )
 from .codegen import Element, EmitConfig, emit, escape_xml, generate, serialize
 
@@ -86,11 +84,9 @@ __all__ = [
     "oracle_accepts",
     "parse_document",
     "parse_grammar_tokens",
-    "parse_token_kinds",
     "preprocess",
     "reconstruct_words",
     "scan_document",
-    "segment_trailer",
     "serialize",
     "__version__",
 ]

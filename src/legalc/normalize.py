@@ -50,6 +50,8 @@ _FOLD_TABLE = str.maketrans(
 _DIGIT_TABLE = str.maketrans("٠١٢٣٤٥٦٧٨٩", "0123456789")
 
 _DIGITS = "0123456789٠١٢٣٤٥٦٧٨٩"
+# Not \d, which also takes the extended Arabic-Indic digits U+06F0-U+06F9.
+_SEARCH_DIGIT = re.compile(f"[{_DIGITS}]").search
 
 # The Unicode space separators (category Zs) other than the ASCII space:
 # no-break, ogham, en/em and the other typographic spaces, narrow no-break,
@@ -93,9 +95,6 @@ class NormalizedText(NamedTuple):
 
     def words(self, line: int) -> tuple[str, ...]:
         return self.lines[line]
-
-    def word(self, line: int, index: int) -> str:
-        return self.lines[line][index]
 
     def line_text(self, line: int) -> str:
         return " ".join(self.lines[line])
@@ -176,4 +175,4 @@ def is_digit_run(word: str) -> bool:
 
 def has_digit(word: str) -> bool:
     """True when the word contains at least one digit character (either script)."""
-    return any(ch in _DIGITS for ch in word)
+    return _SEARCH_DIGIT(word) is not None

@@ -2,8 +2,8 @@
 
 Parsing happens in two phases.  A driver walks the document shape
 (statement line, title, issuer, reference and justification clauses,
-acknowledgment, articles, location/date line, signature block), feeding the
-scanner the right stop set at every step and producing two token streams:
+acknowledgment, articles, location/date line, signature block), telling the
+scanner which kinds it expects at every step and producing two token streams:
 the fine-grained stream exactly as scanned, and a grammar stream in which
 each article's multi-line content region is merged into a single STRING.
 
@@ -32,8 +32,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 from .normalize import NormalizedText, fold_for_matching, has_digit
 # match_keyword_phrase is not called here, but stays importable from this
 # module: bench/worker.py counts probes wherever a module looks it up.
-from .scanner import KeywordMatch, Scanner, line_heads, match_keyword_phrase  # noqa: F401
-from .tokens import KIND_DISPLAY, Span, StopSet, Token, TokenKind, _tuple_new
+from .scanner import KeywordMatch, Scanner, match_keyword_phrase  # noqa: F401
+from .tokens import KIND_DISPLAY, Span, Token, TokenKind, _tuple_new
 
 K = TokenKind
 _F = TypeVar("_F", bound=Callable)
@@ -357,24 +357,6 @@ def parse_grammar_tokens(tokens: Sequence[Token]) -> tuple[Document | None, Diag
     return None, Diagnostic(message, at.span, expected, at.kind)
 
 
-def parse_token_kinds(kinds: Sequence[TokenKind]) -> bool:
-    """Grammar acceptance of a bare token-kind sequence."""
-    tokens = [Token(k, k.value, Span.point(0, i)) for i, k in enumerate(kinds)]
-    return parse_grammar_tokens(tokens)[0] is not None
-
-
-def rejects_all_extensions(kinds: Sequence[TokenKind]) -> bool:
-    """True when the parser rejects this prefix without ever consulting a
-    token at or past ``len(kinds)``.  Every extension of such a prefix is
-    rejected identically, which lets bounded-exhaustive equivalence checks
-    prune whole subtrees soundly."""
-    ctx = _Ctx([Token(k, k.value, Span.point(0, i)) for i, k in enumerate(kinds)])
-    try:
-        return _parse_document_tokens(ctx) is None
-    except IndexError:   # a read past the prefix: the outcome depends on later tokens
-        return False
-
-
 # -- driver phase -----------------------------------------------------------
 
 
@@ -388,24 +370,20 @@ class _EndOfInput(Exception):
 _EOF, _MADA, _STRING = K.EOF, K.MADA, K.STRING
 
 
-def segment_trailer(text: NormalizedText, start_line: int) -> tuple[int, int] | Diagnostic:
+def _segment_trailer(text: NormalizedText, heads: Sequence[KeywordMatch | None],
+                     start_line: int) -> tuple[int, int] | Diagnostic:
     """Split the lines from ``start_line`` on into article content, the
     location/date line, and the signature block.
 
     The anchor is the first line opening with الإمضاء (folded), read from
-    the document's line heads (:func:`~legalc.scanner.line_heads`).  The line
-    just above it is the location/date line when it looks like one (second
-    word في, or any digit-bearing word); otherwise that line is a signature
-    position line and the location/date line sits one higher.  Without any
-    signature line, the final line must itself look like a location/date
-    line.  Returns (loc_date_line, first_signature_line) where the second
-    index equals the line count when there are no signatures.
+    the document's line ``heads`` (:attr:`~legalc.scanner.Scanner.heads`).
+    The line just above it is the location/date line when it looks like one
+    (second word في, or any digit-bearing word); otherwise that line is a
+    signature position line and the location/date line sits one higher.
+    Without any signature line, the final line must itself look like a
+    location/date line.  Returns (loc_date_line, first_signature_line) where
+    the second index equals the line count when there are no signatures.
     """
-    return _segment_trailer(text, line_heads(text), start_line)
-
-
-def _segment_trailer(text: NormalizedText, heads: Sequence[KeywordMatch | None],
-                     start_line: int) -> tuple[int, int] | Diagnostic:
     anchor = _first_line_opening(heads, K.IMDAA, start_line, text.line_count)
     if anchor is None:
         last = text.line_count - 1
@@ -455,19 +433,19 @@ def _merge_region(tokens: list[Token]) -> Token:
     return _tuple_new(Token, (_STRING, "".join(parts), span, False))
 
 
-# Every stop set the driver uses, built once.  The driver hands the scanner a
-# constant's kinds and, where a scan is scoped to a line or region, the bound
-# as they are, so a bounded scan builds no stop set.
-_ANY = StopSet.of()
-_NUMBER = StopSet.of(K.NUM, K.COLON)
-_STOP_AT = {kind: StopSet.of(kind) for kind in (
+# The kinds sets the driver expects, built once; none holds STRING.  The
+# driver hands the scanner one of these and, where a scan is scoped to a
+# line or region, the bound as they are, so a bounded scan builds no stop set.
+_ANY: frozenset[TokenKind] = frozenset()
+_NUMBER = frozenset((K.NUM, K.COLON))
+_STOP_AT = {kind: frozenset((kind,)) for kind in (
     K.TYPE, K.RAQM, K.NUM, K.INNA, K.BINAA, K.HAYSOU, K.YAKOUR, K.COLON,
     K.MADA, K.FI, K.IMDAA)}
 _AT_MADA, _AT_COLON = _STOP_AT[K.MADA], _STOP_AT[K.COLON]
 
 
 class _Driver:
-    """Walks the document shape, choosing stop sets and scoping line scans.
+    """Walks the document shape, choosing expected kinds and scoping line scans.
 
     Only the fine stream grows while scanning.  Each article content region
     that merges into a new STRING is recorded as (start, end, merged) over
@@ -481,9 +459,9 @@ class _Driver:
         self.merged: list[tuple[int, int, Token]] = []
         self.diagnostics: list[Diagnostic] = []
 
-    def take(self, stop: StopSet, bound: tuple[int, int] | None = None) -> Token:
-        """The next token under ``stop``'s kinds, scoped to end before ``bound``."""
-        tok = self.sc._take(stop.kinds, bound)
+    def take(self, kinds: frozenset[TokenKind], bound: tuple[int, int] | None = None) -> Token:
+        """The next token expecting ``kinds``, scoped to end before ``bound``."""
+        tok = self.sc._take(kinds, bound)
         if tok.kind is _EOF:
             raise _EndOfInput
         self.fine.append(tok)
@@ -493,11 +471,11 @@ class _Driver:
         if self.sc._pending is not None:
             self.take(_ANY)
 
-    def slot(self, stop: StopSet, end: tuple[int, int]) -> None:
+    def slot(self, kinds: frozenset[TokenKind], end: tuple[int, int]) -> None:
         """Take one token short of ``end``, or the delimiter still pending."""
         sc = self.sc
         if sc._pending is not None or (sc.line, sc.word) < end:
-            self.take(stop, end)
+            self.take(kinds, end)
 
     def at(self, kind: TokenKind) -> bool:
         """True when the keyword at the cursor is of ``kind``."""
@@ -508,7 +486,7 @@ class _Driver:
         """Scan plain text, split at ، and ., up to ``bound`` and through any
         delimiter still pending there."""
         sc = self.sc
-        take, append, kinds = sc._take, self.fine.append, _ANY.kinds
+        take, append, kinds = sc._take, self.fine.append, _ANY
         while sc._pending is not None or (sc.line, sc.word) < bound:
             tok = take(kinds, bound)
             if tok.kind is _EOF:
@@ -522,7 +500,7 @@ class _Driver:
         except _EndOfInput:
             pass
         fine = self.fine
-        fine.append(self.sc._take(_ANY.kinds, None))
+        fine.append(self.sc._take(_ANY, None))
         grammar: list[Token] = []
         done = 0
         for start, end, merged in self.merged:

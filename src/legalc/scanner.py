@@ -14,13 +14,13 @@ All phrases that share a first word have the same length, so no phrase is a
 proper prefix of another, and a scope bound can only keep a phrase whole or
 rule it out: the bound is one comparison on the matched phrase's last word.
 
-Handing over a token is one call.  :meth:`Scanner.next_token` unpacks its
-:class:`~legalc.tokens.StopSet` into the private ``Scanner._take(kinds,
-stop_before)``, which the layout driver calls directly with a module-constant
-kinds set and a bound, so a scoped scan builds no stop set.  What a kinds set
-decides (probe for keywords or not, take a NUM or not, which stop strings
-end text) is worked out once per set, on first use, in the module dict
-``_FACTS``.
+Handing over a token is one call to the private ``Scanner._take(kinds,
+stop_before)``.  The layout driver passes one of its constant kinds sets and
+a bound, so a scoped scan builds no stop set; :meth:`Scanner.next_token`,
+the public entry, unpacks its :class:`~legalc.tokens.StopSet` into it.
+What a kinds set decides (probe for keywords or not, take a NUM or not,
+which stop strings end text) is worked out once per set, on first use, in
+the module dict ``_FACTS``.
 
 STRING accumulation walks one line's word tuple at a time.  The scope bound
 becomes a word limit once per line.  A word's last character is tested
@@ -171,11 +171,6 @@ def match_keyword_phrase(text: NormalizedText, line: int, word: int) -> KeywordM
     return phrases.get(tuple(map(fold_for_matching, words[word + 1:end])))
 
 
-def line_heads(text: NormalizedText) -> list[KeywordMatch | None]:
-    """The keyword phrase opening each line."""
-    return [match_keyword_phrase(text, line, 0) for line in range(text.line_count)]
-
-
 class Scanner:
     """Stateful tokenizer over one :class:`NormalizedText`.
 
@@ -188,17 +183,10 @@ class Scanner:
         self.line = 0
         self.word = 0
         self._pending: Token | None = None
-        self.heads = line_heads(text)
+        # Each line's head, probed through the module global that counters patch.
+        self.heads = [match_keyword_phrase(text, line, 0) for line in range(text.line_count)]
 
     # -- cursor helpers -------------------------------------------------
-
-    @property
-    def position(self) -> tuple[int, int]:
-        return (self.line, self.word)
-
-    @property
-    def has_pending(self) -> bool:
-        return self._pending is not None
 
     def at_end(self) -> bool:
         return self.line >= len(self.text.lines)

@@ -10,9 +10,7 @@ build them with ``tuple.__new__(Token, (...))``, as the record's own
 Python-level function, and skipping it halves the cost of a record.  Such a
 site passes every field, defaults included (``detached`` as a real
 ``bool``), since nothing checks a missing or extra value.  Cold sites use
-the constructor.  :meth:`StopSet.until` builds its stop set the same way;
-the layout driver does not call it, but hands the scanner a constant stop
-set's kinds and the bound as they are.
+the constructor.
 """
 
 from __future__ import annotations
@@ -107,19 +105,15 @@ class Token(NamedTuple):
 _PUNCTUATION = {"،": TokenKind.COMMA, ".": TokenKind.DOT, ":": TokenKind.COLON}
 
 
-def punctuation_kind(char: str) -> TokenKind | None:
-    return _PUNCTUATION.get(char)
-
-
 class StopSet(NamedTuple):
-    """What the parser expects next; drives scanning decisions.
+    """What a :meth:`~legalc.scanner.Scanner.next_token` caller expects next.
 
     Of ``kinds`` the scanner reads only the keyword kinds, NUM and COLON: an
     expected keyword phrase is taken as its token and ends free text
     mid-line (never at a line start), NUM takes a digit run, and COLON lets a
     ':' end text.  A '،' and a line-final '.' always end text, whatever the
     kinds.  ``stop_before`` is a hard (line, word) bound the scan may not
-    cross; the parser uses it to scope line- and region-local scans.
+    cross; a caller uses it to scope line- and region-local scans.
     """
 
     kinds: frozenset[TokenKind] = frozenset()
@@ -131,8 +125,3 @@ class StopSet(NamedTuple):
         if TokenKind.STRING in kinds:
             raise ValueError("STRING cannot be an expected stop kind")
         return cls(frozenset(kinds), stop_before)
-
-    def until(self, bound: tuple[int, int]) -> StopSet:
-        """This stop set with ``stop_before`` set to ``bound``; the kinds are
-        shared, not checked or rebuilt again."""
-        return _tuple_new(StopSet, (self.kinds, bound))

@@ -28,7 +28,7 @@ The ``descent`` line is one SHA-256 over what
 :func:`legalc.parser.parse_grammar_tokens` returns for a fixed set of
 token-kind sequences (acceptance with the :func:`~legalc.parser.dump_ast`
 rendering, or the diagnostic's message, span, expected kinds and found kind)
-and each sequence's :func:`~legalc.parser.rejects_all_extensions` verdict.
+and each sequence's ``rejects_all_extensions`` verdict (from ``tests/descent.py``).
 The sequences: every tail of length <= 6 over the kinds that can follow the
 acknowledgment, after a valid prefix that ends there; every one-token edit of
 every ``document`` string of length <= 22; and 30,000 seeded random
@@ -49,10 +49,11 @@ from pathlib import Path
 from typing import Iterator
 
 import docgen
+from descent import rejects_all_extensions
 from legalc.cli import run
 from legalc.grammar import GRAMMAR, derivable_strings, oracle_accepts
 from legalc.normalize import preprocess
-from legalc.parser import dump_ast, parse_grammar_tokens, rejects_all_extensions, scan_document
+from legalc.parser import dump_ast, parse_grammar_tokens, scan_document
 from legalc.scanner import dump_tokens
 from legalc.tokens import Span, Token, TokenKind
 from test_grammar_oracle import reachable_terminals, single_edits

@@ -247,7 +247,8 @@ def add_fold_noise(rng: random.Random, text: str) -> str:
                 mark = rng.choice(FOLDED_NOISE)    # a harakah may also end the word
                 at = rng.randint(1, len(body) - (mark not in HARAKAT))
                 word = word[:at] + mark + word[at:]
-            if word[-1] in "،.:" and rng.random() < 0.5:
+            # a double space or an empty line gives an empty word
+            if word and word[-1] in "،.:" and rng.random() < 0.5:
                 word += "\u200f"
             words[k] = word
         lines.append(" ".join(words))

@@ -10,6 +10,7 @@ import time
 import xml.etree.ElementTree as ET
 
 import docgen
+from descent import parse_token_kinds, rejects_all_extensions
 from legalc import (
     compile_document,
     generate,
@@ -22,7 +23,6 @@ from legalc import (
 from legalc.cli import run
 from legalc.grammar import derivable_strings, oracle_accepts
 from legalc.normalize import to_western_digits
-from legalc.parser import parse_token_kinds, rejects_all_extensions
 from legalc.tokens import TokenKind
 
 ARABIC_DIGITS = "٠١٢٣٤٥٦٧٨٩"

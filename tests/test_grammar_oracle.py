@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from descent import parse_token_kinds
 from legalc.grammar import (
     GRAMMAR,
     LengthBoundError,
@@ -19,7 +20,6 @@ from legalc.grammar import (
     min_derivable_length,
     oracle_accepts,
 )
-from legalc.parser import parse_token_kinds
 from legalc.tokens import TokenKind
 
 K = TokenKind

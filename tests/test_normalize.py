@@ -231,20 +231,27 @@ def test_digit_run_predicates():
 
 
 def test_digit_run_agrees_with_per_character_reference():
-    # The per-character test is_digit_run replaced, with its 20 digits.
-    # Look-alikes stay non-digits: extended Arabic-Indic U+06F0-U+06F9,
-    # superscript two, fullwidth one and Devanagari one (str.isdigit takes
-    # all of these).
+    # The per-character tests is_digit_run and has_digit replaced, with their
+    # 20 digits.  Look-alikes stay non-digits: extended Arabic-Indic
+    # U+06F0-U+06F9, superscript two, fullwidth one and Devanagari one
+    # (str.isdigit and the regex class \d take all or some of these).
     reference_digits = frozenset(ASCII_DIGITS + ARABIC_DIGITS)
     look_alikes = "".join(map(chr, range(0x06F0, 0x06FA))) + "\u00b2\uff11\u0967"
     pools = (ASCII_DIGITS + ARABIC_DIGITS, look_alikes, "ابجمن،.:")
     rng = random.Random(23)
-    seen, isdigit_differs = set(), 0
-    for _ in range(3000):
-        # mostly digits, so that whole digit runs are drawn often
-        w = "".join(rng.choice(rng.choices(pools, (8, 1, 1))[0]) for _ in range(rng.randint(0, 6)))
+    seen, isdigit_differs, has_seen = set(), 0, set()
+    words = [*ASCII_DIGITS, *ARABIC_DIGITS, *look_alikes]
+    # mostly digits, so that whole digit runs are drawn often
+    words += ["".join(rng.choice(rng.choices(pools, (8, 1, 1))[0])
+                      for _ in range(rng.randint(0, 6))) for _ in range(3000)]
+    for w in words:
         expected = bool(w) and all(ch in reference_digits for ch in w)
         assert is_digit_run(w) == expected, repr(w)
         seen.add(expected)
         isdigit_differs += w.isdigit() != expected
+        has = any(ch in reference_digits for ch in w)
+        assert has_digit(w) == has, repr(w)
+        has_seen.add((has, expected))
     assert seen == {True, False} and isdigit_differs > 100
+    # has_digit also meets words with a digit that are no digit run
+    assert has_seen == {(True, True), (True, False), (False, False)}

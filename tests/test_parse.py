@@ -8,18 +8,18 @@ import unicodedata
 import pytest
 
 import docgen
+from descent import parse_token_kinds, rejects_all_extensions
 from legalc import (
     Diagnostic,
     LocDate,
+    Scanner,
     Signature,
     SignatureKind,
     parse_document,
-    parse_token_kinds,
     preprocess,
     reconstruct_words,
-    segment_trailer,
 )
-from legalc.parser import _merge_region, dump_ast, parse_grammar_tokens, rejects_all_extensions
+from legalc.parser import _merge_region, _segment_trailer, dump_ast, parse_grammar_tokens
 from legalc.tokens import Span, Token, TokenKind
 
 K = TokenKind
@@ -37,34 +37,34 @@ def parse(source: str):
 
 def test_trailer_loc_date_just_above_signature():
     text = norm("محتوى\nبعيدا في ٢٠١٨\nالامضاء: فلان\nمنصب")
-    assert segment_trailer(text, 0) == (1, 2)
+    assert _segment_trailer(text, Scanner(text).heads, 0) == (1, 2)
 
 
 def test_trailer_position_line_between():
     # the line above the signature is no location/date, so it is a position
     text = norm("محتوى\nبيروت ٢٠١٩/١/٧\nمنصب كذا\nالإمضاء: فلان")
-    assert segment_trailer(text, 0) == (1, 2)
+    assert _segment_trailer(text, Scanner(text).heads, 0) == (1, 2)
 
 
 def test_trailer_without_signatures_uses_final_line():
     text = norm("محتوى\nبيروت في ٥ شباط")
-    assert segment_trailer(text, 0) == (1, 2)
+    assert _segment_trailer(text, Scanner(text).heads, 0) == (1, 2)
 
 
 def test_trailer_digit_bearing_word_counts_as_loc_date():
     text = norm("محتوى\nبيروت ٢٠١٩\nالامضاء: فلان\nمنصب")
-    assert segment_trailer(text, 0) == (1, 2)
+    assert _segment_trailer(text, Scanner(text).heads, 0) == (1, 2)
 
 
 def test_trailer_missing_loc_date_is_diagnosed():
     text = norm("محتوى فقط\nسطر أخير بلا تاريخ")
-    seg = segment_trailer(text, 0)
+    seg = _segment_trailer(text, Scanner(text).heads, 0)
     assert isinstance(seg, Diagnostic)
 
 
 def test_trailer_signature_too_early_is_diagnosed():
     text = norm("الامضاء: فلان\nمنصب")
-    seg = segment_trailer(text, 0)
+    seg = _segment_trailer(text, Scanner(text).heads, 0)
     assert isinstance(seg, Diagnostic)
 
 
@@ -514,6 +514,20 @@ def test_fold_invariant_noise_leaves_the_parse_unchanged():
     assert noisy_delimiters > 500
 
 
+def test_fold_noise_passes_over_empty_lines_and_double_spaces():
+    # Both split into empty words, which take no noise and draw nothing.
+    rng = random.Random(619)
+    drop = str.maketrans(dict.fromkeys(docgen.FOLDED_NOISE))
+    for _ in range(50):
+        rendered = docgen.generate_document(rng)
+        source = rendered.text.replace("\n", "\n\n", 2).replace(" ", "  ", 1)
+        noisy = docgen.add_fold_noise(rng, source)
+        assert noisy != source and noisy.translate(drop) == source
+        result = parse(noisy)
+        assert result.ok, (result.diagnostics, noisy)
+        assert dump_ast(result.document).translate(drop) == dump_ast(rendered.document)
+
+
 def test_mutated_documents_fail_safely():
     rng = random.Random(2096)
     for _ in range(300):
@@ -535,6 +549,22 @@ def test_public_names_resolve():
     import legalc
     for name in legalc.__all__:
         getattr(legalc, name)  # a stale entry raises AttributeError
+
+
+def test_removed_names_stay_removed():
+    # Test-only helpers and members no caller in the package used; the
+    # helpers live on in tests/descent.py.
+    import legalc
+    from legalc import normalize, parser, scanner, tokens
+    removed = [(legalc, "parse_token_kinds"), (legalc, "segment_trailer"),
+               (parser, "parse_token_kinds"), (parser, "rejects_all_extensions"),
+               (parser, "segment_trailer"), (parser, "StopSet"),
+               (scanner, "line_heads"), (tokens, "punctuation_kind"),
+               (scanner.Scanner, "position"), (scanner.Scanner, "has_pending"),
+               (tokens.StopSet, "until"), (normalize.NormalizedText, "word")]
+    for owner, name in removed:
+        assert not hasattr(owner, name), name
+    assert {"parse_token_kinds", "segment_trailer"}.isdisjoint(legalc.__all__)
 
 
 def test_ast_nodes_support_dataclass_replace():

@@ -150,7 +150,7 @@ def test_string_stops_at_attached_comma_and_queues_it():
 def test_no_keyword_is_peeked_while_a_delimiter_is_pending():
     sc = Scanner(norm("كذا، بناء على"))
     assert sc.next_token(StopSet.of(K.COMMA)).lexeme == "كذا"
-    assert sc.has_pending and sc.peek_keyword() is None
+    assert sc._pending is not None and sc.peek_keyword() is None
     assert sc.next_token(StopSet.of(K.BINAA)).kind is K.COMMA
     assert sc.peek_keyword() == (K.BINAA, 2)
 
@@ -283,18 +283,9 @@ def test_string_is_never_a_stop_kind():
         StopSet.of(K.STRING)
     with pytest.raises(ValueError, match="STRING"):
         StopSet.of(K.COMMA, K.STRING, stop_before=(0, 1))
-
-
-def test_until_equals_of_with_a_bound():
-    constants = [_ANY, _NUMBER, *_STOP_AT.values()]
-    text = norm("مادة ١: عنوان\nنص المادة الأولى هنا")
-    end = (text.line_count, 0)
-    # a line start, mid-line, and past the end of the text
-    for bound in ((1, 0), (1, 2), end, (end[0] + 5, 3)):
-        for s in constants:
-            bounded = s.until(bound)
-            assert bounded == StopSet.of(*s.kinds, stop_before=bound)
-            assert bounded.kinds is s.kinds and s.stop_before is None
+    # The driver's constant kinds sets bypass StopSet.of and its guard.
+    for kinds in (_ANY, _NUMBER, *_STOP_AT.values()):
+        assert type(kinds) is frozenset and K.STRING not in kinds, kinds
 
 
 def test_spans_and_tokens_compare_and_hash_by_value():
@@ -309,9 +300,9 @@ def test_spans_and_tokens_compare_and_hash_by_value():
 
 
 def test_hot_path_records_are_full_namedtuples():
-    # The scanner, StopSet.until and the region merge build their records
-    # with tuple.__new__, which checks nothing; a plain tuple or a detached
-    # flag of 0 would still compare equal, so the types are checked here.
+    # The scanner and the region merge build their records with
+    # tuple.__new__, which checks nothing; a plain tuple or a detached flag
+    # of 0 would still compare equal, so the types are checked here.
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     rng = random.Random(12)
     sources = [p.read_text(encoding="utf-8") for p in sorted(corpus.glob("*.txt"))]
@@ -330,8 +321,6 @@ def test_hot_path_records_are_full_namedtuples():
     # every scanner site ran: keyword, NUM, STRING, detached and whole delimiters
     assert {(K.MADA, False), (K.NUM, False), (K.STRING, False),
             (K.COMMA, True), (K.DOT, True), (K.DOT, False), (K.COMMA, False)} <= kinds_seen
-    for stop in (_ANY, _NUMBER, *_STOP_AT.values()):
-        assert type(stop.until((1, 2))) is StopSet
 
 
 @pytest.mark.parametrize("kind", list(TokenKind))

@@ -20,7 +20,7 @@ from legalc.parser import _merge_region, scan_document
 from legalc.tokens import TokenKind
 
 # Python-level calls per token over the inputs of the test below.  Measured
-# at 6.33; a change that raises it must raise this on purpose and say why.
+# at 6.10; a change that raises it must raise this on purpose and say why.
 CALLS_PER_TOKEN_CEILING = 6.5
 
 

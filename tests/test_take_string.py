@@ -16,10 +16,11 @@ import random
 import legalc.scanner as scanner
 from legalc.normalize import _FORMAT_CONTROLS, preprocess, split_trailing
 from legalc.scanner import _KEYWORD_KINDS, _SPELLINGS, ScanError, Scanner
-from legalc.tokens import Span, StopSet, Token, TokenKind, punctuation_kind
+from legalc.tokens import Span, StopSet, Token, TokenKind
 from test_keyword_index import reference_match
 
 K = TokenKind
+PUNCTUATION = {"،": K.COMMA, ".": K.DOT, ":": K.COLON}
 
 
 class ReferenceScanner(Scanner):
@@ -30,8 +31,12 @@ class ReferenceScanner(Scanner):
         scanner.match_keyword_phrase(self.text, line, word)   # a probe, counted like the scanner's
         return reference_match(self.text, line, word, limit)
 
+    @property
+    def cursor(self):
+        return (self.line, self.word)
+
     def _at_bound(self, stop_before):
-        return stop_before is not None and self.position >= stop_before
+        return stop_before is not None and self.cursor >= stop_before
 
     def _advance(self):
         if self.word + 1 < len(self.text.words(self.line)):
@@ -43,21 +48,21 @@ class ReferenceScanner(Scanner):
     def _take_string(self, kinds, stop_before, _probe, _stops):
         expect = StopSet(kinds, stop_before)
         pieces = []
-        start = self.position
-        end = self.position
+        start = self.cursor
+        end = self.cursor
         while not self.at_end() and not self._at_bound(expect.stop_before):
-            line, word = self.position
+            line, word = self.cursor
             if pieces and self._keyword_stops_here(expect):
                 break
-            original = self.text.word(line, word)
+            original = self.text.lines[line][word]
             # a lone delimiter, perhaps followed by format controls
-            lone_kind = punctuation_kind(original.rstrip(_FORMAT_CONTROLS))
+            lone_kind = PUNCTUATION.get(original.rstrip(_FORMAT_CONTROLS))
             if lone_kind is not None and self._delimiter_stops(lone_kind, expect):
                 self._pending = Token(lone_kind, original, Span.point(line, word))
                 self._advance()
                 break
             body, trailing = split_trailing(original)
-            trailing_kind = punctuation_kind(trailing[:1])
+            trailing_kind = PUNCTUATION.get(trailing[:1])
             if trailing_kind is not None and self._delimiter_stops(trailing_kind, expect):
                 pieces.append(body)
                 end = (line, word)
@@ -161,14 +166,14 @@ def walk_both(monkeypatch, rng, documents, controls=False):
             outcome = sc.next_token(expect)
         except ScanError as exc:
             outcome = ("ScanError", str(exc), exc.span)
-        return outcome, sc.position, list(probes)
+        return outcome, (sc.line, sc.word), list(probes)
 
     strings = ended_by_delimiter = ended_by_keyword = head_probes = 0
     for _ in range(documents):
         text = preprocess(random_document(rng, controls).encode("utf-8"), "random")
         ours, ref = Scanner(text), ReferenceScanner(text)
         for _ in range(40):
-            expect = random_stop_set(rng, text, ref.position)
+            expect = random_stop_set(rng, text, ref.cursor)
             token, position, ref_probes = step(ref, expect)
             want_probes = [p for p in ref_probes if p[1] > 0]
             assert step(ours, expect) == (token, position, want_probes), (text.lines, expect)
@@ -177,10 +182,10 @@ def walk_both(monkeypatch, rng, documents, controls=False):
                 break
             if token[0] is K.STRING:
                 strings += 1
-                if ref.has_pending:
+                if ref._pending is not None:
                     ended_by_delimiter += 1
                 elif not ref.at_end():
-                    m = reference_match(text, *ref.position, expect.stop_before)
+                    m = reference_match(text, *ref.cursor, expect.stop_before)
                     if m is not None and m.kind in expect.kinds:   # always mid-line
                         ended_by_keyword += 1
     return strings, ended_by_delimiter, ended_by_keyword, head_probes
