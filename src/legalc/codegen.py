@@ -63,13 +63,12 @@ def generate(doc: Document, root_tag: str = "document") -> Element:
     justifications = root.child("justifications")
     for just in doc.justifications:
         justifications.child("justification", just)
-    articles = root.child("articles")
+    add_article = root.child("articles").children.append
     for art in doc.articles:
-        el = articles.child("article")
         number = to_western_digits(art.number) if is_digit_run(art.number) else art.number
-        el.child("articleNumber", number)
-        el.child("articleTitle", art.title if art.title is not None else "")
-        el.child("articleContent", art.content)
+        add_article(Element("article", "", [Element("articleNumber", number),
+                                            Element("articleTitle", art.title or ""),
+                                            Element("articleContent", art.content)]))
     root.child("issueLocation", doc.loc_date.location)
     root.child("issueDate", doc.loc_date.date)
     signatures = root.child("signatures")
@@ -89,7 +88,8 @@ def serialize(root: Element, config: EmitConfig = EmitConfig()) -> str:
     if config.xml_declaration:
         lines.append('<?xml version="1.0" encoding="UTF-8"?>')
     _render([root], 0, lines, config.indent)
-    return "\n".join(lines) + "\n"
+    lines.append("")   # the trailing newline, without copying the document again
+    return "\n".join(lines)
 
 
 # Any character that escape_xml replaces.

@@ -135,6 +135,12 @@ class ParseResult(NamedTuple):
 
 # -- grammar phase ---------------------------------------------------------
 
+# Kinds read once per token or per article, in both phases, bound once: in
+# Python 3.11 the enum metaclass's ``__getattr__`` keeps a read such as
+# ``K.EOF`` off the fast class-attribute path, and it costs ~10 times a
+# module global's.
+_EOF, _MADA, _STRING = K.EOF, K.MADA, K.STRING
+
 
 class _Ctx:
     """Parse state: the token list and the furthest failure seen so far.
@@ -241,14 +247,14 @@ def _gen_article_list(ctx: _Ctx, i: int) -> Iterator[tuple[list[Article], int]]:
     while (head := _expect(ctx, i, _ARTICLE_HEAD)) is not None:
         number, first = head[1].lexeme, head[3].lexeme
         i += len(_ARTICLE_HEAD)
-        titled = toks[i].kind is K.STRING
+        titled = toks[i].kind is _STRING
         if titled:
             articles.append(Article(number, first, toks[i].lexeme))
             i += 1
         else:
             articles.append(Article(number, None, first))
         # Another MADA must belong to the article list; anything else ends it.
-        if toks[i].kind is not K.MADA:
+        if toks[i].kind is not _MADA:
             yield articles, i
             if titled:
                 articles[-1] = Article(number, None, first)
@@ -286,7 +292,7 @@ def _parse_sig_list(ctx: _Ctx, i: int) -> tuple[list[Signature], int] | None:
             return None
         sigs.append(Signature(SignatureKind.TYPE1, first[1].lexeme, first[2].lexeme))
         i += 1 + len(_TYPE1_REST)
-    while toks[i].kind is K.STRING and toks[i + 1].kind is K.IMDAA:
+    while toks[i].kind is _STRING and toks[i + 1].kind is K.IMDAA:
         rest = _expect(ctx, i + 2, _TYPE2_REST)
         if rest is None:
             return None
@@ -364,12 +370,6 @@ class _EndOfInput(Exception):
     pass
 
 
-# Kinds read once per token or per article, bound once: in Python 3.11 the
-# enum metaclass's ``__getattr__`` keeps a read such as ``K.EOF`` off the fast
-# class-attribute path, and it costs ~10 times a module global's.
-_EOF, _MADA, _STRING = K.EOF, K.MADA, K.STRING
-
-
 def _segment_trailer(text: NormalizedText, heads: Sequence[KeywordMatch | None],
                      start_line: int) -> tuple[int, int] | Diagnostic:
     """Split the lines from ``start_line`` on into article content, the
@@ -441,11 +441,20 @@ _NUMBER = frozenset((K.NUM, K.COLON))
 _STOP_AT = {kind: frozenset((kind,)) for kind in (
     K.TYPE, K.RAQM, K.NUM, K.INNA, K.BINAA, K.HAYSOU, K.YAKOUR, K.COLON,
     K.MADA, K.FI, K.IMDAA)}
-_AT_MADA, _AT_COLON = _STOP_AT[K.MADA], _STOP_AT[K.COLON]
+_AT_MADA = _STOP_AT[K.MADA]
+# An article header after مادة, one kinds set a step: the number, the colon
+# and the title, each taken while the header line has words or a delimiter
+# left.
+_HEADER = (_NUMBER, _STOP_AT[K.COLON], _ANY)
 
 
 class _Driver:
     """Walks the document shape, choosing expected kinds and scoping line scans.
+
+    The article header lines are read off the scanner's line heads in one
+    pass.  Each article's header is a table of steps, each scoped to the
+    header line, and its content runs to the next header line, the last
+    article's to the location/date line.
 
     Only the fine stream grows while scanning.  Each article content region
     that merges into a new STRING is recorded as (start, end, merged) over
@@ -551,31 +560,40 @@ class _Driver:
 
     def _articles(self, boundary_line: int) -> None:
         sc = self.sc
-        heads = sc.heads
-        while (sc.line < boundary_line and sc.word == 0 and sc._pending is None
-               and (head := heads[sc.line]) is not None and head.kind is _MADA):
-            self._one_article(boundary_line)
+        heads, first = sc.heads, sc.line
+        if (first < boundary_line and sc.word == 0 and sc._pending is None
+                and (head := heads[first]) is not None and head.kind is _MADA):
+            # Each article runs from its مادة line to the next one, the last
+            # to the location/date line.  An article's scan ends exactly at
+            # the next header line's start with nothing pending, so the
+            # header lines are known before the first is scanned.
+            starts = [line for line in range(first, boundary_line)
+                      if (head := heads[line]) is not None and head.kind is _MADA]
+            starts.append(boundary_line)
+            for header_line, content_end in zip(starts, starts[1:]):
+                self._one_article(header_line, content_end)
         # Anything left before the location/date line is scanned as plain
         # text; the grammar phase reports what was actually wrong.
         self.text_to((boundary_line, 0))
 
-    def _one_article(self, boundary_line: int) -> None:
-        sc = self.sc
-        header_line = sc.line
+    def _one_article(self, header_line: int, content_end: int) -> None:
+        sc, fine = self.sc, self.fine
+        take, append = sc._take, fine.append
         header_end = (header_line + 1, 0)
-        self.take(_AT_MADA)
-        self.slot(_NUMBER, header_end)                                      # number
-        self.slot(_AT_COLON, header_end)                                    # colon
-        self.slot(_ANY, header_end)                                         # title
-        self.drain()
-        content_end = _first_line_opening(sc.heads, _MADA, header_line + 1, boundary_line)
-        fine = self.fine
+        # The header takes all stay before ``header_end``, a line that exists,
+        # so none meets EOF.
+        append(take(_AT_MADA, header_end))
+        for kinds in _HEADER:                                   # number, colon, title
+            if sc._pending is not None or (sc.line, sc.word) < header_end:
+                append(take(kinds, header_end))
+        if sc._pending is not None:
+            append(take(_ANY, header_end))
         start = len(fine)
-        self.text_to((boundary_line if content_end is None else content_end, 0))
-        if len(fine) > start:
-            merged = _merge_region(fine[start:])
-            if merged is not fine[start]:
-                self.merged.append((start, len(fine), merged))
+        self.text_to((content_end, 0))
+        # A region that already is one STRING stays as it is.
+        region = len(fine) - start
+        if region > 1 or region == 1 and fine[start].kind is not _STRING:
+            self.merged.append((start, len(fine), _merge_region(fine[start:])))
 
     def _loc_date(self, line: int) -> None:
         sc = self.sc

@@ -31,10 +31,12 @@ word is probed for a keyword only mid-line and only when the stop set
 expects one.  The words a line gives the text are taken with one slice, and
 the cursor is written back once, when the token is done.
 
-Every line's head, the keyword phrase that opens it, is matched once per
+Every line's head, the keyword phrase that opens it, is read once per
 document into ``Scanner.heads``; a probe at a line's first word reads that
 entry instead of matching again, like the one layout pass Landin's off-side
-rule (CACM 1966) and Python's INDENT/DEDENT tokenizer make per line.
+rule (CACM 1966) and Python's INDENT/DEDENT tokenizer make per line.  The
+pass folds every line's first word and looks it up among the one-word
+phrases in C; only a line whose first word opens a longer phrase is probed.
 
 A delimiter detached from a host word ('الجمهورية،' ends an issuer phrase) is
 held as its own COMMA/DOT/COLON token and emitted before the cursor moves on.
@@ -42,10 +44,11 @@ held as its own COMMA/DOT/COLON token and emitted before the cursor moves on.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple
 
-from .normalize import (_FORMAT_CONTROLS, NormalizedText, fold_for_matching, is_digit_run,
-                        split_trailing)
+from .normalize import _DIGITS, _FORMAT_CONTROLS, NormalizedText, fold_for_matching, split_trailing
 from .tokens import _PUNCTUATION, Span, StopSet, Token, TokenKind, _tuple_new
 
 
@@ -108,6 +111,11 @@ def _build_index(spellings: tuple[tuple[str, TokenKind], ...]) -> _Index:
 
 
 _KEYWORDS = _build_index(_SPELLINGS)
+
+# Line heads without a probe: a folded first word that is a whole phrase is
+# its line's head, and only one that opens a longer phrase needs the probe.
+_ONE_WORD_HEADS = {first: phrases[()] for first, (n, phrases) in _KEYWORDS.items() if n == 1}
+_OPENS_PHRASE = frozenset(first for first, (n, _) in _KEYWORDS.items() if n > 1)
 
 # A stop set without any of these cannot use a keyword match, so the scanner
 # does not probe for one.
@@ -183,8 +191,14 @@ class Scanner:
         self.line = 0
         self.word = 0
         self._pending: Token | None = None
-        # Each line's head, probed through the module global that counters patch.
-        self.heads = [match_keyword_phrase(text, line, 0) for line in range(text.line_count)]
+        # Each line's head, what ``match_keyword_phrase(text, line, 0)`` gives.
+        # Folding and the one-word lookup run in C; a line whose first word
+        # opens a longer phrase is probed through the module global that
+        # counters patch.
+        folded = [*map(fold_for_matching, map(itemgetter(0), text.lines))]
+        self.heads = heads = [*map(_ONE_WORD_HEADS.get, folded)]
+        for line in compress(range(len(folded)), map(_OPENS_PHRASE.__contains__, folded)):
+            heads[line] = match_keyword_phrase(text, line, 0)
 
     # -- cursor helpers -------------------------------------------------
 
@@ -239,22 +253,18 @@ class Scanner:
             raise ScanError("no input left in this scan region", Span.point(line, word))
 
         probe, take_num, stops = _FACTS[kinds]
-        if probe:
-            match = self._match(line, word, stop_before)
-            if match is not None and match.kind in kinds:
-                return self._take_words(match.kind, match.word_count)
+        if (probe and (match := self._match(line, word, stop_before)) is not None
+                and match.kind in kinds):
+            kind, last = match.kind, word + match.word_count - 1
+        elif (take_num and (folded := fold_for_matching(lines[line][word]))
+                and not folded.strip(_DIGITS)):   # a digit run, as is_digit_run tests
+            kind, last = _NUM, word
+        else:
+            return self._take_string(kinds, stop_before, probe, stops)
 
-        if take_num and is_digit_run(fold_for_matching(lines[line][word])):
-            return self._take_words(_NUM, 1)
-
-        return self._take_string(kinds, stop_before, probe, stops)
-
-    def _take_words(self, kind: TokenKind, count: int) -> Token:
-        """A ``kind`` token of the ``count`` words at the cursor, holding the
-        last word's trailing delimiter as pending."""
-        line, word = self.line, self.word
-        words = self.text.lines[line]
-        last = word + count - 1
+        # A keyword or NUM token of the words up to ``last``, holding the
+        # last word's trailing delimiter as pending.
+        words = lines[line]
         body = words[last]
         if body[-1] in _CAN_TRAIL:
             body, trailing = split_trailing(body)
@@ -262,7 +272,7 @@ class Scanner:
                 self._pending = _tuple_new(Token, (_PUNCTUATION[trailing[0]], trailing,
                                                    _tuple_new(Span, (line, last, line, last)), True))
         self.line, self.word = (line, last + 1) if last + 1 < len(words) else (line + 1, 0)
-        lexeme = body if count == 1 else " ".join((*words[word:last], body))
+        lexeme = body if last == word else " ".join((*words[word:last], body))
         return _tuple_new(Token, (kind, lexeme, _tuple_new(Span, (line, word, line, last)), False))
 
     def _take_string(self, kinds: frozenset[TokenKind], stop_before: tuple[int, int] | None,
@@ -274,6 +284,8 @@ class Scanner:
         start_line, start_word = line, word = self.line, self.word
         mid_line, line_end = stops
         bound_line, bound_word = stop_before or (len(lines), 0)
+        # A bound at a line start leaves the text the line before it.
+        last_line = bound_line if bound_word else bound_line - 1
         pieces: list[str] = []
         end_line = end_word = 0
         delimiter: Token | None = None
@@ -321,7 +333,7 @@ class Scanner:
                 break
             line += 1
             word = 0
-            if line > bound_line or line == len(lines):
+            if line > last_line or line == len(lines):
                 break
         self.line, self.word = line, word
         if delimiter is not None:

@@ -17,9 +17,11 @@ it builds; only the two loaded trees are timed.
 Before timing, one untimed round per tree compiles every document and
 asserts that both trees give the same output (the XML, or the rendered
 diagnostics of a rejected document, or the exception type of a failure).
-It prints each tree's minimum and median round time and the median of the
-per-round ratios A/B: above 1 means tree B is faster.  It is a script, not a
-test module, so pytest does not collect it.
+It prints each tree's minimum, quartiles and median round time, the median
+of the per-round ratios A/B (above 1 means tree B is faster), and how many
+rounds tree B won.  A gain is shown when B wins at least nine rounds in ten
+and the medians differ by more than the distance between A's quartiles.  It
+is a script, not a test module, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -85,6 +87,8 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=7)
     args = ap.parse_args()
+    if args.rounds < 2:
+        ap.error("--rounds must be at least 2 for quartiles")
 
     trees = [compiler(load_tree(args.tree_a.resolve(), "legalc_a")),
              compiler(load_tree(args.tree_b.resolve(), "legalc_b"))]
@@ -99,12 +103,20 @@ def main() -> None:
     for r in range(args.rounds):
         for side in ((0, 1) if r % 2 == 0 else (1, 0)):
             times[side].append(time_round(trees[side], docs))
+    quartiles = []
     for label, ts in zip("AB", times):
-        print(f"{label}: min {min(ts) * 1e3:.1f} ms  median {statistics.median(ts) * 1e3:.1f} ms"
-              f"  ({args.rounds} rounds)")
+        q1, median, q3 = statistics.quantiles(ts, n=4, method="inclusive")
+        quartiles.append((q1, median, q3))
+        print(f"{label}: min {min(ts) * 1e3:.1f} ms  q1 {q1 * 1e3:.1f} ms"
+              f"  median {median * 1e3:.1f} ms  q3 {q3 * 1e3:.1f} ms  ({args.rounds} rounds)")
     ratios = [a / b for a, b in zip(*times)]
     print(f"A/B median per-round ratio {statistics.median(ratios):.3f}"
           f"  (range {min(ratios):.3f}-{max(ratios):.3f})")
+    (a_q1, a_median, a_q3), (_, b_median, _) = quartiles
+    wins = sum(a > b for a, b in zip(*times))
+    print(f"B won {wins} of {args.rounds} rounds; medians differ by"
+          f" {(a_median - b_median) * 1e3:.1f} ms, A's interquartile range is"
+          f" {(a_q3 - a_q1) * 1e3:.1f} ms")
 
 
 if __name__ == "__main__":

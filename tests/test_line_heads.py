@@ -1,9 +1,10 @@
 """A line start reads its keyword from the line heads exactly like a probe.
 
-``Scanner.heads`` holds each line's line-initial match.  Looked up under a
-``limit``, it must give what the reference matcher gives at that limit,
-without probing again.  Scanning a whole document then matches each line's
-head exactly once, when the scanner is built.
+``Scanner.heads`` holds each line's line-initial match, equal to a direct
+probe of every line.  Looked up under a ``limit``, it must give what the
+reference matcher gives at that limit, without probing again.  Building the
+scanner probes only the lines whose folded first word opens a phrase of
+several words, and the scan itself never probes at a line start.
 """
 
 import random
@@ -12,7 +13,7 @@ import pytest
 
 import docgen
 import legalc.scanner as scanner
-from legalc.normalize import preprocess
+from legalc.normalize import fold_for_matching, preprocess
 from legalc.parser import scan_document
 from legalc.scanner import _SPELLINGS, Scanner, match_keyword_phrase
 from legalc.tokens import TokenKind
@@ -23,6 +24,8 @@ K = TokenKind
 FIRST_WORDS = sorted({phrase.split(" ")[0] for phrase, _ in _SPELLINGS})
 PHRASES = [phrase for phrase, _ in _SPELLINGS]
 FILLER = ["خبر", "عمل", "ما", "على", "أن", "يلي", "الاطلاع", "١٢"]
+# Folded first words of the phrases longer than one word.
+OPENS_PHRASE = {fold_for_matching(phrase.split(" ")[0]) for phrase in PHRASES if " " in phrase}
 
 
 def random_document(rng: random.Random) -> str:
@@ -52,6 +55,17 @@ def limits(text, line):
             (line + 1, 0), (text.line_count + 1, 0)]
 
 
+def head_probes(text):
+    """The probes building a scanner over ``text`` may make: word 0 of each
+    line whose folded first word opens a phrase of several words."""
+    return [(line, 0) for line, words in enumerate(text.lines)
+            if fold_for_matching(words[0]) in OPENS_PHRASE]
+
+
+def direct_heads(text):
+    return [match_keyword_phrase(text, line, 0) for line in range(text.line_count)]
+
+
 @pytest.fixture
 def probes(monkeypatch):
     """Every ``match_keyword_phrase`` call the scanner makes, as (line, word)."""
@@ -66,11 +80,13 @@ def probes(monkeypatch):
 
 def test_cached_lookup_agrees_with_a_direct_probe(probes):
     rng = random.Random(20261018)
-    matched = cuts = 0
+    matched = cuts = probed = 0
     for _ in range(800):
         text = preprocess(random_document(rng).encode("utf-8"), "random")
         sc = Scanner(text)
-        assert probes == [(line, 0) for line in range(text.line_count)]
+        assert probes == head_probes(text)
+        probed += len(probes)
+        assert sc.heads == direct_heads(text), text.lines
         probes.clear()
         for line in range(text.line_count):
             for limit in limits(text, line):
@@ -80,7 +96,7 @@ def test_cached_lookup_agrees_with_a_direct_probe(probes):
                 # the limit cuts the line's phrase
                 cuts += want is None and sc.heads[line] is not None
         assert probes == []
-    assert matched > 3000 and cuts > 300, (matched, cuts)
+    assert matched > 3000 and cuts > 300 and probed > 300, (matched, cuts, probed)
 
 
 @pytest.mark.parametrize("source,limit,expected", [
@@ -107,8 +123,11 @@ def test_limits_that_cut_a_phrase(source, limit, expected):
 ], ids=["docgen", "2000-articles"])
 def test_scan_matches_each_line_head_once(probes, make_text):
     text = preprocess(make_text().encode("utf-8"), "doc")
+    at_heads = head_probes(text)
+    assert 0 < len(at_heads) < text.line_count
     scan_document(text)
-    # building the scanner probes each line start once; the scan itself
-    # never probes at a line start
-    assert probes[:text.line_count] == [(line, 0) for line in range(text.line_count)]
-    assert all(word > 0 for _, word in probes[text.line_count:])
+    # building the scanner probes only the lines that may open a longer
+    # phrase; the scan itself never probes at a line start
+    assert probes[:len(at_heads)] == at_heads
+    assert all(word > 0 for _, word in probes[len(at_heads):])
+    assert Scanner(text).heads == direct_heads(text)
