@@ -366,14 +366,10 @@ def parse_grammar_tokens(tokens: Sequence[Token]) -> tuple[Document | None, Diag
 # -- driver phase -----------------------------------------------------------
 
 
-class _EndOfInput(Exception):
-    pass
-
-
 def _segment_trailer(text: NormalizedText, heads: Sequence[KeywordMatch | None],
-                     start_line: int) -> tuple[int, int] | Diagnostic:
-    """Split the lines from ``start_line`` on into article content, the
-    location/date line, and the signature block.
+                     start_line: int) -> int | Diagnostic:
+    """The location/date line, which splits the lines from ``start_line`` on
+    into article content and the signature block.
 
     The anchor is the first line opening with الإمضاء (folded), read from
     the document's line ``heads`` (:attr:`~legalc.scanner.Scanner.heads`).
@@ -381,21 +377,20 @@ def _segment_trailer(text: NormalizedText, heads: Sequence[KeywordMatch | None],
     (second word في, or any digit-bearing word); otherwise that line is a
     signature position line and the location/date line sits one higher.
     Without any signature line, the final line must itself look like a
-    location/date line.  Returns (loc_date_line, first_signature_line) where
-    the second index equals the line count when there are no signatures.
+    location/date line.
     """
     anchor = _first_line_opening(heads, K.IMDAA, start_line, text.line_count)
     if anchor is None:
         last = text.line_count - 1
         if last >= start_line and _looks_like_loc_date(text, last):
-            return (last, text.line_count)
+            return last
         span = Span.point(max(last, 0), 0)
         return Diagnostic("no signature line found and the final line "
                           "does not look like a location/date line", span)
     if anchor - 1 >= start_line and _looks_like_loc_date(text, anchor - 1):
-        return (anchor - 1, anchor)
+        return anchor - 1
     if anchor - 2 >= start_line:
-        return (anchor - 2, anchor - 1)
+        return anchor - 2
     return Diagnostic("signature block leaves no room for article content "
                       "and a location/date line", Span.point(anchor, 0))
 
@@ -418,13 +413,10 @@ def _looks_like_loc_date(text: NormalizedText, line: int) -> bool:
 
 
 def _merge_region(tokens: list[Token]) -> Token:
-    """One STRING covering a content region; a region that already is one
-    STRING is returned as it is."""
-    if len(tokens) == 1 and tokens[0].kind is _STRING:
-        return tokens[0]
+    """One STRING covering a content region, its tokens joined as written."""
     parts: list[str] = []
     for tok in tokens:
-        if tok.kind is _STRING or not tok.detached:
+        if not tok.detached:
             if parts:
                 parts.append(" ")
         parts.append(tok.lexeme)
@@ -459,7 +451,8 @@ class _Driver:
     Only the fine stream grows while scanning.  Each article content region
     that merges into a new STRING is recorded as (start, end, merged) over
     the fine stream, and :meth:`run` builds the grammar stream from both at
-    the end.
+    the end.  End of input is one rule: :meth:`take` keeps no EOF in the fine
+    stream, and :meth:`run` ends it with the one EOF.
     """
 
     def __init__(self, text: NormalizedText):
@@ -469,22 +462,16 @@ class _Driver:
         self.diagnostics: list[Diagnostic] = []
 
     def take(self, kinds: frozenset[TokenKind], bound: tuple[int, int] | None = None) -> Token:
-        """The next token expecting ``kinds``, scoped to end before ``bound``."""
+        """The next token expecting ``kinds``, scoped to end before ``bound``,
+        kept in the fine stream unless it is EOF."""
         tok = self.sc._take(kinds, bound)
-        if tok.kind is _EOF:
-            raise _EndOfInput
-        self.fine.append(tok)
+        if tok.kind is not _EOF:
+            self.fine.append(tok)
         return tok
 
     def drain(self) -> None:
         if self.sc._pending is not None:
             self.take(_ANY)
-
-    def slot(self, kinds: frozenset[TokenKind], end: tuple[int, int]) -> None:
-        """Take one token short of ``end``, or the delimiter still pending."""
-        sc = self.sc
-        if sc._pending is not None or (sc.line, sc.word) < end:
-            self.take(kinds, end)
 
     def at(self, kind: TokenKind) -> bool:
         """True when the keyword at the cursor is of ``kind``."""
@@ -493,21 +480,16 @@ class _Driver:
 
     def text_to(self, bound: tuple[int, int]) -> None:
         """Scan plain text, split at ، and ., up to ``bound`` and through any
-        delimiter still pending there."""
+        delimiter still pending there.  Every caller's bound lies within the
+        text, so no token taken here is EOF."""
         sc = self.sc
         take, append, kinds = sc._take, self.fine.append, _ANY
         while sc._pending is not None or (sc.line, sc.word) < bound:
-            tok = take(kinds, bound)
-            if tok.kind is _EOF:
-                raise _EndOfInput
-            append(tok)
+            append(take(kinds, bound))
 
     def run(self) -> ScanResult:
-        try:
-            self._policy()
-            self._residual()
-        except _EndOfInput:
-            pass
+        self._policy()
+        self._residual()
         fine = self.fine
         fine.append(self.sc._take(_ANY, None))
         grammar: list[Token] = []
@@ -521,7 +503,9 @@ class _Driver:
 
     # The policy mirrors the document shape.  It never fails on mismatches:
     # it keeps scanning something sensible and lets the grammar phase report
-    # the first error with a proper span.
+    # the first error with a proper span.  Nor does it stop at the end of the
+    # input: from there every take gives EOF and keeps nothing, ``at`` is
+    # False and ``drain`` does nothing, so the remaining steps run out.
     def _policy(self) -> None:
         sc = self.sc
         self.take(_STOP_AT[K.TYPE])
@@ -542,12 +526,11 @@ class _Driver:
             self.take(_STOP_AT[K.YAKOUR])
             self.take(_STOP_AT[K.COLON])
         if sc.at_end() and sc._pending is None:
-            raise _EndOfInput
-        seg = _segment_trailer(sc.text, sc.heads, sc.line)
-        if isinstance(seg, Diagnostic):
-            self.diagnostics.append(seg)
             return
-        loc_date_line, _ = seg
+        loc_date_line = _segment_trailer(sc.text, sc.heads, sc.line)
+        if isinstance(loc_date_line, Diagnostic):
+            self.diagnostics.append(loc_date_line)
+            return
         self._articles(loc_date_line)
         self._loc_date(loc_date_line)
         self._signatures()
@@ -625,12 +608,15 @@ class _Driver:
             line_end = (sc.line + 1, 0)
             if sc.word == 0 and self.at(K.IMDAA):
                 self.take(_STOP_AT[K.IMDAA])
-                self.slot(_STOP_AT[K.COLON], line_end)
+                if sc._pending is not None or (sc.line, sc.word) < line_end:
+                    self.take(_STOP_AT[K.COLON], line_end)
             self.text_to(line_end)                                           # name, or the line
 
     def _residual(self) -> None:
-        while not self.sc.at_end() or self.sc._pending is not None:
-            self.text_to((self.sc.line + 1, 0))
+        sc = self.sc
+        while not sc.at_end():
+            self.text_to((sc.line + 1, 0))
+        self.drain()
 
 
 def scan_document(text: NormalizedText) -> ScanResult:

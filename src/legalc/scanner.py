@@ -357,7 +357,7 @@ def reconstruct_words(tokens: list[Token]) -> list[str]:
     for tok in tokens:
         if tok.kind is TokenKind.EOF:
             continue
-        if tok.kind in (TokenKind.COMMA, TokenKind.DOT, TokenKind.COLON) and tok.detached:
+        if tok.detached:
             words[-1] += tok.lexeme
             continue
         words.extend(p for p in tok.lexeme.split(" ") if p)

@@ -1,14 +1,16 @@
 """Command-line behavior: modes, exit codes, outputs, diagnostics."""
 
 import io
+import sys
 import time
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from docgen import many_articles
-from legalc.cli import run
-from legalc.normalize import preprocess
+from legalc.cli import render_diagnostic, run
+from legalc.codegen import emit
+from legalc.normalize import fold_for_matching, preprocess
 from legalc.parser import parse_document
 from legalc.scanner import reconstruct_words
 
@@ -307,3 +309,60 @@ def test_large_inputs_scale(tmp_path):
     # scanning grows linearly with the line: 10x the words, well under 20x the time
     small, large = validate_seconds(10_000), validate_seconds(100_000)
     assert large < 20 * small, (small, large)
+
+
+# Adversarial shapes of n lines or words, each around the lines of GOOD.
+GOOD_LINES = GOOD.splitlines()
+HEAD, ARTICLE, LOC_DATE = GOOD_LINES[:5], GOOD_LINES[5:7], GOOD_LINES[7]
+SIGNED = [LOC_DATE, "الإمضاء: فلان", "رئيس الوزراء"]
+
+
+def shaped(head=HEAD, body=ARTICLE, tail=(LOC_DATE,)) -> str:
+    return "\n".join([*head, *body, *tail]) + "\n"
+
+
+SHAPES = {
+    "long title": lambda n: shaped(head=[HEAD[0], " ".join(["عنوان"] * n), *HEAD[2:]]),
+    "phrase-word title": lambda n: shaped(head=[HEAD[0], " ".join(["وبعد"] * n), *HEAD[2:]]),
+    "bare مادة lines": lambda n: shaped(body=ARTICLE + ["مادة"] * n),
+    "colonless headers": lambda n: shaped(body=[f"مادة {k} نص" for k in range(1, n + 1)]),
+    "lone ، lines": lambda n: shaped(body=ARTICLE + ["،"] * n),
+    "comma per word": lambda n: shaped(body=[ARTICLE[0], " ".join(["نص،"] * n)]),
+    "repeated الإمضاء: lines": lambda n: shaped(tail=SIGNED + ["الإمضاء:"] * n),
+    "repeated إن lines": lambda n: shaped(head=HEAD[:2] + ["إن الوزير،"] * n + HEAD[3:]),
+    "junk after signatures": lambda n: shaped(tail=SIGNED + ["خبر عمل، شمس."] * n),
+    "many articles": many_articles,
+}
+
+
+def compile_calls(source: str) -> int:
+    """Python and C calls made to compile ``source``, or to render its
+    diagnostic, from a cold fold cache."""
+    data = source.encode("utf-8")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    fold_for_matching.cache_clear()
+    sys.setprofile(count)
+    try:
+        text = preprocess(data, "shape")
+        result = parse_document(text)
+        if result.ok:
+            emit(result.document)
+        else:
+            render_diagnostic(result.diagnostics[0], text)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_compile_calls_grow_linearly(shape):
+    # exact counts, so the bound holds on any machine: 4x the input, at most
+    # 4.4x the calls (linear within 10 %)
+    small, large = compile_calls(SHAPES[shape](250)), compile_calls(SHAPES[shape](1000))
+    assert large <= 4.4 * small, (small, large, large / small)

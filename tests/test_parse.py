@@ -37,23 +37,23 @@ def parse(source: str):
 
 def test_trailer_loc_date_just_above_signature():
     text = norm("محتوى\nبعيدا في ٢٠١٨\nالامضاء: فلان\nمنصب")
-    assert _segment_trailer(text, Scanner(text).heads, 0) == (1, 2)
+    assert _segment_trailer(text, Scanner(text).heads, 0) == 1
 
 
 def test_trailer_position_line_between():
     # the line above the signature is no location/date, so it is a position
     text = norm("محتوى\nبيروت ٢٠١٩/١/٧\nمنصب كذا\nالإمضاء: فلان")
-    assert _segment_trailer(text, Scanner(text).heads, 0) == (1, 2)
+    assert _segment_trailer(text, Scanner(text).heads, 0) == 1
 
 
 def test_trailer_without_signatures_uses_final_line():
     text = norm("محتوى\nبيروت في ٥ شباط")
-    assert _segment_trailer(text, Scanner(text).heads, 0) == (1, 2)
+    assert _segment_trailer(text, Scanner(text).heads, 0) == 1
 
 
 def test_trailer_digit_bearing_word_counts_as_loc_date():
     text = norm("محتوى\nبيروت ٢٠١٩\nالامضاء: فلان\nمنصب")
-    assert _segment_trailer(text, Scanner(text).heads, 0) == (1, 2)
+    assert _segment_trailer(text, Scanner(text).heads, 0) == 1
 
 
 def test_trailer_missing_loc_date_is_diagnosed():
@@ -128,9 +128,8 @@ def test_multiline_article_content_merges_with_punctuation():
     assert result.document.articles[0].content == "نص المادة، تابع سطر ثان."
 
 
-def test_merge_region_keeps_a_lone_string():
+def test_merge_region_joins_as_written():
     content = Token(K.STRING, "نص المادة", Span(6, 0, 7, 1))
-    assert _merge_region([content]) is content
     lone_dot = Token(K.DOT, ".", Span.point(8, 0))
     assert _merge_region([lone_dot]) == Token(K.STRING, ".", Span.point(8, 0))
     detached_dot = Token(K.DOT, ".", Span.point(7, 1), detached=True)

@@ -4,6 +4,8 @@ The grammar stream is the fine stream with each article content region
 merged into one STRING; the driver records the merged regions while it
 scans and builds the grammar stream from them at the end.  The walk below
 checks that shape from the two streams alone, without the driver's records.
+Both streams end in the one EOF wherever the text ends, which the cuts below
+check at every step of the driver's policy.
 
 Scanning cost is pinned by a count, not a timing: the number of Python-level
 function calls per scanned token is deterministic, so a change that adds
@@ -14,9 +16,11 @@ import random
 import sys
 
 import docgen
+from conftest import CORPUS_DIR
 from differential import lone_delimiters
 from legalc.normalize import fold_for_matching, preprocess
-from legalc.parser import _merge_region, scan_document
+from legalc.parser import _merge_region, parse_document, scan_document
+from legalc.scanner import reconstruct_words
 from legalc.tokens import TokenKind
 
 # Python-level calls per token over the inputs of the test below.  Measured
@@ -59,6 +63,40 @@ def test_grammar_stream_is_the_fine_stream_with_merged_regions():
         merged += walk_streams(result.tokens, result.grammar_tokens)
     # regions of several tokens and lone delimiters both merged
     assert merged > 500, merged
+
+
+def cuts(lines):
+    """The text of ``lines`` (tuples of words) cut after each word, as lines
+    of words: once as written and once with the last word's trailing ، . or
+    : dropped."""
+    for n, line in enumerate(lines):
+        for k in range(1, len(line) + 1):
+            head = [*lines[:n], line[:k]]
+            yield head
+            last = line[k - 1]
+            if len(last) > 1 and last[-1] in "،.:":
+                yield [*lines[:n], (*line[:k - 1], last[:-1])]
+
+
+def test_end_of_input_at_every_step_of_the_policy():
+    rng = random.Random(18)
+    sources = [path.read_text(encoding="utf-8") for path in sorted(CORPUS_DIR.glob("*.txt"))]
+    sources += [docgen.generate_document(rng).text for _ in range(20)]
+    # a title opening with a lone ، leaves the policy with a delimiter pending
+    # when a cut ends right after the issuer's ،
+    sources.append(docgen.many_articles(2).replace("عنوان قصير", "، عنوان قصير"))
+    count = 0
+    for source in sources:
+        for cut in cuts(norm(source).lines):
+            words = [word for line in cut for word in line]
+            result = parse_document(norm("\n".join(map(" ".join, cut)) + "\n"))
+            kinds = [tok.kind for tok in result.tokens]
+            assert kinds.count(TokenKind.EOF) == 1 and kinds[-1] is TokenKind.EOF, words
+            assert result.grammar_tokens[-1] is result.tokens[-1], words
+            assert reconstruct_words(result.tokens) == words
+            assert len(result.diagnostics) == (result.document is None), words
+            count += 1
+    assert count > 1500, count
 
 
 def test_scan_calls_per_token_stay_under_the_ceiling():
