@@ -24,7 +24,7 @@ from .parser import (
     parse_grammar_tokens,
     scan_document,
 )
-from .codegen import Element, EmitConfig, emit, escape_xml, generate, serialize
+from .codegen import EmitConfig, emit, escape_xml, generate, serialize
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "DecodeError",
     "Document",
     "DocumentRejected",
-    "Element",
     "EmitConfig",
     "LengthBoundError",
     "LocDate",

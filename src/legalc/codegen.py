@@ -1,10 +1,11 @@
 """XML generation from a parsed document.
 
-The element tree is built by structural recursion over the AST, then
-serialized by a small hand-rolled emitter so the exact byte shape (indent,
-self-closing empties, declaration, trailing newline) is pinned down here
-rather than inherited from a library.  Round-trip tests re-read the output
-with an independent XML parser.
+:func:`generate` walks the AST once and writes each XML line as it goes:
+the document's shape fixes every element's depth, so no element tree is
+built.  :func:`serialize` puts the optional declaration before the lines and
+a newline after them.  The byte shape (indent, self-closing empties,
+declaration, trailing newline) is pinned down here rather than inherited
+from a library; round-trip tests re-read it with an independent XML parser.
 
 Digits: the document number and numeric article numbers are emitted in
 Western digits; every other field keeps its original script.
@@ -17,22 +18,6 @@ from typing import NamedTuple
 
 from .normalize import is_digit_run, to_western_digits
 from .parser import Document, SignatureKind, _gc_paused
-
-
-class Element:
-    """One XML element: a tag, its text, and its child elements in order."""
-
-    __slots__ = ("tag", "text", "children")
-
-    def __init__(self, tag: str, text: str = "", children: list[Element] | None = None):
-        self.tag = tag
-        self.text = text
-        self.children: list[Element] = [] if children is None else children
-
-    def child(self, tag: str, text: str = "") -> Element:
-        el = Element(tag, text)
-        self.children.append(el)
-        return el
 
 
 class EmitConfig(NamedTuple):
@@ -50,71 +35,65 @@ def escape_xml(text: str) -> str:
                 .replace("'", "&apos;"))
 
 
-def generate(doc: Document, root_tag: str = "document") -> Element:
-    """Build the element tree for one document."""
-    root = Element(root_tag)
-    root.child("type", doc.statement.doc_type)
-    root.child("contentNumber", to_western_digits(doc.statement.number))
-    root.child("title", doc.title)
-    root.child("issuer", doc.issuer)
-    references = root.child("references")
-    for ref in doc.references:
-        references.child("reference", ref)
-    justifications = root.child("justifications")
-    for just in doc.justifications:
-        justifications.child("justification", just)
-    add_article = root.child("articles").children.append
-    for art in doc.articles:
-        number = to_western_digits(art.number) if is_digit_run(art.number) else art.number
-        add_article(Element("article", "", [Element("articleNumber", number),
-                                            Element("articleTitle", art.title or ""),
-                                            Element("articleContent", art.content)]))
-    root.child("issueLocation", doc.loc_date.location)
-    root.child("issueDate", doc.loc_date.date)
-    signatures = root.child("signatures")
-    for sig in doc.signatures:
-        el = signatures.child("signature")
-        if sig.kind is SignatureKind.TYPE1:
-            el.child("name", sig.name)
-            el.child("position", sig.position)
-        else:
-            el.child("position", sig.position)
-            el.child("name", sig.name)
-    return root
-
-
-def serialize(root: Element, config: EmitConfig = EmitConfig()) -> str:
-    lines: list[str] = []
-    if config.xml_declaration:
-        lines.append('<?xml version="1.0" encoding="UTF-8"?>')
-    _render([root], 0, lines, config.indent)
-    lines.append("")   # the trailing newline, without copying the document again
-    return "\n".join(lines)
-
-
 # Any character that escape_xml replaces.
 _NEEDS_ESCAPE = re.compile("[&<>\"']")
 
 
-def _render(elements: list[Element], depth: int, lines: list[str], indent: int) -> None:
-    """Render sibling elements: a leaf on one line, written here, and an
-    element with children around its children, one level deeper."""
-    pad = " " * (indent * depth)
-    for el in elements:
-        if el.children:
-            lines.append(f"{pad}<{el.tag}>")
-            _render(el.children, depth + 1, lines, indent)
-            lines.append(f"{pad}</{el.tag}>")
-        elif el.text:
-            text = el.text
-            if _NEEDS_ESCAPE.search(text):
-                text = escape_xml(text)
-            lines.append(f"{pad}<{el.tag}>{text}</{el.tag}>")
-        else:
-            lines.append(f"{pad}<{el.tag}/>")
+def _leaf(pad: str, tag: str, text: str | None) -> str:
+    """One text element on one line; an empty one closes itself."""
+    if not text:
+        return f"{pad}<{tag}/>"
+    if _NEEDS_ESCAPE.search(text):
+        text = escape_xml(text)
+    return f"{pad}<{tag}>{text}</{tag}>"
+
+
+def _wrap(lines: list[str], pad: str, tag: str, body: list[str]) -> None:
+    """Append a collection around its items' lines; an empty one closes itself."""
+    lines += (f"{pad}<{tag}>", *body, f"{pad}</{tag}>") if body else (f"{pad}<{tag}/>",)
+
+
+def generate(doc: Document, config: EmitConfig = EmitConfig()) -> list[str]:
+    """The root element's lines, in order and without line ends."""
+    pad1 = " " * config.indent
+    pad2, pad3 = pad1 * 2, pad1 * 3
+    statement, loc_date = doc.statement, doc.loc_date
+    lines = [f"<{config.root_tag}>",
+             _leaf(pad1, "type", statement.doc_type),
+             _leaf(pad1, "contentNumber", to_western_digits(statement.number)),
+             _leaf(pad1, "title", doc.title),
+             _leaf(pad1, "issuer", doc.issuer)]
+    _wrap(lines, pad1, "references", [_leaf(pad2, "reference", ref) for ref in doc.references])
+    _wrap(lines, pad1, "justifications",
+          [_leaf(pad2, "justification", just) for just in doc.justifications])
+    articles: list[str] = []
+    opening, closing = f"{pad2}<article>", f"{pad2}</article>"
+    for art in doc.articles:
+        number = to_western_digits(art.number) if is_digit_run(art.number) else art.number
+        articles += (opening, _leaf(pad3, "articleNumber", number),
+                     _leaf(pad3, "articleTitle", art.title),
+                     _leaf(pad3, "articleContent", art.content), closing)
+    _wrap(lines, pad1, "articles", articles)
+    lines += (_leaf(pad1, "issueLocation", loc_date.location),
+              _leaf(pad1, "issueDate", loc_date.date))
+    signatures: list[str] = []
+    for sig in doc.signatures:
+        name, position = _leaf(pad3, "name", sig.name), _leaf(pad3, "position", sig.position)
+        signatures += (f"{pad2}<signature>",
+                       *((name, position) if sig.kind is SignatureKind.TYPE1 else (position, name)),
+                       f"{pad2}</signature>")
+    _wrap(lines, pad1, "signatures", signatures)
+    lines.append(f"</{config.root_tag}>")
+    return lines
+
+
+def serialize(lines: list[str], config: EmitConfig = EmitConfig()) -> str:
+    """The declaration when configured, the lines, and a trailing newline."""
+    head = ('<?xml version="1.0" encoding="UTF-8"?>',) if config.xml_declaration else ()
+    return "\n".join((*head, *lines, ""))   # the text is copied once
 
 
 @_gc_paused
 def emit(doc: Document, config: EmitConfig = EmitConfig()) -> bytes:
     """Generate and serialize in one step, as UTF-8 bytes."""
-    return serialize(generate(doc, config.root_tag), config).encode("utf-8")
+    return serialize(generate(doc, config), config).encode("utf-8")

@@ -143,9 +143,9 @@ def fold_for_matching(word: str) -> str:
     call :func:`split_trailing` themselves.
 
     The function is pure, so its results are cached: a document repeats its
-    words, and the scanner folds the same word at a line head, in mid-line
-    probes and in NUM checks.  The cache is bounded: each entry keeps its
-    word and folded form alive until evicted, so at most 1,024 are held.
+    words, and the scanner folds the same word at a line head and in mid-line
+    probes.  The cache is bounded: each entry keeps its word and folded form
+    alive until evicted, so at most 1,024 are held.
     """
     return split_trailing(word)[0].translate(_FOLD_TABLE)
 

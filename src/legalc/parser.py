@@ -65,12 +65,16 @@ def _gc_paused(fn: _F) -> _F:
 
 @dataclass(frozen=True)
 class Statement:
+    """The statement line: the document type and its number."""
+
     doc_type: str   # original keyword spelling: قانون, قرار or مرسوم
     number: str     # digit run, original script
 
 
 @dataclass(frozen=True)
 class Article:
+    """One article: its number, its optional title and its content."""
+
     number: str
     title: str | None   # None exactly when the header line ends at the colon
     content: str
@@ -78,6 +82,8 @@ class Article:
 
 @dataclass(frozen=True)
 class LocDate:
+    """The issue line: location, date, and whether في joined them."""
+
     location: str
     date: str
     had_fi: bool
@@ -90,6 +96,8 @@ class SignatureKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Signature:
+    """One signature: its layout kind, the signer's name and position."""
+
     kind: SignatureKind
     name: str
     position: str
@@ -97,6 +105,8 @@ class Signature:
 
 @dataclass(frozen=True)
 class Document:
+    """A parsed document, one field per part of its layout."""
+
     statement: Statement
     title: str
     issuer: str

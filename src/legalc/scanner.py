@@ -48,7 +48,8 @@ from itertools import compress
 from operator import itemgetter
 from typing import NamedTuple
 
-from .normalize import _DIGITS, _FORMAT_CONTROLS, NormalizedText, fold_for_matching, split_trailing
+from .normalize import (_DIGITS, _FOLD_TABLE, _FORMAT_CONTROLS, NormalizedText, fold_for_matching,
+                        split_trailing)
 from .tokens import _PUNCTUATION, Span, StopSet, Token, TokenKind, _tuple_new
 
 
@@ -252,25 +253,28 @@ class Scanner:
         if stop_before is not None and (line, word) >= stop_before:
             raise ScanError("no input left in this scan region", Span.point(line, word))
 
+        words = lines[line]
         probe, take_num, stops = _FACTS[kinds]
         if (probe and (match := self._match(line, word, stop_before)) is not None
                 and match.kind in kinds):
             kind, last = match.kind, word + match.word_count - 1
-        elif (take_num and (folded := fold_for_matching(lines[line][word]))
-                and not folded.strip(_DIGITS)):   # a digit run, as is_digit_run tests
+            body = words[last]
+            body, trailing = split_trailing(body) if body[-1] in _CAN_TRAIL else (body, "")
+        # A NUM folds its word's body as fold_for_matching would, from the one
+        # split that also gives its trailing delimiter.
+        elif (take_num
+              and (folded := (split := split_trailing(words[word]))[0].translate(_FOLD_TABLE))
+              and not folded.strip(_DIGITS)):   # a digit run, as is_digit_run tests
             kind, last = _NUM, word
+            body, trailing = split
         else:
             return self._take_string(kinds, stop_before, probe, stops)
 
         # A keyword or NUM token of the words up to ``last``, holding the
         # last word's trailing delimiter as pending.
-        words = lines[line]
-        body = words[last]
-        if body[-1] in _CAN_TRAIL:
-            body, trailing = split_trailing(body)
-            if trailing:
-                self._pending = _tuple_new(Token, (_PUNCTUATION[trailing[0]], trailing,
-                                                   _tuple_new(Span, (line, last, line, last)), True))
+        if trailing:
+            self._pending = _tuple_new(Token, (_PUNCTUATION[trailing[0]], trailing,
+                                               _tuple_new(Span, (line, last, line, last)), True))
         self.line, self.word = (line, last + 1) if last + 1 < len(words) else (line + 1, 0)
         lexeme = body if last == word else " ".join((*words[word:last], body))
         return _tuple_new(Token, (kind, lexeme, _tuple_new(Span, (line, word, line, last)), False))

@@ -1,13 +1,14 @@
 """Command-line behavior: modes, exit codes, outputs, diagnostics."""
 
 import io
+import random
 import sys
 import time
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from docgen import many_articles
+from docgen import add_fold_noise, generate_document, many_articles, mutate_text
 from legalc.cli import render_diagnostic, run
 from legalc.codegen import emit
 from legalc.normalize import fold_for_matching, preprocess
@@ -366,3 +367,49 @@ def test_compile_calls_grow_linearly(shape):
     # 4.4x the calls (linear within 10 %)
     small, large = compile_calls(SHAPES[shape](250)), compile_calls(SHAPES[shape](1000))
     assert large <= 4.4 * small, (small, large, large / small)
+
+
+# Unicode Zs spaces other than the ASCII space, and characters a damaged copy
+# may gain: letters and keyword letters, both digit scripts, the delimiters,
+# XML markup, format controls, a harakah, a tab, a CR and invisible
+# separators that stay inside words.
+ZS_SPACES = "\u00a0\u1680\u2000\u2005\u200a\u202f\u205f\u3000"
+DAMAGE = "ابمدةرقإ٠٣9،.:؛<&>\"'\u200c\u200f\u064e\t\r\u200b\u2028x"
+
+
+def damaged(rng: random.Random, text: str) -> str:
+    """``text`` after 1-12 structural edits, and maybe fold noise, Zs spaces
+    for some ASCII spaces, and a few characters inserted or deleted."""
+    for _ in range(rng.randint(1, 12)):
+        text = mutate_text(rng, text)
+    if rng.random() < 0.3:
+        text = add_fold_noise(rng, text)
+    if rng.random() < 0.3:
+        text = "".join(rng.choice(ZS_SPACES) if ch == " " and rng.random() < 0.3 else ch
+                       for ch in text)
+    for _ in range(rng.choice((0, 0, 1, 3))):
+        k = rng.randrange(len(text))
+        text = text[:k] + (rng.choice(DAMAGE) if rng.random() < 0.5 else "") + text[k + 1:]
+    return text
+
+
+def test_structural_fuzz_at_document_size(tmp_path):
+    # whole documents broken in many places at once: every run ends in XML
+    # or in one located diagnostic, never in an exception
+    rng = random.Random(19)
+    target = tmp_path / "fuzz.txt"
+    codes = {0: 0, 1: 0}
+    for n in range(2000):
+        source = (generate_document(rng).text if rng.random() < 0.75
+                  else many_articles(rng.randint(1, 60)))
+        target.write_bytes(damaged(rng, source).encode("utf-8"))
+        code, out, err = invoke([str(target), "-o", "-"])
+        if code == 0:
+            assert err == "", n
+            ET.fromstring(out.encode("utf-8"))
+        else:
+            errors = [line for line in err.split("\n") if line.startswith("error:")]
+            assert code == 1 and len(errors) == 1 and out == "", (n, code, err)
+        codes[code] += 1
+    # the edits keep some documents valid and break most
+    assert codes[0] > 100 and codes[1] > 1000, codes

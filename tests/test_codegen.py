@@ -1,12 +1,13 @@
-"""XML generation: escaping, tree shape, serialization, round-trip."""
+"""XML generation: escaping, element order, layout, serialization, round-trip."""
 
+import dataclasses
 import random
 import xml.etree.ElementTree as ET
 
+import legalc.codegen as codegen
 from legalc import (
     Article,
     Document,
-    Element,
     EmitConfig,
     LocDate,
     Signature,
@@ -45,50 +46,131 @@ def test_escaped_text_survives_reparse_byte_exactly():
         assert ET.fromstring(xml).text == original
 
 
+def _reread(doc, config=EmitConfig()):
+    return ET.fromstring(emit(doc, config))
+
+
 def test_tree_shape_and_tag_order():
-    root = generate(SAMPLE)
-    assert [c.tag for c in root.children] == [
+    assert [c.tag for c in _reread(SAMPLE)] == [
         "type", "contentNumber", "title", "issuer", "references",
         "justifications", "articles", "issueLocation", "issueDate", "signatures",
     ]
 
 
 def test_numbers_westernized_only_where_numeric():
-    root = generate(SAMPLE)
-    by_tag = {c.tag: c for c in root.children}
-    assert by_tag["contentNumber"].text == "25"
-    articles = by_tag["articles"].children
-    assert articles[0].children[0].text == "1"
-    assert articles[1].children[0].text == "أولى"
-    assert by_tag["issueDate"].text == "٢٠٢٠"
+    # an article number that mixes digits and letters keeps its script
+    mixed = Article("٣مكرر", None, "نص")
+    root = _reread(dataclasses.replace(SAMPLE, articles=(*SAMPLE.articles, mixed)))
+    assert root.findtext("contentNumber") == "25"
+    assert [a.findtext("articleNumber") for a in root.find("articles")] == ["1", "أولى", "٣مكرر"]
+    assert root.findtext("issueDate") == "٢٠٢٠"
 
 
 def test_signature_child_order_depends_on_kind():
-    root = generate(SAMPLE)
-    sigs = [c for c in root.children if c.tag == "signatures"][0].children
-    assert [c.tag for c in sigs[0].children] == ["name", "position"]
-    assert [c.tag for c in sigs[1].children] == ["position", "name"]
+    sigs = _reread(SAMPLE).find("signatures")
+    assert [c.tag for c in sigs[0]] == ["name", "position"]
+    assert [c.tag for c in sigs[1]] == ["position", "name"]
 
 
 def test_empty_collections_self_close():
-    out = serialize(generate(SAMPLE))
+    root = _reread(SAMPLE)
+    empty = root.find("justifications")
+    assert len(empty) == 0 and empty.text is None
+    titles = [a.find("articleTitle") for a in root.find("articles")]
+    assert [t.text for t in titles] == ["فرعي", None]
+    out = emit(SAMPLE).decode("utf-8")
     assert "<justifications/>" in out
     assert "<articleTitle/>" in out
     assert "<articleTitle>فرعي</articleTitle>" in out
 
 
+# SAMPLE as emitted with the defaults: two spaces a level, with the declaration.
+LAYOUT = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<document>
+  <type>مرسوم</type>
+  <contentNumber>25</contentNumber>
+  <title>عنوان</title>
+  <issuer>الوزير</issuer>
+  <references>
+    <reference>الدستور</reference>
+  </references>
+  <justifications/>
+  <articles>
+    <article>
+      <articleNumber>1</articleNumber>
+      <articleTitle>فرعي</articleTitle>
+      <articleContent>نص</articleContent>
+    </article>
+    <article>
+      <articleNumber>أولى</articleNumber>
+      <articleTitle/>
+      <articleContent>نص آخر</articleContent>
+    </article>
+  </articles>
+  <issueLocation>بيروت</issueLocation>
+  <issueDate>٢٠٢٠</issueDate>
+  <signatures>
+    <signature>
+      <name>فلان</name>
+      <position>منصب</position>
+    </signature>
+    <signature>
+      <position>موقع</position>
+      <name>علان</name>
+    </signature>
+  </signatures>
+</document>
+"""
+
+
+def _layout(indent: int, declaration: bool = True, root: str = "document") -> str:
+    """LAYOUT with ``indent`` spaces a level, the declaration kept or dropped
+    and the root renamed."""
+    lines = LAYOUT.splitlines(keepends=True)[0 if declaration else 1:]
+    text = "".join(" " * (indent * ((len(line) - len(line.lstrip(" "))) // 2)) + line.lstrip(" ")
+                   for line in lines)
+    return text.replace("<document>", f"<{root}>").replace("</document>", f"</{root}>")
+
+
 def test_serialize_layout():
-    out = serialize(Element("r", children=[Element("a", "x"), Element("b")]))
-    assert out == ('<?xml version="1.0" encoding="UTF-8"?>\n'
-                   "<r>\n  <a>x</a>\n  <b/>\n</r>\n")
+    assert emit(SAMPLE).decode("utf-8") == LAYOUT
 
 
 def test_serialize_options():
-    el = Element("r", "x")
-    assert serialize(el, EmitConfig(xml_declaration=False)) == "<r>x</r>\n"
-    nested = Element("r", children=[Element("a", "x")])
-    out = serialize(nested, EmitConfig(indent=4, xml_declaration=False))
-    assert out == "<r>\n    <a>x</a>\n</r>\n"
+    assert _layout(2) == LAYOUT
+    assert _layout(4, root="decree").splitlines()[1:3] == ["<decree>", "    <type>مرسوم</type>"]
+    for config in (EmitConfig(indent=0), EmitConfig(indent=4),
+                   EmitConfig(xml_declaration=False), EmitConfig(indent=0, xml_declaration=False),
+                   EmitConfig(root_tag="decree", indent=4),
+                   EmitConfig(root_tag="decree", indent=2, xml_declaration=False)):
+        expected = _layout(config.indent, config.xml_declaration, config.root_tag)
+        assert emit(SAMPLE, config).decode("utf-8") == expected, config
+
+
+def test_generate_gives_the_root_lines_and_serialize_frames_them():
+    lines = generate(SAMPLE, EmitConfig(indent=4))
+    assert lines == _layout(4, declaration=False).splitlines()
+    assert serialize(["<r>", "  <a>x</a>", "</r>"]) == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n<r>\n  <a>x</a>\n</r>\n')
+    assert serialize(["<r>x</r>"], EmitConfig(xml_declaration=False)) == "<r>x</r>\n"
+
+
+def test_emit_calls_generate_and_serialize_once_each(monkeypatch):
+    # the benchmark times the two layers by wrapping these module globals
+    calls = {"generate": 0, "serialize": 0}
+
+    def counting(name):
+        fn = getattr(codegen, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(codegen, name, counting(name))
+    assert emit(SAMPLE) == LAYOUT.encode("utf-8")
+    assert calls == {"generate": 1, "serialize": 1}
 
 
 def test_emit_is_utf8_bytes_with_trailing_newline():
@@ -111,16 +193,19 @@ def _structure(node):
     return (node.tag, node.text or "")
 
 
-def _our_structure(el: Element):
-    if el.children:
-        return (el.tag, [_our_structure(c) for c in el.children])
-    return (el.tag, el.text)
-
-
 def test_round_trip_structure_matches_element_tree():
-    root = generate(SAMPLE)
-    reparsed = ET.fromstring(serialize(root).encode("utf-8"))
-    assert _structure(reparsed) == _our_structure(root)
+    assert _structure(_reread(SAMPLE)) == ("document", [
+        ("type", "مرسوم"), ("contentNumber", "25"), ("title", "عنوان"), ("issuer", "الوزير"),
+        ("references", [("reference", "الدستور")]), ("justifications", ""),
+        ("articles", [
+            ("article", [("articleNumber", "1"), ("articleTitle", "فرعي"),
+                         ("articleContent", "نص")]),
+            ("article", [("articleNumber", "أولى"), ("articleTitle", ""),
+                         ("articleContent", "نص آخر")])]),
+        ("issueLocation", "بيروت"), ("issueDate", "٢٠٢٠"),
+        ("signatures", [("signature", [("name", "فلان"), ("position", "منصب")]),
+                        ("signature", [("position", "موقع"), ("name", "علان")])]),
+    ])
 
 
 def test_corpus_outputs_reparse_and_match_goldens(corpus_paths, golden_dir):

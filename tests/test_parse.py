@@ -552,10 +552,12 @@ def test_public_names_resolve():
 
 def test_removed_names_stay_removed():
     # Test-only helpers and members no caller in the package used; the
-    # helpers live on in tests/descent.py.
+    # helpers live on in tests/descent.py.  The code generator writes lines,
+    # not an element tree.
     import legalc
-    from legalc import normalize, parser, scanner, tokens
+    from legalc import codegen, normalize, parser, scanner, tokens
     removed = [(legalc, "parse_token_kinds"), (legalc, "segment_trailer"),
+               (legalc, "Element"), (codegen, "Element"), (codegen, "_render"),
                (parser, "parse_token_kinds"), (parser, "rejects_all_extensions"),
                (parser, "segment_trailer"), (parser, "StopSet"),
                (scanner, "line_heads"), (tokens, "punctuation_kind"),
@@ -563,7 +565,7 @@ def test_removed_names_stay_removed():
                (tokens.StopSet, "until"), (normalize.NormalizedText, "word")]
     for owner, name in removed:
         assert not hasattr(owner, name), name
-    assert {"parse_token_kinds", "segment_trailer"}.isdisjoint(legalc.__all__)
+    assert {"parse_token_kinds", "segment_trailer", "Element"}.isdisjoint(legalc.__all__)
 
 
 def test_ast_nodes_support_dataclass_replace():
