@@ -6,8 +6,8 @@ are exposed for tools and tests.
 """
 
 from .normalize import DecodeError, NormalizedText, preprocess
-from .tokens import Span, StopSet, Token, TokenKind
-from .scanner import ScanError, Scanner, dump_tokens, reconstruct_words
+from .tokens import Span, Token, TokenKind
+from .scanner import Scanner, dump_tokens, reconstruct_words
 from .grammar import LengthBoundError, derivable_strings, min_derivable_length, oracle_accepts
 from .parser import (
     Article,
@@ -41,8 +41,8 @@ def compile_document(data: bytes, source_name: str = "<input>",
                      config: EmitConfig = EmitConfig()) -> bytes:
     """Bytes in, XML bytes out.
 
-    Raises :class:`DecodeError` on invalid UTF-8 and
-    :class:`DocumentRejected` when the document does not match the grammar.
+    Raises :class:`DecodeError` on invalid UTF-8 or a character XML forbids,
+    and :class:`DocumentRejected` when the document does not match the grammar.
     """
     text = preprocess(data, source_name)
     result = parse_document(text)
@@ -62,14 +62,12 @@ __all__ = [
     "LocDate",
     "NormalizedText",
     "ParseResult",
-    "ScanError",
     "ScanResult",
     "Scanner",
     "Signature",
     "SignatureKind",
     "Span",
     "Statement",
-    "StopSet",
     "Token",
     "TokenKind",
     "compile_document",

@@ -24,7 +24,8 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
 
-_TAG_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
+_TAG_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+_MAX_INDENT = 64
 
 
 @functools.cache   # one parser per process: argparse builds reference cycles
@@ -44,7 +45,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     mode.add_argument("--dump-ast", action="store_true",
                       help="print the parsed structure instead of XML")
     parser.add_argument("--indent", type=int, default=2, metavar="N",
-                        help="XML indent width (default: 2)")
+                        help=f"XML indent width, 0 to {_MAX_INDENT} (default: 2)")
     parser.add_argument("--root-tag", default="document", metavar="NAME",
                         help="root element name (default: document)")
     parser.add_argument("--no-declaration", action="store_true",
@@ -53,9 +54,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def render_diagnostic(diag: Diagnostic, text: NormalizedText) -> str:
-    """Human-readable rendering: location header, offending line, caret."""
+    """Human-readable rendering: location header, offending line, caret.  The
+    span indexes ``text.lines``; the header gives the line's source number."""
     line, word = diag.span.start_line, diag.span.start_word
-    out = [f"error: {diag.message} at {text.source_name}:{line + 1}:{word + 1}"]
+    number = text.line_numbers[line] if line < len(text.line_numbers) else line + 1
+    out = [f"error: {diag.message} at {text.source_name}:{number}:{word + 1}"]
     if line < text.line_count and text.words(line):
         words = text.words(line)
         line_str = text.line_text(line)
@@ -142,10 +145,10 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None,
     if args.output and len(args.inputs) > 1:
         err.write("legalc: error: -o/--output requires exactly one input\n")
         return EXIT_USAGE
-    if args.indent < 0:
-        err.write("legalc: error: --indent must be non-negative\n")
+    if not 0 <= args.indent <= _MAX_INDENT:
+        err.write(f"legalc: error: --indent must be between 0 and {_MAX_INDENT}\n")
         return EXIT_USAGE
-    if not _TAG_NAME.match(args.root_tag):
+    if not _TAG_NAME.fullmatch(args.root_tag):
         err.write(f"legalc: error: invalid root tag name: {args.root_tag!r}\n")
         return EXIT_USAGE
     code = EXIT_OK

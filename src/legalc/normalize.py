@@ -67,12 +67,19 @@ _OTHER_SPACE_LEADS = (b"\xc2", b"\xe1", b"\xe2", b"\xe3")
 # close clauses and headers.
 TRAILING_PUNCTUATION = ("،", ".", ":")  # ، . :
 
+# What XML 1.0 forbids that valid UTF-8 can carry: the C0 controls but tab,
+# LF and CR (one byte each), U+FFFE and U+FFFF.  Every input is checked in C;
+# the regex only locates the first one in an input known to hold one.
+_C0_ILLEGAL = bytes([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20)])
+_XML_ILLEGAL = b"[" + re.escape(_C0_ILLEGAL) + b"]|\xef\xbf[\xbe\xbf]"
+
 
 class DecodeError(ValueError):
-    """Input is not valid UTF-8.  ``byte_offset`` points at the bad byte."""
+    """Input is not valid UTF-8, or holds a character that XML 1.0 forbids.
+    ``byte_offset`` points at the bad byte or character."""
 
-    def __init__(self, byte_offset: int, reason: str):
-        super().__init__(f"invalid UTF-8 at byte {byte_offset}: {reason}")
+    def __init__(self, byte_offset: int, reason: str, problem: str = "invalid UTF-8"):
+        super().__init__(f"{problem} at byte {byte_offset}: {reason}")
         self.byte_offset = byte_offset
         self.reason = reason
 
@@ -83,11 +90,13 @@ class NormalizedText(NamedTuple):
     ``lines`` holds the non-blank lines in order, each a tuple of its words.
     A word never contains a space (of any Unicode Zs kind) or tab, so a
     line's canonical text is its words joined by single spaces
-    (:meth:`line_text`).
+    (:meth:`line_text`).  Spans index ``lines``; ``line_numbers`` holds each
+    one's 1-based line number in the source, where blank lines count.
     """
 
     lines: tuple[tuple[str, ...], ...]
     source_name: str = "<input>"
+    line_numbers: tuple[int, ...] = ()
 
     @property
     def line_count(self) -> int:
@@ -106,12 +115,19 @@ def preprocess(data: bytes, source_name: str = "<input>") -> NormalizedText:
     Steps, in order: UTF-8 decode (a leading BOM is tolerated and dropped),
     CR/LF and CR to LF, Unicode NFC, every other Unicode space (category
     Zs) to a plain space, line split, space/tab runs collapse, blank lines
-    drop.  Raises :class:`DecodeError` on bad UTF-8.
+    drop.  Raises :class:`DecodeError` on bad UTF-8 and on a character that
+    XML 1.0 forbids.
     """
     try:
         decoded = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DecodeError(exc.start, exc.reason) from None
+    # The two noncharacters are found faster in the text than in the bytes.
+    if (len(data.translate(None, _C0_ILLEGAL)) != len(data)
+            or "\ufffe" in decoded or "\uffff" in decoded):
+        bad = re.search(_XML_ILLEGAL, data)
+        raise DecodeError(bad.start(), f"U+{ord(bad[0].decode()):04X} is not allowed in XML",
+                          "illegal character")
     decoded = decoded.replace("\r\n", "\n").replace("\r", "\n")
     decoded = unicodedata.normalize("NFC", decoded)
     if any(lead in data for lead in _OTHER_SPACE_LEADS):
@@ -124,14 +140,16 @@ def preprocess(data: bytes, source_name: str = "<input>") -> NormalizedText:
     # line left with no words drops.
     decoded = decoded.replace("\t", " ")
     lines: list[tuple[str, ...]] = []
-    for raw_line in decoded.split("\n"):
+    numbers: list[int] = []
+    for number, raw_line in enumerate(decoded.split("\n"), 1):
         words = raw_line.split(" ")
         if "" in words:
             words = [*filter(None, words)]
             if not words:
                 continue
         lines.append(tuple(words))
-    return NormalizedText(tuple(lines), source_name)
+        numbers.append(number)
+    return NormalizedText(tuple(lines), source_name, tuple(numbers))
 
 
 @functools.lru_cache(maxsize=1024)

@@ -437,7 +437,7 @@ def _merge_region(tokens: list[Token]) -> Token:
 
 # The kinds sets the driver expects, built once; none holds STRING.  The
 # driver hands the scanner one of these and, where a scan is scoped to a
-# line or region, the bound as they are, so a bounded scan builds no stop set.
+# line or region, the bound as they are, so a bounded scan builds nothing.
 _ANY: frozenset[TokenKind] = frozenset()
 _NUMBER = frozenset((K.NUM, K.COLON))
 _STOP_AT = {kind: frozenset((kind,)) for kind in (
@@ -474,13 +474,13 @@ class _Driver:
     def take(self, kinds: frozenset[TokenKind], bound: tuple[int, int] | None = None) -> Token:
         """The next token expecting ``kinds``, scoped to end before ``bound``,
         kept in the fine stream unless it is EOF."""
-        tok = self.sc._take(kinds, bound)
+        tok = self.sc.take(kinds, bound)
         if tok.kind is not _EOF:
             self.fine.append(tok)
         return tok
 
     def drain(self) -> None:
-        if self.sc._pending is not None:
+        if self.sc.pending is not None:
             self.take(_ANY)
 
     def at(self, kind: TokenKind) -> bool:
@@ -493,15 +493,15 @@ class _Driver:
         delimiter still pending there.  Every caller's bound lies within the
         text, so no token taken here is EOF."""
         sc = self.sc
-        take, append, kinds = sc._take, self.fine.append, _ANY
-        while sc._pending is not None or (sc.line, sc.word) < bound:
+        take, append, kinds = sc.take, self.fine.append, _ANY
+        while sc.pending is not None or (sc.line, sc.word) < bound:
             append(take(kinds, bound))
 
     def run(self) -> ScanResult:
         self._policy()
         self._residual()
         fine = self.fine
-        fine.append(self.sc._take(_ANY, None))
+        fine.append(self.sc.take(_ANY, None))
         grammar: list[Token] = []
         done = 0
         for start, end, merged in self.merged:
@@ -535,7 +535,7 @@ class _Driver:
         if self.at(K.YAKOUR):
             self.take(_STOP_AT[K.YAKOUR])
             self.take(_STOP_AT[K.COLON])
-        if sc.at_end() and sc._pending is None:
+        if sc.at_end() and sc.pending is None:
             return
         loc_date_line = _segment_trailer(sc.text, sc.heads, sc.line)
         if isinstance(loc_date_line, Diagnostic):
@@ -554,7 +554,7 @@ class _Driver:
     def _articles(self, boundary_line: int) -> None:
         sc = self.sc
         heads, first = sc.heads, sc.line
-        if (first < boundary_line and sc.word == 0 and sc._pending is None
+        if (first < boundary_line and sc.word == 0 and sc.pending is None
                 and (head := heads[first]) is not None and head.kind is _MADA):
             # Each article runs from its مادة line to the next one, the last
             # to the location/date line.  An article's scan ends exactly at
@@ -571,15 +571,15 @@ class _Driver:
 
     def _one_article(self, header_line: int, content_end: int) -> None:
         sc, fine = self.sc, self.fine
-        take, append = sc._take, fine.append
+        take, append = sc.take, fine.append
         header_end = (header_line + 1, 0)
         # The header takes all stay before ``header_end``, a line that exists,
         # so none meets EOF.
         append(take(_AT_MADA, header_end))
         for kinds in _HEADER:                                   # number, colon, title
-            if sc._pending is not None or (sc.line, sc.word) < header_end:
+            if sc.pending is not None or (sc.line, sc.word) < header_end:
                 append(take(kinds, header_end))
-        if sc._pending is not None:
+        if sc.pending is not None:
             append(take(_ANY, header_end))
         start = len(fine)
         self.text_to((content_end, 0))
@@ -590,7 +590,7 @@ class _Driver:
 
     def _loc_date(self, line: int) -> None:
         sc = self.sc
-        if (sc.line, sc.word) != (line, 0) or sc._pending is not None:
+        if (sc.line, sc.word) != (line, 0) or sc.pending is not None:
             return
         line_end = (line + 1, 0)
         words = sc.text.words(line)
@@ -618,7 +618,7 @@ class _Driver:
             line_end = (sc.line + 1, 0)
             if sc.word == 0 and self.at(K.IMDAA):
                 self.take(_STOP_AT[K.IMDAA])
-                if sc._pending is not None or (sc.line, sc.word) < line_end:
+                if sc.pending is not None or (sc.line, sc.word) < line_end:
                     self.take(_STOP_AT[K.COLON], line_end)
             self.text_to(line_end)                                           # name, or the line
 
@@ -640,14 +640,10 @@ def parse_document(text: NormalizedText) -> ParseResult:
     one diagnostic, the earliest detected."""
     scan = scan_document(text)
     doc, grammar_diag = parse_grammar_tokens(scan.grammar_tokens)
-    diagnostics: list[Diagnostic] = []
-    if doc is None or scan.diagnostics:
+    diagnostics = scan.diagnostics + ([grammar_diag] if grammar_diag is not None else [])
+    if diagnostics:   # a scan diagnostic rejects a document the grammar accepts
         doc = None
-        candidates = list(scan.diagnostics)
-        if grammar_diag is not None:
-            candidates.append(grammar_diag)
-        first = min(candidates, key=lambda d: (d.span.start_line, d.span.start_word))
-        diagnostics = [first]
+        diagnostics = [min(diagnostics, key=lambda d: (d.span.start_line, d.span.start_word))]
     return ParseResult(doc, diagnostics, scan.tokens, scan.grammar_tokens)
 
 

@@ -1,8 +1,8 @@
 """Expectation-driven tokenizer.
 
 The scanner has no fixed token boundaries of its own: the parser tells it,
-via a :class:`~legalc.tokens.StopSet`, which kinds may come next, and free
-text (STRING) accumulates until an expected keyword, a phrase delimiter or a
+with each :meth:`Scanner.take`, which kinds may come next, and free text
+(STRING) accumulates until an expected keyword, a phrase delimiter or a
 scope bound ends it.  Matching uses folded spellings so that e.g. الامضاء
 matches the الإمضاء keyword; emitted lexemes always keep the original text.
 
@@ -14,12 +14,8 @@ All phrases that share a first word have the same length, so no phrase is a
 proper prefix of another, and a scope bound can only keep a phrase whole or
 rule it out: the bound is one comparison on the matched phrase's last word.
 
-Handing over a token is one call to the private ``Scanner._take(kinds,
-stop_before)``.  The layout driver passes one of its constant kinds sets and
-a bound, so a scoped scan builds no stop set; :meth:`Scanner.next_token`,
-the public entry, unpacks its :class:`~legalc.tokens.StopSet` into it.
-What a kinds set decides (probe for keywords or not, take a NUM or not,
-which stop strings end text) is worked out once per set, on first use, in
+Handing over a token is one call to :meth:`Scanner.take`, the scanner's one
+entry.  What a kinds set decides is worked out once, on its first use, in
 the module dict ``_FACTS``.
 
 STRING accumulation walks one line's word tuple at a time.  The scope bound
@@ -27,7 +23,7 @@ becomes a word limit once per line.  A word's last character is tested
 against the line-final stop string, which holds every character that can
 stop the text; only on a hit is the word checked, past any trailing format
 controls, against the string for its place (mid-line or line-final).  A
-word is probed for a keyword only mid-line and only when the stop set
+word is probed for a keyword only mid-line and only when the kinds set
 expects one.  The words a line gives the text are taken with one slice, and
 the cursor is written back once, when the token is done.
 
@@ -50,15 +46,7 @@ from typing import NamedTuple
 
 from .normalize import (_DIGITS, _FOLD_TABLE, _FORMAT_CONTROLS, NormalizedText, fold_for_matching,
                         split_trailing)
-from .tokens import _PUNCTUATION, Span, StopSet, Token, TokenKind, _tuple_new
-
-
-class ScanError(Exception):
-    """Raised when a scan request cannot yield a token (empty region)."""
-
-    def __init__(self, message: str, span: Span):
-        super().__init__(message)
-        self.span = span
+from .tokens import _PUNCTUATION, Span, Token, TokenKind, _tuple_new
 
 
 _SPELLINGS: tuple[tuple[str, TokenKind], ...] = (
@@ -118,7 +106,7 @@ _KEYWORDS = _build_index(_SPELLINGS)
 _ONE_WORD_HEADS = {first: phrases[()] for first, (n, phrases) in _KEYWORDS.items() if n == 1}
 _OPENS_PHRASE = frozenset(first for first, (n, _) in _KEYWORDS.items() if n > 1)
 
-# A stop set without any of these cannot use a keyword match, so the scanner
+# A kinds set without any of these cannot use a keyword match, so the scanner
 # does not probe for one.
 _KEYWORD_KINDS = frozenset(kind for _, kind in _SPELLINGS)
 
@@ -137,9 +125,12 @@ _CAN_TRAIL = _STOP_CHARS[True][1]
 class _StopFacts(dict):
     """Expected kinds -> what they decide for a scan: (probe for keywords,
     take a NUM, the stop strings).  Each kinds set is worked out on first
-    use, and a document's scan meets only a handful of them."""
+    use, and a document's scan meets only a handful of them.  A set holding
+    STRING is refused before anything is cached, so it raises at every use."""
 
     def __missing__(self, kinds: frozenset[TokenKind]) -> tuple[bool, bool, tuple[str, str]]:
+        if _STRING in kinds:
+            raise ValueError("STRING cannot be an expected stop kind")
         facts = self[kinds] = (not kinds.isdisjoint(_KEYWORD_KINDS), TokenKind.NUM in kinds,
                                _STOP_CHARS[TokenKind.COLON in kinds])
         return facts
@@ -183,15 +174,15 @@ def match_keyword_phrase(text: NormalizedText, line: int, word: int) -> KeywordM
 class Scanner:
     """Stateful tokenizer over one :class:`NormalizedText`.
 
-    The cursor only moves forward.  At most one detached delimiter is ever
-    pending, and it is emitted before the next word is consumed.
+    The cursor only moves forward.  At most one delimiter is ever
+    :attr:`pending` (else None), and the next take returns it first.
     """
 
     def __init__(self, text: NormalizedText):
         self.text = text
         self.line = 0
         self.word = 0
-        self._pending: Token | None = None
+        self.pending: Token | None = None
         # Each line's head, what ``match_keyword_phrase(text, line, 0)`` gives.
         # Folding and the one-word lookup run in C; a line whose first word
         # opens a longer phrase is probed through the module global that
@@ -223,27 +214,28 @@ class Scanner:
     def peek_keyword(self) -> KeywordMatch | None:
         """Non-consuming keyword match at the cursor, regardless of kind; None
         at the end of input and while a delimiter is pending."""
-        if self._pending is not None or self.line >= len(self.text.lines):
+        if self.pending is not None or self.line >= len(self.text.lines):
             return None
         return self._match(self.line, self.word, None)
 
     # -- tokenization ---------------------------------------------------
 
-    def next_token(self, expect: StopSet) -> Token:
-        """Produce the next token under the given expectations.
+    def take(self, kinds: frozenset[TokenKind],
+             stop_before: tuple[int, int] | None = None) -> Token:
+        """The next token expecting ``kinds``, scanned no further than the
+        (line, word) bound ``stop_before``.
 
-        A pending detached delimiter is emitted first.  Then, in order: a
-        keyword phrase whose kind is expected; a NUM when expected and the
-        word is a digit run; otherwise STRING accumulation.  Raises
-        :class:`ScanError` when asked for a token in an exhausted scope.
+        A pending delimiter comes first.  Then, in order: an expected keyword
+        phrase; a digit run when NUM is expected; otherwise STRING, which an
+        expected keyword ends mid-line (never at a line start), as do a '،',
+        a line-final '.' and, when COLON is expected, a ':'.  Only the keyword
+        kinds, NUM and COLON in ``kinds`` matter.  At the end of the input the
+        token is EOF.  Raises :class:`ValueError` when the cursor is at or past
+        ``stop_before``, or when a word is to be read and ``kinds`` holds STRING.
         """
-        return self._take(expect.kinds, expect.stop_before)
-
-    def _take(self, kinds: frozenset[TokenKind], stop_before: tuple[int, int] | None) -> Token:
-        """:meth:`next_token` for a stop set given as its two fields."""
-        pending = self._pending
+        pending = self.pending
         if pending is not None:
-            self._pending = None
+            self.pending = None
             return pending
 
         line, word = self.line, self.word
@@ -251,7 +243,7 @@ class Scanner:
         if line >= len(lines):
             return Token(TokenKind.EOF, "", self._eof_span())
         if stop_before is not None and (line, word) >= stop_before:
-            raise ScanError("no input left in this scan region", Span.point(line, word))
+            raise ValueError(f"no input left before {stop_before}: the cursor is at {line, word}")
 
         words = lines[line]
         probe, take_num, stops = _FACTS[kinds]
@@ -273,7 +265,7 @@ class Scanner:
         # A keyword or NUM token of the words up to ``last``, holding the
         # last word's trailing delimiter as pending.
         if trailing:
-            self._pending = _tuple_new(Token, (_PUNCTUATION[trailing[0]], trailing,
+            self.pending = _tuple_new(Token, (_PUNCTUATION[trailing[0]], trailing,
                                                _tuple_new(Span, (line, last, line, last)), True))
         self.line, self.word = (line, last + 1) if last + 1 < len(words) else (line + 1, 0)
         lexeme = body if last == word else " ".join((*words[word:last], body))
@@ -345,7 +337,7 @@ class Scanner:
                 # The very first word was standalone punctuation that stopped
                 # accumulation; hand it out directly instead of an empty STRING.
                 return delimiter
-            self._pending = delimiter
+            self.pending = delimiter
         return _tuple_new(Token, (_STRING, " ".join(pieces),
                                   _tuple_new(Span, (start_line, start_word, end_line, end_word)),
                                   False))

@@ -1,8 +1,8 @@
-"""Token kinds, source spans and scanner stop sets.
+"""Token kinds, source spans and tokens.
 
-Spans and tokens are made in the scanner's inner loop, so they, and stop
-sets with them, are plain :class:`typing.NamedTuple` records: immutable,
-compared and hashed by value, and cheaper to build than frozen dataclasses.
+Spans and tokens are made in the scanner's inner loop, so they are plain
+:class:`typing.NamedTuple` records: immutable, compared and hashed by value,
+and cheaper to build than frozen dataclasses.
 
 The hot paths (the scanner's token sites and the parser's region merge)
 build them with ``tuple.__new__(Token, (...))``, as the record's own
@@ -104,24 +104,3 @@ class Token(NamedTuple):
 
 _PUNCTUATION = {"،": TokenKind.COMMA, ".": TokenKind.DOT, ":": TokenKind.COLON}
 
-
-class StopSet(NamedTuple):
-    """What a :meth:`~legalc.scanner.Scanner.next_token` caller expects next.
-
-    Of ``kinds`` the scanner reads only the keyword kinds, NUM and COLON: an
-    expected keyword phrase is taken as its token and ends free text
-    mid-line (never at a line start), NUM takes a digit run, and COLON lets a
-    ':' end text.  A '،' and a line-final '.' always end text, whatever the
-    kinds.  ``stop_before`` is a hard (line, word) bound the scan may not
-    cross; a caller uses it to scope line- and region-local scans.
-    """
-
-    kinds: frozenset[TokenKind] = frozenset()
-    stop_before: tuple[int, int] | None = None
-
-    @classmethod
-    def of(cls, *kinds: TokenKind, stop_before: tuple[int, int] | None = None) -> StopSet:
-        """The stop set for ``kinds``; STRING is never a stop kind."""
-        if TokenKind.STRING in kinds:
-            raise ValueError("STRING cannot be an expected stop kind")
-        return cls(frozenset(kinds), stop_before)

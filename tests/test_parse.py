@@ -553,7 +553,7 @@ def test_public_names_resolve():
 def test_removed_names_stay_removed():
     # Test-only helpers and members no caller in the package used; the
     # helpers live on in tests/descent.py.  The code generator writes lines,
-    # not an element tree.
+    # not an element tree.  The scanner's one entry is Scanner.take.
     import legalc
     from legalc import codegen, normalize, parser, scanner, tokens
     removed = [(legalc, "parse_token_kinds"), (legalc, "segment_trailer"),
@@ -562,10 +562,13 @@ def test_removed_names_stay_removed():
                (parser, "segment_trailer"), (parser, "StopSet"),
                (scanner, "line_heads"), (tokens, "punctuation_kind"),
                (scanner.Scanner, "position"), (scanner.Scanner, "has_pending"),
-               (tokens.StopSet, "until"), (normalize.NormalizedText, "word")]
+               (normalize.NormalizedText, "word"),
+               (legalc, "StopSet"), (tokens, "StopSet"), (legalc, "ScanError"),
+               (scanner, "ScanError"), (scanner.Scanner, "next_token")]
     for owner, name in removed:
         assert not hasattr(owner, name), name
-    assert {"parse_token_kinds", "segment_trailer", "Element"}.isdisjoint(legalc.__all__)
+    assert {"parse_token_kinds", "segment_trailer", "Element", "StopSet",
+            "ScanError"}.isdisjoint(legalc.__all__)
 
 
 def test_ast_nodes_support_dataclass_replace():

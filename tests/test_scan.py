@@ -1,4 +1,4 @@
-"""Scanner behavior: keyword phrases, stop sets, pending punctuation."""
+"""Scanner behavior: keyword phrases, expected kinds and bounds, pending punctuation."""
 
 import copy
 import pickle
@@ -11,13 +11,12 @@ import docgen
 from legalc.normalize import is_digit_run, preprocess
 from legalc.parser import _ANY, _NUMBER, _STOP_AT, scan_document
 from legalc.scanner import (
-    ScanError,
     Scanner,
     dump_tokens,
     match_keyword_phrase,
     reconstruct_words,
 )
-from legalc.tokens import Span, StopSet, Token, TokenKind
+from legalc.tokens import Span, Token, TokenKind
 
 K = TokenKind
 
@@ -95,11 +94,11 @@ def test_match_respects_stop_before_limit():
     assert match_keyword_phrase(text, 0, 1) is not None
     # a bound excluding the phrase's second word leaves it plain text
     sc = Scanner(text)
-    assert sc.next_token(StopSet.of(K.BINAA, stop_before=(0, 2))).lexeme == "كذا بناء"
+    assert sc.take(frozenset({K.BINAA}), (0, 2)).lexeme == "كذا بناء"
     sc = Scanner(text)
-    expect = StopSet.of(K.BINAA, stop_before=(0, 3))
-    assert sc.next_token(expect) == Token(K.STRING, "كذا", Span(0, 0, 0, 0))
-    assert sc.next_token(expect) == Token(K.BINAA, "بناء على", Span(0, 1, 0, 2))
+    kinds = frozenset({K.BINAA})
+    assert sc.take(kinds, (0, 3)) == Token(K.STRING, "كذا", Span(0, 0, 0, 0))
+    assert sc.take(kinds, (0, 3)) == Token(K.BINAA, "بناء على", Span(0, 1, 0, 2))
 
 
 def test_bench_hooks_resolve_on_scanner_and_parser():
@@ -123,94 +122,94 @@ def test_scan_number():
 
 def test_statement_line_tokens():
     sc = Scanner(norm("مرسوم رقم ٢٥"))
-    assert sc.next_token(StopSet.of(K.TYPE)).kind is K.TYPE
-    assert sc.next_token(StopSet.of(K.RAQM)).kind is K.RAQM
-    tok = sc.next_token(StopSet.of(K.NUM))
+    assert sc.take(frozenset({K.TYPE})).kind is K.TYPE
+    assert sc.take(frozenset({K.RAQM})).kind is K.RAQM
+    tok = sc.take(frozenset({K.NUM}))
     assert (tok.kind, tok.lexeme) == (K.NUM, "٢٥")
-    assert sc.next_token(StopSet.of()).kind is K.EOF
+    assert sc.take(frozenset()).kind is K.EOF
 
 
 def test_number_only_taken_when_expected():
     sc = Scanner(norm("٢٥ كذا"))
-    tok = sc.next_token(StopSet.of())
+    tok = sc.take(frozenset())
     assert tok.kind is K.STRING
     assert tok.lexeme == "٢٥ كذا"
 
 
 def test_string_stops_at_attached_comma_and_queues_it():
     sc = Scanner(norm("رئيس الجمهورية، كذا"))
-    tok = sc.next_token(StopSet.of(K.COMMA))
+    tok = sc.take(frozenset({K.COMMA}))
     assert (tok.kind, tok.lexeme) == (K.STRING, "رئيس الجمهورية")
-    comma = sc.next_token(StopSet.of(K.COMMA))
+    comma = sc.take(frozenset({K.COMMA}))
     assert (comma.kind, comma.detached) == (K.COMMA, True)
-    rest = sc.next_token(StopSet.of())
+    rest = sc.take(frozenset())
     assert (rest.kind, rest.lexeme) == (K.STRING, "كذا")
 
 
 def test_no_keyword_is_peeked_while_a_delimiter_is_pending():
     sc = Scanner(norm("كذا، بناء على"))
-    assert sc.next_token(StopSet.of(K.COMMA)).lexeme == "كذا"
-    assert sc._pending is not None and sc.peek_keyword() is None
-    assert sc.next_token(StopSet.of(K.BINAA)).kind is K.COMMA
+    assert sc.take(frozenset({K.COMMA})).lexeme == "كذا"
+    assert sc.pending is not None and sc.peek_keyword() is None
+    assert sc.take(frozenset({K.BINAA})).kind is K.COMMA
     assert sc.peek_keyword() == (K.BINAA, 2)
 
 
 def test_standalone_comma_stops_and_is_not_detached():
     sc = Scanner(norm("كذا ، تابع"))
-    tok = sc.next_token(StopSet.of(K.COMMA))
+    tok = sc.take(frozenset({K.COMMA}))
     assert tok.lexeme == "كذا"
-    comma = sc.next_token(StopSet.of())
+    comma = sc.take(frozenset())
     assert (comma.kind, comma.detached) == (K.COMMA, False)
 
 
 def test_comma_stops_even_when_unexpected():
     sc = Scanner(norm("كذا، تابع"))
-    tok = sc.next_token(StopSet.of())
+    tok = sc.take(frozenset())
     assert tok.lexeme == "كذا"
-    assert sc.next_token(StopSet.of()).kind is K.COMMA
+    assert sc.take(frozenset()).kind is K.COMMA
 
 
 def test_dot_stops_only_at_line_end():
     sc = Scanner(norm("قمر. شمس نهاية.\nجبل"))
-    tok = sc.next_token(StopSet.of(K.DOT))
+    tok = sc.take(frozenset({K.DOT}))
     assert tok.lexeme == "قمر. شمس نهاية"
-    assert sc.next_token(StopSet.of(K.DOT)).kind is K.DOT
-    assert sc.next_token(StopSet.of()).lexeme == "جبل"
+    assert sc.take(frozenset({K.DOT})).kind is K.DOT
+    assert sc.take(frozenset()).lexeme == "جبل"
 
 
 def test_colon_stops_only_when_expected():
     sc = Scanner(norm("عنوان: تابع"))
-    tok = sc.next_token(StopSet.of())
+    tok = sc.take(frozenset())
     assert tok.lexeme == "عنوان: تابع"
     sc = Scanner(norm("عنوان: تابع"))
-    tok = sc.next_token(StopSet.of(K.COLON))
+    tok = sc.take(frozenset({K.COLON}))
     assert tok.lexeme == "عنوان"
-    assert sc.next_token(StopSet.of()).kind is K.COLON
+    assert sc.take(frozenset()).kind is K.COLON
 
 
 def test_lone_colon_word_returned_directly_when_expected():
     sc = Scanner(norm("يرسم ما يأتي :"))
-    assert sc.next_token(StopSet.of(K.YAKOUR)).kind is K.YAKOUR
-    colon = sc.next_token(StopSet.of(K.COLON))
+    assert sc.take(frozenset({K.YAKOUR})).kind is K.YAKOUR
+    colon = sc.take(frozenset({K.COLON}))
     assert (colon.kind, colon.detached) == (K.COLON, False)
 
 
 def test_keyword_stops_string_mid_line():
     sc = Scanner(norm("بعيدا في ٢٠١٨"))
-    tok = sc.next_token(StopSet.of(K.FI))
+    tok = sc.take(frozenset({K.FI}))
     assert tok.lexeme == "بعيدا"
-    assert sc.next_token(StopSet.of(K.FI)).kind is K.FI
+    assert sc.take(frozenset({K.FI})).kind is K.FI
 
 
 def test_keyword_at_line_start_does_not_end_text():
     sc = Scanner(norm("عنوان طويل\nإن الوزير"))
-    tok = sc.next_token(StopSet.of(K.INNA))
+    tok = sc.take(frozenset({K.INNA}))
     assert tok.lexeme == "عنوان طويل إن الوزير"
 
 
 def test_unexpected_keyword_is_plain_text():
     sc = Scanner(norm("المرسوم رقم ١١٦ كذا"))
-    tok = sc.next_token(StopSet.of(K.COMMA))
+    tok = sc.take(frozenset({K.COMMA}))
     assert tok.lexeme == "المرسوم رقم ١١٦ كذا"
 
 
@@ -226,64 +225,69 @@ def test_no_keyword_probe_without_an_expected_keyword(monkeypatch):
     clause = "الدستور إن مادة رقم ١١٦ في كذا، تابع ونظرا."
     sc = Scanner(norm(clause))
     calls.clear()   # building the scanner matches each line's head once
-    tokens = [sc.next_token(StopSet.of(K.COMMA, K.DOT)) for _ in range(5)]
+    tokens = [sc.take(frozenset({K.COMMA, K.DOT})) for _ in range(5)]
     assert kinds_of(tokens) == [K.STRING, K.COMMA, K.STRING, K.DOT, K.EOF]
     assert calls == []
 
     sc = Scanner(norm(clause))
-    assert sc.next_token(StopSet.of(K.INNA)).lexeme == "الدستور"
-    assert sc.next_token(StopSet.of(K.INNA)).kind is K.INNA
+    assert sc.take(frozenset({K.INNA})).lexeme == "الدستور"
+    assert sc.take(frozenset({K.INNA})).kind is K.INNA
     assert calls
 
 
 def test_stop_before_bounds_accumulation():
     sc = Scanner(norm("واحد اثنان ثلاثة أربعة"))
-    tok = sc.next_token(StopSet.of(stop_before=(0, 2)))
+    tok = sc.take(frozenset(), (0, 2))
     assert tok.lexeme == "واحد اثنان"
-    tok = sc.next_token(StopSet.of(stop_before=(1, 0)))
+    tok = sc.take(frozenset(), (1, 0))
     assert tok.lexeme == "ثلاثة أربعة"
 
 
 def test_exhausted_region_raises():
     sc = Scanner(norm("واحد اثنان"))
-    sc.next_token(StopSet.of(stop_before=(0, 1)))
-    with pytest.raises(ScanError):
-        sc.next_token(StopSet.of(stop_before=(0, 1)))
+    sc.take(frozenset(), (0, 1))
+    with pytest.raises(ValueError, match="no input left"):
+        sc.take(frozenset(), (0, 1))
 
 
 def test_end_of_input_beats_region_bound():
     sc = Scanner(norm("واحد"))
-    sc.next_token(StopSet.of())
-    assert sc.next_token(StopSet.of(stop_before=(0, 1))).kind is K.EOF
+    sc.take(frozenset())
+    assert sc.take(frozenset(), (0, 1)).kind is K.EOF
 
 
 def test_eof_token_at_end():
     sc = Scanner(norm("كلمة"))
-    sc.next_token(StopSet.of())
-    eof = sc.next_token(StopSet.of())
+    sc.take(frozenset())
+    eof = sc.take(frozenset())
     assert eof.kind is K.EOF
     assert eof.span.start_line == 0
 
 
 def test_keyword_lexeme_keeps_original_spelling():
     sc = Scanner(norm("الامضاء: فلان"))
-    tok = sc.next_token(StopSet.of(K.IMDAA))
+    tok = sc.take(frozenset({K.IMDAA}))
     assert tok.lexeme == "الامضاء"
-    assert sc.next_token(StopSet.of(K.COLON)).kind is K.COLON
+    assert sc.take(frozenset({K.COLON})).kind is K.COLON
 
 
 def test_spans_are_one_based_in_display():
     sc = Scanner(norm("مرسوم رقم ٢٥"))
-    tok = sc.next_token(StopSet.of(K.TYPE))
+    tok = sc.take(frozenset({K.TYPE}))
     assert str(tok.span) == "1:1-1:1"
 
 
 def test_string_is_never_a_stop_kind():
-    with pytest.raises(ValueError, match="STRING"):
-        StopSet.of(K.STRING)
-    with pytest.raises(ValueError, match="STRING"):
-        StopSet.of(K.COMMA, K.STRING, stop_before=(0, 1))
-    # The driver's constant kinds sets bypass StopSet.of and its guard.
+    # The guard runs where a kinds set is first worked out and caches
+    # nothing, so a second take raises again.
+    sc = Scanner(norm("واحد اثنان"))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="STRING"):
+            sc.take(frozenset({K.STRING}))
+        with pytest.raises(ValueError, match="STRING"):
+            sc.take(frozenset({K.COMMA, K.STRING}), (0, 1))
+    assert (sc.line, sc.word, sc.pending) == (0, 0, None)
+    # The driver's constant kinds sets pass the same guard.
     for kinds in (_ANY, _NUMBER, *_STOP_AT.values()):
         assert type(kinds) is frozenset and K.STRING not in kinds, kinds
 
@@ -339,7 +343,7 @@ def test_reconstruct_reattaches_detached_punctuation():
     sc = Scanner(text)
     tokens = []
     while True:
-        tok = sc.next_token(StopSet.of(K.COMMA, K.DOT))
+        tok = sc.take(frozenset({K.COMMA, K.DOT}))
         tokens.append(tok)
         if tok.kind is K.EOF:
             break
@@ -349,9 +353,9 @@ def test_reconstruct_reattaches_detached_punctuation():
 
 def test_dump_tokens_format():
     sc = Scanner(norm("مرسوم رقم ٢٥"))
-    tokens = [sc.next_token(StopSet.of(K.TYPE)),
-              sc.next_token(StopSet.of(K.RAQM)),
-              sc.next_token(StopSet.of(K.NUM))]
+    tokens = [sc.take(frozenset({K.TYPE})),
+              sc.take(frozenset({K.RAQM})),
+              sc.take(frozenset({K.NUM}))]
     dump = dump_tokens(tokens)
     lines = dump.splitlines()
     assert lines[0].split("\t") == ["TYPE", "1:1-1:1", "مرسوم"]

@@ -5,7 +5,7 @@ word at a time through its own cursor helpers, asks a helper per word whether
 a keyword stops the text, and splits each word's trailing delimiter before
 deciding, and it matches keywords afresh at every word, line starts too,
 bounded like the three-table reference matcher.  The scanner's line walk
-must produce the same tokens, spans and cursor positions under every stop
+must produce the same tokens, spans and cursor positions under every kinds
 set and scope bound.  It must probe for keywords at the same places in the
 same order, except at a line's first word, which it reads from the line
 heads.
@@ -15,8 +15,8 @@ import random
 
 import legalc.scanner as scanner
 from legalc.normalize import _FORMAT_CONTROLS, preprocess, split_trailing
-from legalc.scanner import _KEYWORD_KINDS, _SPELLINGS, ScanError, Scanner
-from legalc.tokens import Span, StopSet, Token, TokenKind
+from legalc.scanner import _KEYWORD_KINDS, _SPELLINGS, Scanner
+from legalc.tokens import Span, Token, TokenKind
 from test_keyword_index import reference_match
 
 K = TokenKind
@@ -46,54 +46,53 @@ class ReferenceScanner(Scanner):
             self.word = 0
 
     def _take_string(self, kinds, stop_before, _probe, _stops):
-        expect = StopSet(kinds, stop_before)
         pieces = []
         start = self.cursor
         end = self.cursor
-        while not self.at_end() and not self._at_bound(expect.stop_before):
+        while not self.at_end() and not self._at_bound(stop_before):
             line, word = self.cursor
-            if pieces and self._keyword_stops_here(expect):
+            if pieces and self._keyword_stops_here(kinds, stop_before):
                 break
             original = self.text.lines[line][word]
             # a lone delimiter, perhaps followed by format controls
             lone_kind = PUNCTUATION.get(original.rstrip(_FORMAT_CONTROLS))
-            if lone_kind is not None and self._delimiter_stops(lone_kind, expect):
-                self._pending = Token(lone_kind, original, Span.point(line, word))
+            if lone_kind is not None and self._delimiter_stops(lone_kind, kinds):
+                self.pending = Token(lone_kind, original, Span.point(line, word))
                 self._advance()
                 break
             body, trailing = split_trailing(original)
             trailing_kind = PUNCTUATION.get(trailing[:1])
-            if trailing_kind is not None and self._delimiter_stops(trailing_kind, expect):
+            if trailing_kind is not None and self._delimiter_stops(trailing_kind, kinds):
                 pieces.append(body)
                 end = (line, word)
-                self._pending = Token(trailing_kind, trailing, Span.point(line, word), True)
+                self.pending = Token(trailing_kind, trailing, Span.point(line, word), True)
                 self._advance()
                 break
             pieces.append(original)
             end = (line, word)
             self._advance()
         if not pieces:
-            if self._pending is not None:
-                lone, self._pending = self._pending, None
+            if self.pending is not None:
+                lone, self.pending = self.pending, None
                 return lone
-            raise ScanError("expected text, found none", Span.point(*start))
+            raise ValueError(f"expected text, found none at {start}")
         return Token(K.STRING, " ".join(pieces), Span(*start, *end))
 
-    def _keyword_stops_here(self, expect):
+    def _keyword_stops_here(self, kinds, stop_before):
         if self.word == 0:
             return False
-        if expect.kinds.isdisjoint(_KEYWORD_KINDS):
+        if kinds.isdisjoint(_KEYWORD_KINDS):
             return False
-        match = self._match(self.line, self.word, expect.stop_before)
-        return match is not None and match.kind in expect.kinds
+        match = self._match(self.line, self.word, stop_before)
+        return match is not None and match.kind in kinds
 
-    def _delimiter_stops(self, kind, expect):
+    def _delimiter_stops(self, kind, kinds):
         if kind is K.COMMA:
             return True
         if kind is K.DOT:
             return self.word == len(self.text.words(self.line)) - 1
         if kind is K.COLON:
-            return K.COLON in expect.kinds
+            return K.COLON in kinds
         return False
 
 
@@ -134,8 +133,9 @@ def random_document(rng: random.Random, controls: bool = False) -> str:
     return "\n".join(lines)
 
 
-def random_stop_set(rng: random.Random, text, cursor) -> StopSet:
-    kinds = rng.sample(STOP_KINDS, rng.randint(0, 7))
+def random_expectation(rng: random.Random, text, cursor):
+    """Random expected kinds and a random bound for a take at ``cursor``."""
+    kinds = frozenset(rng.sample(STOP_KINDS, rng.randint(0, 7)))
     roll = rng.random()
     line = rng.randint(cursor[0], text.line_count)
     if roll < 0.4:
@@ -146,11 +146,11 @@ def random_stop_set(rng: random.Random, text, cursor) -> StopSet:
         stop_before = (line, rng.randint(1, len(text.words(line))))  # mid-line or line end
     else:
         stop_before = (text.line_count + rng.randint(0, 1), rng.randint(0, 3))  # past the end
-    return StopSet.of(*kinds, stop_before=stop_before)
+    return kinds, stop_before
 
 
 def walk_both(monkeypatch, rng, documents, controls=False):
-    """Scan random documents under random stop sets with both scanners,
+    """Scan random documents under random expectations with both scanners,
     asserting each step agrees; return counts of how the STRINGs ended."""
     match_keyword_phrase = scanner.match_keyword_phrase
     probes = []
@@ -160,12 +160,12 @@ def walk_both(monkeypatch, rng, documents, controls=False):
         return match_keyword_phrase(text, line, word)
     monkeypatch.setattr(scanner, "match_keyword_phrase", probe)
 
-    def step(sc: Scanner, expect: StopSet):
+    def step(sc: Scanner, kinds, stop_before):
         probes.clear()
         try:
-            outcome = sc.next_token(expect)
-        except ScanError as exc:
-            outcome = ("ScanError", str(exc), exc.span)
+            outcome = sc.take(kinds, stop_before)
+        except ValueError as exc:
+            outcome = ("ValueError", str(exc))
         return outcome, (sc.line, sc.word), list(probes)
 
     strings = ended_by_delimiter = ended_by_keyword = head_probes = 0
@@ -173,20 +173,21 @@ def walk_both(monkeypatch, rng, documents, controls=False):
         text = preprocess(random_document(rng, controls).encode("utf-8"), "random")
         ours, ref = Scanner(text), ReferenceScanner(text)
         for _ in range(40):
-            expect = random_stop_set(rng, text, ref.cursor)
-            token, position, ref_probes = step(ref, expect)
+            kinds, stop_before = random_expectation(rng, text, ref.cursor)
+            token, position, ref_probes = step(ref, kinds, stop_before)
             want_probes = [p for p in ref_probes if p[1] > 0]
-            assert step(ours, expect) == (token, position, want_probes), (text.lines, expect)
+            assert step(ours, kinds, stop_before) == (token, position, want_probes), (
+                text.lines, kinds, stop_before)
             head_probes += len(ref_probes) - len(want_probes)
             if token[0] is K.EOF:
                 break
             if token[0] is K.STRING:
                 strings += 1
-                if ref._pending is not None:
+                if ref.pending is not None:
                     ended_by_delimiter += 1
                 elif not ref.at_end():
-                    m = reference_match(text, *ref.cursor, expect.stop_before)
-                    if m is not None and m.kind in expect.kinds:   # always mid-line
+                    m = reference_match(text, *ref.cursor, stop_before)
+                    if m is not None and m.kind in kinds:   # always mid-line
                         ended_by_keyword += 1
     return strings, ended_by_delimiter, ended_by_keyword, head_probes
 
