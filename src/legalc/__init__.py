@@ -8,7 +8,7 @@ are exposed for tools and tests.
 from .normalize import DecodeError, NormalizedText, preprocess
 from .tokens import Span, Token, TokenKind
 from .scanner import Scanner, dump_tokens, reconstruct_words
-from .grammar import LengthBoundError, derivable_strings, min_derivable_length, oracle_accepts
+from .grammar import derivable_strings, oracle_accepts
 from .parser import (
     Article,
     Diagnostic,
@@ -58,7 +58,6 @@ __all__ = [
     "Document",
     "DocumentRejected",
     "EmitConfig",
-    "LengthBoundError",
     "LocDate",
     "NormalizedText",
     "ParseResult",
@@ -77,7 +76,6 @@ __all__ = [
     "emit",
     "escape_xml",
     "generate",
-    "min_derivable_length",
     "oracle_accepts",
     "parse_document",
     "parse_grammar_tokens",

@@ -9,12 +9,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import re
 import sys
 from pathlib import Path
 from typing import TextIO
 
-from .codegen import EmitConfig, emit
+from .codegen import MAX_INDENT, EmitConfig, check_config, emit
 from .normalize import DecodeError, NormalizedText, preprocess
 from .parser import Diagnostic, dump_ast, parse_document
 from .scanner import dump_tokens
@@ -23,9 +22,6 @@ from .tokens import KIND_DISPLAY
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
-
-_TAG_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
-_MAX_INDENT = 64
 
 
 @functools.cache   # one parser per process: argparse builds reference cycles
@@ -45,7 +41,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     mode.add_argument("--dump-ast", action="store_true",
                       help="print the parsed structure instead of XML")
     parser.add_argument("--indent", type=int, default=2, metavar="N",
-                        help=f"XML indent width, 0 to {_MAX_INDENT} (default: 2)")
+                        help=f"XML indent width, 0 to {MAX_INDENT} (default: 2)")
     parser.add_argument("--root-tag", default="document", metavar="NAME",
                         help="root element name (default: document)")
     parser.add_argument("--no-declaration", action="store_true",
@@ -59,9 +55,9 @@ def render_diagnostic(diag: Diagnostic, text: NormalizedText) -> str:
     line, word = diag.span.start_line, diag.span.start_word
     number = text.line_numbers[line] if line < len(text.line_numbers) else line + 1
     out = [f"error: {diag.message} at {text.source_name}:{number}:{word + 1}"]
-    if line < text.line_count and text.words(line):
-        words = text.words(line)
-        line_str = text.line_text(line)
+    if line < len(text.lines):
+        words = text.lines[line]
+        line_str = " ".join(words)
         # The line is its words joined by single spaces: a word starts after
         # the words before it plus one space each.
         start = sum(len(w) + 1 for w in words[:min(word, len(words) - 1)])
@@ -86,7 +82,8 @@ def _read_input(path: str, err: TextIO) -> bytes | None:
         return None
 
 
-def _process_one(path: str, args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _process_one(path: str, args: argparse.Namespace, config: EmitConfig,
+                 out: TextIO, err: TextIO) -> int:
     source = "<stdin>" if path == "-" else path
     data = _read_input(path, err)
     if data is None:
@@ -110,8 +107,6 @@ def _process_one(path: str, args: argparse.Namespace, out: TextIO, err: TextIO) 
         out.write(dump_ast(result.document) + "\n")
         return EXIT_OK
 
-    config = EmitConfig(root_tag=args.root_tag, indent=args.indent,
-                        xml_declaration=not args.no_declaration)
     payload = emit(result.document, config)
     if args.output:
         dest = args.output
@@ -145,15 +140,17 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None,
     if args.output and len(args.inputs) > 1:
         err.write("legalc: error: -o/--output requires exactly one input\n")
         return EXIT_USAGE
-    if not 0 <= args.indent <= _MAX_INDENT:
-        err.write(f"legalc: error: --indent must be between 0 and {_MAX_INDENT}\n")
-        return EXIT_USAGE
-    if not _TAG_NAME.fullmatch(args.root_tag):
-        err.write(f"legalc: error: invalid root tag name: {args.root_tag!r}\n")
+    config = EmitConfig(root_tag=args.root_tag, indent=args.indent,
+                        xml_declaration=not args.no_declaration)
+    try:
+        check_config(config)
+    except ValueError as exc:   # the indent is named as the option is spelled
+        dashes = "--" if str(exc).startswith("indent") else ""
+        err.write(f"legalc: error: {dashes}{exc}\n")
         return EXIT_USAGE
     code = EXIT_OK
     for path in args.inputs:
-        code = max(code, _process_one(path, args, out, err))
+        code = max(code, _process_one(path, args, config, out, err))
     return code
 
 

@@ -26,6 +26,19 @@ class EmitConfig(NamedTuple):
     xml_declaration: bool = True
 
 
+MAX_INDENT = 64
+_TAG_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+
+
+def check_config(config: EmitConfig) -> None:
+    """Raise ValueError unless the indent is 0 to :data:`MAX_INDENT` and the
+    root tag an XML name."""
+    if not 0 <= config.indent <= MAX_INDENT:
+        raise ValueError(f"indent must be between 0 and {MAX_INDENT}")
+    if not _TAG_NAME.fullmatch(config.root_tag):
+        raise ValueError(f"invalid root tag name: {config.root_tag!r}")
+
+
 def escape_xml(text: str) -> str:
     # & must go first or it would re-escape the entities below.
     return (text.replace("&", "&amp;")
@@ -54,7 +67,9 @@ def _wrap(lines: list[str], pad: str, tag: str, body: list[str]) -> None:
 
 
 def generate(doc: Document, config: EmitConfig = EmitConfig()) -> list[str]:
-    """The root element's lines, in order and without line ends."""
+    """The root element's lines, in order and without line ends.  Raises
+    ValueError for a bad ``config`` (:func:`check_config`)."""
+    check_config(config)
     pad1 = " " * config.indent
     pad2, pad3 = pad1 * 2, pad1 * 3
     statement, loc_date = doc.statement, doc.loc_date

@@ -53,29 +53,17 @@ GRAMMAR: dict[str, tuple[tuple[Symbol, ...], ...]] = {
 
 START = "document"
 
-DEFAULT_LENGTH_BOUND = 16
 
-
-class LengthBoundError(ValueError):
-    """Sequence longer than the configured oracle bound."""
-
-
-def oracle_accepts(kinds: Sequence[TokenKind], start: str = START,
-                   max_len: int = DEFAULT_LENGTH_BOUND) -> bool:
+def oracle_accepts(kinds: Sequence[TokenKind], start: str = START) -> bool:
     """True iff the token-kind sequence is derivable from ``start``.
 
     A memoized top-down recognizer read straight off :data:`GRAMMAR`: for a
     symbol and a position it computes every end position the symbol can
     reach, once per call.  It is exact for any grammar without left
     recursion, and raises ``ValueError`` naming the rule when it meets one.
-    Raises ``KeyError`` for unknown start symbols, then
-    :class:`LengthBoundError` for sequences longer than ``max_len``.
+    Raises ``KeyError`` for unknown start symbols.
     """
-    if start not in GRAMMAR:
-        raise KeyError(start)
     n = len(kinds)
-    if n > max_len:
-        raise LengthBoundError(f"sequence length {n} exceeds bound {max_len}")
     memo: dict[tuple[str, int], frozenset[int] | None] = {}
 
     def ends(symbol: Symbol, i: int) -> frozenset[int]:
@@ -108,10 +96,9 @@ def derivable_strings(start: str, max_len: int) -> frozenset[tuple[TokenKind, ..
 
     Independent of :func:`oracle_accepts`: a bottom-up fixpoint enumeration
     of the raw productions, where the oracle works top-down over one input.
-    Intended for tests and bounded-exhaustive checks.
+    Intended for tests and bounded-exhaustive checks.  Raises ``KeyError``
+    for unknown start symbols.
     """
-    if start not in GRAMMAR:
-        raise KeyError(start)
     sets: dict[str, set[tuple[TokenKind, ...]]] = {nt: set() for nt in GRAMMAR}
     changed = True
     while changed:
@@ -137,22 +124,3 @@ def derivable_strings(start: str, max_len: int) -> frozenset[tuple[TokenKind, ..
                 if len(sets[nt]) != before:
                     changed = True
     return frozenset(sets[start])
-
-
-def min_derivable_length(start: str) -> int | None:
-    """Shortest derivable sequence length for ``start`` (None if productive in no length)."""
-    inf = float("inf")
-    best: dict[str, float] = {nt: inf for nt in GRAMMAR}
-    changed = True
-    while changed:
-        changed = False
-        for nt, bodies in GRAMMAR.items():
-            for body in bodies:
-                total = 0.0
-                for sym in body:
-                    total += 1 if isinstance(sym, TokenKind) else best[sym]
-                if total < best[nt]:
-                    best[nt] = total
-                    changed = True
-    value = best[start]
-    return None if value == inf else int(value)

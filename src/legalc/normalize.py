@@ -89,24 +89,14 @@ class NormalizedText(NamedTuple):
 
     ``lines`` holds the non-blank lines in order, each a tuple of its words.
     A word never contains a space (of any Unicode Zs kind) or tab, so a
-    line's canonical text is its words joined by single spaces
-    (:meth:`line_text`).  Spans index ``lines``; ``line_numbers`` holds each
-    one's 1-based line number in the source, where blank lines count.
+    line's canonical text is its words joined by single spaces.  Spans
+    index ``lines``; ``line_numbers`` holds each one's 1-based line number
+    in the source, where blank lines count.
     """
 
     lines: tuple[tuple[str, ...], ...]
     source_name: str = "<input>"
     line_numbers: tuple[int, ...] = ()
-
-    @property
-    def line_count(self) -> int:
-        return len(self.lines)
-
-    def words(self, line: int) -> tuple[str, ...]:
-        return self.lines[line]
-
-    def line_text(self, line: int) -> str:
-        return " ".join(self.lines[line])
 
 
 def preprocess(data: bytes, source_name: str = "<input>") -> NormalizedText:

@@ -33,7 +33,7 @@ from .normalize import NormalizedText, fold_for_matching, has_digit
 # match_keyword_phrase is not called here, but stays importable from this
 # module: bench/worker.py counts probes wherever a module looks it up.
 from .scanner import KeywordMatch, Scanner, match_keyword_phrase  # noqa: F401
-from .tokens import KIND_DISPLAY, Span, Token, TokenKind, _tuple_new
+from .tokens import Span, Token, TokenKind, _tuple_new
 
 K = TokenKind
 _F = TypeVar("_F", bound=Callable)
@@ -164,9 +164,9 @@ class _Ctx:
         self.toks = toks
         self.fail_pos = -1
         self.fail_expected: set[TokenKind] = set()
-        self.fail_message: str | None = None
+        self.fail_message = ""
 
-    def fail(self, i: int, expected: set[TokenKind], message: str | None = None) -> None:
+    def fail(self, i: int, expected: set[TokenKind], message: str) -> None:
         if i > self.fail_pos:
             self.fail_pos = i
             self.fail_expected = set(expected)
@@ -369,8 +369,7 @@ def parse_grammar_tokens(tokens: Sequence[Token]) -> tuple[Document | None, Diag
         return doc, None
     at = toks[ctx.fail_pos]
     expected = tuple(sorted(ctx.fail_expected, key=lambda k: k.value))
-    message = ctx.fail_message or "expected " + ", ".join(KIND_DISPLAY[k] for k in expected)
-    return None, Diagnostic(message, at.span, expected, at.kind)
+    return None, Diagnostic(ctx.fail_message, at.span, expected, at.kind)
 
 
 # -- driver phase -----------------------------------------------------------
@@ -389,9 +388,9 @@ def _segment_trailer(text: NormalizedText, heads: Sequence[KeywordMatch | None],
     Without any signature line, the final line must itself look like a
     location/date line.
     """
-    anchor = _first_line_opening(heads, K.IMDAA, start_line, text.line_count)
+    anchor = _first_line_opening(heads, K.IMDAA, start_line, len(text.lines))
     if anchor is None:
-        last = text.line_count - 1
+        last = len(text.lines) - 1
         if last >= start_line and _looks_like_loc_date(text, last):
             return last
         span = Span.point(max(last, 0), 0)
@@ -416,7 +415,7 @@ def _first_line_opening(heads: Sequence[KeywordMatch | None], kind: TokenKind,
 
 
 def _looks_like_loc_date(text: NormalizedText, line: int) -> bool:
-    words = text.words(line)
+    words = text.lines[line]
     if len(words) >= 2 and fold_for_matching(words[1]) == "في":
         return True
     return any(has_digit(w) for w in words)
@@ -522,7 +521,7 @@ class _Driver:
         self.take(_STOP_AT[K.RAQM])
         self.take(_STOP_AT[K.NUM])
         # The title may span lines, but not into a later line opening with إن.
-        title_end = _first_line_opening(sc.heads, K.INNA, sc.line + 1, sc.text.line_count)
+        title_end = _first_line_opening(sc.heads, K.INNA, sc.line + 1, len(sc.text.lines))
         at_inna = _STOP_AT[K.INNA]
         tok = self.take(at_inna, None if title_end is None else (title_end, 0))
         if tok.kind is not K.INNA:
@@ -554,7 +553,7 @@ class _Driver:
     def _articles(self, boundary_line: int) -> None:
         sc = self.sc
         heads, first = sc.heads, sc.line
-        if (first < boundary_line and sc.word == 0 and sc.pending is None
+        if (sc.word == 0 and sc.pending is None
                 and (head := heads[first]) is not None and head.kind is _MADA):
             # Each article runs from its مادة line to the next one, the last
             # to the location/date line.  An article's scan ends exactly at
@@ -590,10 +589,10 @@ class _Driver:
 
     def _loc_date(self, line: int) -> None:
         sc = self.sc
-        if (sc.line, sc.word) != (line, 0) or sc.pending is not None:
+        if (sc.line, sc.word) != (line, 0):
             return
         line_end = (line + 1, 0)
-        words = sc.text.words(line)
+        words = sc.text.lines[line]
         fi_index = next((i for i, w in enumerate(words) if fold_for_matching(w) == "في"), None)
         if fi_index is not None:
             at_fi = _STOP_AT[K.FI]
@@ -613,7 +612,6 @@ class _Driver:
 
     def _signatures(self) -> None:
         sc = self.sc
-        self.drain()
         while not sc.at_end():
             line_end = (sc.line + 1, 0)
             if sc.word == 0 and self.at(K.IMDAA):

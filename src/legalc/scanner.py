@@ -198,10 +198,8 @@ class Scanner:
         return self.line >= len(self.text.lines)
 
     def _eof_span(self) -> Span:
-        if self.text.line_count == 0:
-            return Span.point(0, 0)
-        last = self.text.line_count - 1
-        return Span.point(last, len(self.text.words(last)))
+        lines = self.text.lines
+        return Span.point(len(lines) - 1, len(lines[-1])) if lines else Span.point(0, 0)
 
     def _match(self, line: int, word: int, limit: tuple[int, int] | None) -> KeywordMatch | None:
         """The keyword phrase at a word of the text (read from :attr:`heads` at

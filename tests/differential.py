@@ -102,31 +102,31 @@ def grammar_stream(data: bytes) -> tuple[int, str, str]:
     return 0, dump_tokens(scan_document(preprocess(data, "<stdin>")).grammar_tokens), ""
 
 
-def oracle_cases() -> Iterator[tuple[str, tuple[TokenKind, ...], int]]:
-    """(start, kinds, max_len) for every sequence the ``oracle`` line covers."""
+def oracle_cases() -> Iterator[tuple[str, tuple[TokenKind, ...]]]:
+    """(start, kinds) for every sequence the ``oracle`` line covers."""
     for start in GRAMMAR:
         alphabet = reachable_terminals(start)
         for n in range(6):
             for kinds in itertools.product(alphabet, repeat=n):
-                yield start, kinds, 5
+                yield start, kinds
     everything = [k for k in TokenKind if k is not TokenKind.EOF]
     documents = sorted(derivable_strings("document", 20), key=lambda s: [k.name for k in s])
     for s in documents:
         for kinds in single_edits(s, everything):
-            yield "document", kinds, 21
+            yield "document", kinds
     rng = random.Random(2026)
     starts = list(GRAMMAR)
     for _ in range(20000):
         start = rng.choice(starts)
         alphabet = reachable_terminals(start)
-        yield start, tuple(rng.choice(alphabet) for _ in range(rng.randrange(17))), 16
+        yield start, tuple(rng.choice(alphabet) for _ in range(rng.randrange(17)))
 
 
 def oracle_digest() -> str:
     digest = hashlib.sha256()
     verdicts: Counter[bool] = Counter()
-    for start, kinds, max_len in oracle_cases():
-        ok = oracle_accepts(kinds, start=start, max_len=max_len)
+    for start, kinds in oracle_cases():
+        ok = oracle_accepts(kinds, start=start)
         verdicts[ok] += 1
         digest.update(b"1" if ok else b"0")
     return f"{digest.hexdigest()}  accept={verdicts[True]} reject={verdicts[False]}"

@@ -83,7 +83,7 @@ def test_criterion_2_oracle_equivalence():
     def sweep(prefix: list) -> None:
         nonlocal visited
         visited += 1
-        if parse_token_kinds(prefix) != oracle_accepts(prefix, max_len=max_len):
+        if parse_token_kinds(prefix) != oracle_accepts(prefix):
             disagreements.append(tuple(prefix))
         if len(prefix) == max_len:
             return
@@ -103,7 +103,7 @@ def test_criterion_2_oracle_equivalence():
     for _ in range(10_000):
         n = rng.randrange(0, 17)
         seq = [rng.choice(kinds) for _ in range(n)]
-        if parse_token_kinds(seq) != oracle_accepts(seq, max_len=16):
+        if parse_token_kinds(seq) != oracle_accepts(seq):
             disagreements.append(tuple(seq))
 
     elapsed = time.monotonic() - started

@@ -247,6 +247,14 @@ def test_missing_file_is_usage_error(tmp_path):
     assert "cannot read" in err
 
 
+def test_unwritable_output_is_usage_error(good, tmp_path):
+    dest = tmp_path / "missing" / "doc.xml"
+    code, out, err = invoke([str(good), "-o", str(dest)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"legalc: error: cannot write {dest}: ") and err.count("\n") == 1
+    assert not dest.parent.exists()
+
+
 def test_batch_returns_worst_code(good, bad, tmp_path):
     code, _, _ = invoke([str(good), str(bad), "--validate"])
     assert code == 1

@@ -2,7 +2,10 @@
 
 import dataclasses
 import random
+import re
 import xml.etree.ElementTree as ET
+
+import pytest
 
 import legalc.codegen as codegen
 from legalc import (
@@ -13,6 +16,7 @@ from legalc import (
     Signature,
     SignatureKind,
     Statement,
+    compile_document,
     emit,
     escape_xml,
     generate,
@@ -184,6 +188,23 @@ def test_custom_root_tag():
     payload = emit(SAMPLE, EmitConfig(root_tag="decree"))
     root = ET.fromstring(payload)
     assert root.tag == "decree"
+
+
+@pytest.mark.parametrize("config, message", [
+    (EmitConfig(root_tag="a b"), "invalid root tag name: 'a b'"),
+    (EmitConfig(root_tag="doc\n"), "invalid root tag name: 'doc\\n'"),
+    (EmitConfig(root_tag="قرار"), "invalid root tag name: 'قرار'"),
+    (EmitConfig(indent=-1), "indent must be between 0 and 64"),
+    (EmitConfig(indent=65), "indent must be between 0 and 64"),
+    (EmitConfig(indent=10**19), "indent must be between 0 and 64"),
+])
+def test_bad_config_raises_value_error(corpus_dir, config, message):
+    data = (corpus_dir / "decree-25.txt").read_bytes()
+    calls = (lambda: generate(SAMPLE, config), lambda: emit(SAMPLE, config),
+             lambda: compile_document(data, config=config))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def _structure(node):

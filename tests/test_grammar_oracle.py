@@ -1,4 +1,4 @@
-"""Grammar membership oracle: recognizer vs direct enumeration, bounds, shapes.
+"""Grammar membership oracle: recognizer vs direct enumeration, minimum length, shapes.
 
 The oracle, a memoized top-down recognizer, is checked against a second,
 independent route: a bottom-up fixpoint enumeration of derivable strings
@@ -15,9 +15,7 @@ import pytest
 from descent import parse_token_kinds
 from legalc.grammar import (
     GRAMMAR,
-    LengthBoundError,
     derivable_strings,
-    min_derivable_length,
     oracle_accepts,
 )
 from legalc.tokens import TokenKind
@@ -32,21 +30,15 @@ MIN_DOC = (
 
 
 def test_minimal_document_accepted():
-    assert oracle_accepts(list(MIN_DOC), max_len=18)
+    assert oracle_accepts(list(MIN_DOC))
 
 
 def test_minimal_document_length_is_tight():
     # statement(3) + title(1) + issuer(3) + one reference(3) +
     # acknowledgment(2) + one article(4) + loc-date(2) = 18
-    assert min_derivable_length("document") == 18
-    assert not any(oracle_accepts(list(s), max_len=17)
+    assert not any(oracle_accepts(list(s))
                    for s in derivable_strings("document", 17))
     assert derivable_strings("document", 17) == set()
-
-
-def test_length_bound_is_enforced():
-    with pytest.raises(LengthBoundError):
-        oracle_accepts(list(MIN_DOC))  # default bound of 16 is too small
 
 
 def test_unknown_start_symbol_rejected():
@@ -102,7 +94,7 @@ def _exhaustive_cross_check(start, alphabet, max_len):
     seen = set()
     for n in range(max_len + 1):
         for combo in itertools.product(alphabet, repeat=n):
-            ok = oracle_accepts(list(combo), start=start, max_len=max_len)
+            ok = oracle_accepts(list(combo), start=start)
             assert ok == (combo in derivable), (start, combo)
             if ok:
                 seen.add(combo)
@@ -122,7 +114,7 @@ def test_document_single_edits():
     checked = 0
     for s in derivable_strings("document", 20):
         for edit in single_edits(s, alphabet):
-            ok = oracle_accepts(list(edit), max_len=21)
+            ok = oracle_accepts(list(edit))
             assert ok == (edit in derivable), edit
             assert parse_token_kinds(list(edit)) == ok, edit
             checked += 1
@@ -131,28 +123,27 @@ def test_document_single_edits():
 
 def test_left_recursion_raises(monkeypatch):
     monkeypatch.setitem(GRAMMAR, "loop", (("loop", K.STRING), (K.STRING,)))
-    with pytest.raises(ValueError, match="loop") as info:
-        oracle_accepts([K.STRING, K.STRING], start="loop", max_len=2)
-    assert not isinstance(info.value, LengthBoundError)
+    with pytest.raises(ValueError, match="loop"):
+        oracle_accepts([K.STRING, K.STRING], start="loop")
 
 
 def test_clause_list_shapes():
-    assert oracle_accepts([K.BINAA, K.STRING, K.COMMA], start="ref-list", max_len=3)
-    assert oracle_accepts([K.BINAA, K.STRING, K.DOT] * 2, start="ref-list", max_len=6)
-    assert not oracle_accepts([K.BINAA, K.STRING], start="ref-list", max_len=2)
-    assert oracle_accepts([K.HAYSOU, K.STRING, K.COMMA], start="just-list", max_len=3)
+    assert oracle_accepts([K.BINAA, K.STRING, K.COMMA], start="ref-list")
+    assert oracle_accepts([K.BINAA, K.STRING, K.DOT] * 2, start="ref-list")
+    assert not oracle_accepts([K.BINAA, K.STRING], start="ref-list")
+    assert oracle_accepts([K.HAYSOU, K.STRING, K.COMMA], start="just-list")
 
 
 def test_signature_pair_shapes():
     assert oracle_accepts([K.IMDAA, K.COLON, K.STRING, K.STRING],
-                          start="sig-type1", max_len=4)
+                          start="sig-type1")
     assert oracle_accepts([K.STRING, K.IMDAA, K.COLON, K.STRING],
-                          start="sig-type2", max_len=4)
+                          start="sig-type2")
     # a signature block may hold a leading pair, trailing pairs, or both
     both = [K.IMDAA, K.COLON, K.STRING, K.STRING,
             K.STRING, K.IMDAA, K.COLON, K.STRING]
-    assert oracle_accepts(both, start="sig-list", max_len=8)
-    assert not oracle_accepts(both[::-1], start="sig-list", max_len=8)
+    assert oracle_accepts(both, start="sig-list")
+    assert not oracle_accepts(both[::-1], start="sig-list")
 
 
 def test_grammar_table_mentions_every_kind_it_needs():
@@ -169,10 +160,10 @@ def test_random_strings_rejected_below_min_length():
     for _ in range(2000):
         n = rng.randrange(0, 17)
         s = [rng.choice(kinds) for _ in range(n)]
-        assert not oracle_accepts(s, max_len=16)
+        assert not oracle_accepts(s)
 
 
 def test_derivable_strings_all_reaccepted():
     for s in derivable_strings("document", 20):
-        assert oracle_accepts(list(s), max_len=20)
+        assert oracle_accepts(list(s))
         assert len(s) >= 18

@@ -30,9 +30,9 @@ _TABLES = _reference_tables()
 
 
 def reference_match(text, line, word, limit=None):
-    if line >= text.line_count:
+    if line >= len(text.lines):
         return None
-    words = text.words(line)
+    words = text.lines[line]
     for count in (3, 2, 1):
         end = word + count
         if end > len(words):
@@ -87,9 +87,9 @@ def random_document(rng: random.Random) -> str:
 
 def positions(text):
     """Every (line, word) position, each line's end, and the end of input."""
-    out = [(line, word) for line in range(text.line_count)
-           for word in range(len(text.words(line)) + 1)]
-    return out + [(text.line_count, 0)]
+    out = [(line, word) for line in range(len(text.lines))
+           for word in range(len(text.lines[line]) + 1)]
+    return out + [(len(text.lines), 0)]
 
 
 def test_index_agrees_with_reference_tables():
@@ -102,7 +102,7 @@ def test_index_agrees_with_reference_tables():
         for line, word in places:
             assert match_keyword_phrase(text, line, word) == reference_match(text, line, word), \
                 (text.lines, line, word)
-            if line == text.line_count:
+            if line == len(text.lines):
                 continue   # the scanner never looks up a keyword at the end of input
             for limit in [None, *places]:
                 want = reference_match(text, line, word, limit)

@@ -50,9 +50,9 @@ def random_document(rng: random.Random) -> str:
 def limits(text, line):
     """No limit, every word boundary of the line, the next line's start,
     and a point past the end of input."""
-    words = len(text.words(line))
+    words = len(text.lines[line])
     return [None, *((line, k) for k in range(1, words + 2)),
-            (line + 1, 0), (text.line_count + 1, 0)]
+            (line + 1, 0), (len(text.lines) + 1, 0)]
 
 
 def head_probes(text):
@@ -63,7 +63,7 @@ def head_probes(text):
 
 
 def direct_heads(text):
-    return [match_keyword_phrase(text, line, 0) for line in range(text.line_count)]
+    return [match_keyword_phrase(text, line, 0) for line in range(len(text.lines))]
 
 
 @pytest.fixture
@@ -88,7 +88,7 @@ def test_cached_lookup_agrees_with_a_direct_probe(probes):
         probed += len(probes)
         assert sc.heads == direct_heads(text), text.lines
         probes.clear()
-        for line in range(text.line_count):
+        for line in range(len(text.lines)):
             for limit in limits(text, line):
                 want = reference_match(text, line, 0, limit)
                 assert sc._match(line, 0, limit) == want, (text.lines, line, limit)
@@ -124,7 +124,7 @@ def test_limits_that_cut_a_phrase(source, limit, expected):
 def test_scan_matches_each_line_head_once(probes, make_text):
     text = preprocess(make_text().encode("utf-8"), "doc")
     at_heads = head_probes(text)
-    assert 0 < len(at_heads) < text.line_count
+    assert 0 < len(at_heads) < len(text.lines)
     scan_document(text)
     # building the scanner probes only the lines that may open a longer
     # phrase; the scan itself never probes at a line start

@@ -29,14 +29,14 @@ ASCII_DIGITS = "0123456789"
 
 def test_utf8_bom_is_tolerated():
     text = preprocess("﻿مرسوم رقم ٥".encode("utf-8"), "t")
-    assert text.words(0)[0] == "مرسوم"
+    assert text.lines[0][0] == "مرسوم"
 
 
 def test_crlf_and_cr_become_lf():
     text = preprocess("أ ب\r\nج\rد".encode("utf-8"), "t")
-    assert text.line_count == 3
-    assert text.words(1) == ("ج",)
-    assert text.words(2) == ("د",)
+    assert len(text.lines) == 3
+    assert text.lines[1] == ("ج",)
+    assert text.lines[2] == ("د",)
 
 
 def test_decode_error_carries_byte_offset():
@@ -50,20 +50,19 @@ def test_nfc_composition():
     # alef + combining madda composes to the single madda-alef codepoint
     decomposed = "آ"
     text = preprocess(decomposed.encode("utf-8"), "t")
-    assert text.words(0)[0] == "آ"
-    assert text.line_text(0) == "آ"
-    assert unicodedata.is_normalized("NFC", text.line_text(0))
+    assert text.lines == (("آ",),)
+    assert unicodedata.is_normalized("NFC", text.lines[0][0])
 
 
 def test_blank_lines_are_dropped():
     text = preprocess("أ\n\n   \n\t\nب\n".encode("utf-8"), "t")
-    assert text.line_count == 2
-    assert text.words(1)[0] == "ب"
+    assert len(text.lines) == 2
+    assert text.lines[1][0] == "ب"
 
 
 def test_tabs_and_spaces_split_words():
     text = preprocess("أ\tب  ج \t د".encode("utf-8"), "t")
-    assert text.words(0) == ("أ", "ب", "ج", "د")
+    assert text.lines[0] == ("أ", "ب", "ج", "د")
 
 
 def test_every_unicode_space_separates_words():
@@ -90,9 +89,9 @@ def test_lines_keep_every_word_in_order_without_blank_lines():
         assert text.lines == tuple(tuple(words) for words in lines if words)
 
 
-def test_line_text_joins_words_with_single_spaces():
+def test_separator_runs_leave_no_empty_words():
     text = preprocess("أ\t ب  ج".encode("utf-8"), "t")
-    assert text.line_text(0) == "أ ب ج"
+    assert text.lines == (("أ", "ب", "ج"),)
 
 
 # -- folding ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Parsing: trailer segmentation, document structure, diagnostics, properties."""
 
 import dataclasses
+import inspect
 import random
 import sys
 import unicodedata
@@ -537,7 +538,7 @@ def test_mutated_documents_fail_safely():
         if result.document is None:
             assert len(result.diagnostics) == 1
             d = result.diagnostics[0]
-            assert 0 <= d.span.start_line <= text.line_count
+            assert 0 <= d.span.start_line <= len(text.lines)
         original = [w for line in text.lines for w in line]
         assert reconstruct_words(result.tokens) == original
 
@@ -553,9 +554,10 @@ def test_public_names_resolve():
 def test_removed_names_stay_removed():
     # Test-only helpers and members no caller in the package used; the
     # helpers live on in tests/descent.py.  The code generator writes lines,
-    # not an element tree.  The scanner's one entry is Scanner.take.
+    # not an element tree.  The scanner's one entry is Scanner.take.  The
+    # oracle takes a sequence of any length; NormalizedText is its lines.
     import legalc
-    from legalc import codegen, normalize, parser, scanner, tokens
+    from legalc import codegen, grammar, normalize, parser, scanner, tokens
     removed = [(legalc, "parse_token_kinds"), (legalc, "segment_trailer"),
                (legalc, "Element"), (codegen, "Element"), (codegen, "_render"),
                (parser, "parse_token_kinds"), (parser, "rejects_all_extensions"),
@@ -564,11 +566,17 @@ def test_removed_names_stay_removed():
                (scanner.Scanner, "position"), (scanner.Scanner, "has_pending"),
                (normalize.NormalizedText, "word"),
                (legalc, "StopSet"), (tokens, "StopSet"), (legalc, "ScanError"),
-               (scanner, "ScanError"), (scanner.Scanner, "next_token")]
+               (scanner, "ScanError"), (scanner.Scanner, "next_token"),
+               (legalc, "LengthBoundError"), (grammar, "LengthBoundError"),
+               (grammar, "DEFAULT_LENGTH_BOUND"), (legalc, "min_derivable_length"),
+               (grammar, "min_derivable_length"), (normalize.NormalizedText, "words"),
+               (normalize.NormalizedText, "line_count"),
+               (normalize.NormalizedText, "line_text")]
     for owner, name in removed:
         assert not hasattr(owner, name), name
     assert {"parse_token_kinds", "segment_trailer", "Element", "StopSet",
-            "ScanError"}.isdisjoint(legalc.__all__)
+            "ScanError", "LengthBoundError", "min_derivable_length"}.isdisjoint(legalc.__all__)
+    assert "max_len" not in inspect.signature(grammar.oracle_accepts).parameters
 
 
 def test_ast_nodes_support_dataclass_replace():

@@ -99,6 +99,21 @@ def test_end_of_input_at_every_step_of_the_policy():
     assert count > 1500, count
 
 
+def test_end_of_input_after_the_acknowledgment_expects_an_article():
+    # The policy stops at the end of the input before it looks for the
+    # location/date line; past it, the layout would report a missing
+    # signature line at the start of the acknowledgment line instead.
+    for path in sorted(CORPUS_DIR.glob("*.txt")):
+        text = norm(path.read_text(encoding="utf-8"))
+        ack = next(tok for tok in parse_document(text).tokens
+                   if tok.kind is TokenKind.YAKOUR).span.start_line
+        lines = text.lines[:ack + 1]
+        [diag] = parse_document(norm("\n".join(map(" ".join, lines)) + "\n")).diagnostics
+        assert diag.message == "expected مادة opening an article", (path.name, diag)
+        assert diag.expected == (TokenKind.MADA,) and diag.found is TokenKind.EOF, path.name
+        assert (diag.span.start_line, diag.span.start_word) == (ack, len(lines[-1])), path.name
+
+
 def test_scan_calls_per_token_stay_under_the_ceiling():
     rng = random.Random(7)
     sources = [docgen.generate_document(rng).text for _ in range(200)]

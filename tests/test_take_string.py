@@ -39,7 +39,7 @@ class ReferenceScanner(Scanner):
         return stop_before is not None and self.cursor >= stop_before
 
     def _advance(self):
-        if self.word + 1 < len(self.text.words(self.line)):
+        if self.word + 1 < len(self.text.lines[self.line]):
             self.word += 1
         else:
             self.line += 1
@@ -90,7 +90,7 @@ class ReferenceScanner(Scanner):
         if kind is K.COMMA:
             return True
         if kind is K.DOT:
-            return self.word == len(self.text.words(self.line)) - 1
+            return self.word == len(self.text.lines[self.line]) - 1
         if kind is K.COLON:
             return K.COLON in kinds
         return False
@@ -137,15 +137,15 @@ def random_expectation(rng: random.Random, text, cursor):
     """Random expected kinds and a random bound for a take at ``cursor``."""
     kinds = frozenset(rng.sample(STOP_KINDS, rng.randint(0, 7)))
     roll = rng.random()
-    line = rng.randint(cursor[0], text.line_count)
+    line = rng.randint(cursor[0], len(text.lines))
     if roll < 0.4:
         stop_before = None
-    elif roll < 0.6 or line == text.line_count:
+    elif roll < 0.6 or line == len(text.lines):
         stop_before = (line, 0)                                     # a line start
     elif roll < 0.85:
-        stop_before = (line, rng.randint(1, len(text.words(line))))  # mid-line or line end
+        stop_before = (line, rng.randint(1, len(text.lines[line])))  # mid-line or line end
     else:
-        stop_before = (text.line_count + rng.randint(0, 1), rng.randint(0, 3))  # past the end
+        stop_before = (len(text.lines) + rng.randint(0, 1), rng.randint(0, 3))  # past the end
     return kinds, stop_before
 
 
