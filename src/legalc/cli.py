@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
+import os
 import sys
 from pathlib import Path
 from typing import TextIO
@@ -82,6 +84,13 @@ def _read_input(path: str, err: TextIO) -> bytes | None:
         return None
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:   # a destination that does not exist yet is no input
+        return False
+
+
 def _process_one(path: str, args: argparse.Namespace, config: EmitConfig,
                  out: TextIO, err: TextIO) -> int:
     source = "<stdin>" if path == "-" else path
@@ -116,6 +125,10 @@ def _process_one(path: str, args: argparse.Namespace, config: EmitConfig,
         dest = str(Path(path).with_suffix(".xml"))
     if dest == "-":
         out.write(payload.decode("utf-8"))
+    elif path != "-" and _same_file(path, dest):
+        # an input named *.xml is its own default destination
+        err.write(f"legalc: error: cannot write {dest}: it is the input file\n")
+        return EXIT_USAGE
     else:
         try:
             Path(dest).write_bytes(payload)
@@ -155,4 +168,14 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None,
 
 
 def main() -> None:
+    """The process entry behind the ``legalc`` script and ``python -m legalc``.
+
+    It first freezes the collector's view of the heap (``gc.freeze()``): the
+    modules, classes and tables that start-up built live until the process
+    exits, so no later collection, the interpreter's shutdown ones included,
+    needs to walk them.  Unlike ``os._exit``, the exit still flushes stdio
+    and runs atexit handlers.  :func:`run` and the library never freeze, as
+    a caller's heap is not theirs to pin.
+    """
+    gc.freeze()
     raise SystemExit(run())

@@ -1,22 +1,31 @@
-"""Time two checkouts of legalc side by side in one process.
+"""Time two checkouts of legalc side by side.
 
     python3 tests/interleave.py PARENT/src/legalc CHANGE/src/legalc \
         [--workload large-docs] [--seed 1] [--rounds 7]
 
-Each argument is a ``src/legalc`` package directory.  The two trees are
-imported under distinct package names, so both live in this one process, and
-whole rounds over one workload's documents (built by ``bench/inputs.py``,
-which is only read) alternate between them, the tree that goes first
-swapping each round.  A machine whose speed drifts between runs slows both
-trees alike within a round, so the per-round ratio is steadier than two
-separate benchmark runs.
+Each argument is a ``src/legalc`` package directory.  Whole rounds over one
+workload's documents (built by ``bench/inputs.py``, which is only read)
+alternate between the two trees, the tree that goes first swapping each
+round.  A machine whose speed drifts between runs slows both trees alike
+within a round, so the per-round ratio is steadier than two separate
+benchmark runs.
 
-``bench/inputs.py`` imports this checkout's ``legalc`` for the AST records
-it builds; only the two loaded trees are timed.
+For ``batch-mixed`` and ``large-docs`` the two trees are imported under
+distinct package names, so both live in this one process, and a round
+compiles each document in process.  ``bench/inputs.py`` imports this
+checkout's ``legalc`` for the AST records it builds; only the two loaded
+trees are timed.  For ``cli-cold`` a round runs one
+``python -m legalc <doc> -o <tmp>.xml`` process per document, with
+``PYTHONPATH`` set to the ``src`` directory above the tree's package, so
+interpreter start-up, imports and exit are timed too.  The environment is
+passed on otherwise unchanged, ``PYTHONDONTWRITEBYTECODE`` included: whether
+a tree's ``__pycache__`` holds bytecode decides whether each process
+compiles the package from source, so the report says which it was.
 
-Before timing, one untimed round per tree compiles every document and
-asserts that both trees give the same output (the XML, or the rendered
-diagnostics of a rejected document, or the exception type of a failure).
+Before timing, one untimed round per tree runs every document and asserts
+that both trees give the same output (in process: the XML, or the rendered
+diagnostics of a rejected document, or the exception type of a failure; as
+processes: the exit code, the XML bytes and the stderr).
 It prints each tree's minimum, quartiles and median round time, the median
 of the per-round ratios A/B (above 1 means tree B is faster), and how many
 rounds tree B won.  A gain is shown when B wins at least nine rounds in ten
@@ -29,8 +38,12 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import os
 import statistics
+import struct
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -71,6 +84,41 @@ def compiler(package):
     return compile_doc
 
 
+def process_runner(package_dir: Path, work: Path):
+    """One document's (exit code, XML bytes or None, stderr) from a fresh
+    ``python -m legalc`` process over the tree in ``package_dir``; the
+    documents are files in ``work``."""
+    if package_dir.name != "legalc" or not (package_dir / "__main__.py").is_file():
+        raise SystemExit(f"{package_dir}: not a legalc package directory")
+    env = {**os.environ, "PYTHONPATH": str(package_dir.parent)}
+    out = work / "out.xml"
+
+    def run_doc(doc) -> tuple[int, bytes | None, bytes]:
+        out.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "legalc", str(work / doc.name), "-o", str(out)],
+            cwd=work, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE)
+        return proc.returncode, out.read_bytes() if out.exists() else None, proc.stderr
+    return run_doc
+
+
+def bytecode_state(package_dir: Path) -> str:
+    """Whether the tree has a ``__pycache__``, and for how many of its modules
+    it holds bytecode that matches the source (a timestamp ``.pyc`` records
+    the source's mtime and size), which a process loads instead of compiling."""
+    if not (package_dir / "__pycache__").is_dir():
+        return "no __pycache__"
+    sources = sorted(package_dir.glob("*.py"))
+    fresh = 0
+    for source in sources:
+        pyc = Path(importlib.util.cache_from_source(str(source)))
+        st = source.stat()
+        stamp = struct.pack("<III", 0, int(st.st_mtime) & 0xFFFFFFFF, st.st_size & 0xFFFFFFFF)
+        fresh += pyc.is_file() and pyc.read_bytes()[4:16] == stamp
+    return f"__pycache__ with current bytecode for {fresh} of {len(sources)} modules"
+
+
 def time_round(compile_doc, docs) -> float:
     start = perf_counter()
     for doc in docs:
@@ -90,14 +138,30 @@ def main() -> None:
     if args.rounds < 2:
         ap.error("--rounds must be at least 2 for quartiles")
 
-    trees = [compiler(load_tree(args.tree_a.resolve(), "legalc_a")),
-             compiler(load_tree(args.tree_b.resolve(), "legalc_b"))]
     docs = inputs.build(args.workload, args.seed)
+    dirs = (args.tree_a.resolve(), args.tree_b.resolve())
+    with tempfile.TemporaryDirectory(prefix="interleave-") as tmp:
+        work = Path(tmp)
+        if args.workload == "cli-cold":
+            for doc in docs:
+                (work / doc.name).write_bytes(doc.data)
+            trees = [process_runner(d, work) for d in dirs]
+        else:
+            trees = [compiler(load_tree(d, name)) for d, name in zip(dirs, ("legalc_a", "legalc_b"))]
+        compare_and_time(args, docs, trees, dirs)
+
+
+def compare_and_time(args, docs, trees, dirs: tuple[Path, Path]) -> None:
     for doc in docs:
         out_a, out_b = (compile_doc(doc) for compile_doc in trees)
         if out_a != out_b:
             raise SystemExit(f"{doc.name}: the trees' outputs differ")
     print(f"{args.workload} seed {args.seed}: {len(docs)} documents, outputs identical")
+    if args.workload == "cli-cold":
+        print("one process per document; PYTHONDONTWRITEBYTECODE="
+              f"{os.environ.get('PYTHONDONTWRITEBYTECODE') or '(unset)'}")
+        for label, d in zip("AB", dirs):
+            print(f"{label}: {d} ({bytecode_state(d)})")
 
     times: list[list[float]] = [[], []]
     for r in range(args.rounds):

@@ -255,6 +255,29 @@ def test_unwritable_output_is_usage_error(good, tmp_path):
     assert not dest.parent.exists()
 
 
+def test_output_never_overwrites_the_input(good, tmp_path):
+    # an input named *.xml is its own default destination
+    source = tmp_path / "decree.xml"
+    source.write_text(GOOD, encoding="utf-8")
+    for argv in ([str(source)], [str(source), "-o", f"{tmp_path}/./decree.xml"],
+                 [str(good), "-o", str(good)]):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "")
+        assert err == f"legalc: error: cannot write {argv[-1]}: it is the input file\n"
+    assert source.read_text(encoding="utf-8") == good.read_text(encoding="utf-8") == GOOD
+    assert not good.with_suffix(".xml").exists()
+
+
+def test_batch_goes_on_past_an_input_it_would_overwrite(good, tmp_path):
+    source = tmp_path / "decree.xml"
+    source.write_text(GOOD, encoding="utf-8")
+    code, out, err = invoke([str(source), str(good)])
+    assert (code, out) == (2, "")
+    assert err == f"legalc: error: cannot write {source}: it is the input file\n"
+    assert source.read_text(encoding="utf-8") == GOOD
+    assert ET.parse(good.with_suffix(".xml")).getroot().tag == "document"
+
+
 def test_batch_returns_worst_code(good, bad, tmp_path):
     code, _, _ = invoke([str(good), str(bad), "--validate"])
     assert code == 1

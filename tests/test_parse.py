@@ -314,6 +314,47 @@ def test_loc_date_line_already_entered_is_scanned_as_text():
                    "STRING 5:4-5:5 بيروت ٢٠١٨")
 
 
+def test_articles_not_entered_mid_line(corpus_dir):
+    # With the last reference clause unterminated and no acknowledgment line,
+    # the clause runs on to the ، of the مادة line, so the articles would
+    # start mid-line: all up to the location/date line is one text instead.
+    lines = (corpus_dir / "decree-25.txt").read_text(encoding="utf-8").split("\n")
+    lines[4] = lines[4].rstrip("،")
+    lines[5:7] = ["مادة ١: عقد، استثنائي"]
+    source = "\n".join(lines)
+    _rejected_with(source, "expected the acknowledgment phrase (يرسم/يقرر ما يأتي)", "6:4-12:12")
+    assert K.MADA not in [tok.kind for tok in parse(source).tokens]
+
+
+def _fine_stream_from(source: str, line: int) -> list[str]:
+    """``KIND span`` of each fine token from the 1-based ``line`` on."""
+    return [f"{tok.kind.name} {tok.span}" for tok in parse(source).tokens
+            if tok.span.start_line >= line - 1]
+
+
+def test_articles_not_entered_with_a_delimiter_pending():
+    # The acknowledgment lacks its ':', so the scan for it takes the next
+    # line's مادة ١ as text and stops at that line's ':', still pending when
+    # the articles would begin: no مادة line is a header then, and the rest
+    # is scanned as text.
+    source = MINIMAL.replace("يرسم ما يأتي:", "يرسم ما يأتي").replace(
+        "مادة ١:", "مادة ١:\nمادة ٢:")
+    assert _fine_stream_from(source, 6) == [
+        "STRING 6:1-6:2", "COLON 6:2-6:2", "STRING 7:1-8:2",
+        "STRING 9:1-9:1", "FI 9:2-9:2", "STRING 9:3-9:3", "EOF 9:4-9:4"]
+
+
+def test_signature_keyword_only_opens_a_line():
+    # Line 4 is taken for the location/date line, and the scan reaches the
+    # signatures mid-way through it, after the reference clause's ،: a
+    # signature opens only at a line's start, so its الإمضاء: is text.
+    source = ("مرسوم رقم ٥\nعنوان\nإن الوزير،\nبناء على الدستور، الإمضاء: فلان في ٢٠٢٠\n"
+              "الإمضاء: علان\nالوزير\n")
+    assert _fine_stream_from(source, 4) == [
+        "BINAA 4:1-4:2", "STRING 4:3-4:3", "COMMA 4:3-4:3", "STRING 4:4-4:7",
+        "IMDAA 5:1-5:1", "COLON 5:1-5:1", "STRING 5:2-5:2", "STRING 6:1-6:1", "EOF 6:2-6:2"]
+
+
 # -- synthetic token-kind parsing ------------------------------------------------
 
 MIN_KINDS = [
