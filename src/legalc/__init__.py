@@ -24,7 +24,7 @@ from .parser import (
     parse_grammar_tokens,
     scan_document,
 )
-from .codegen import EmitConfig, emit, escape_xml, generate, serialize
+from .codegen import emit, escape_xml, generate, serialize
 
 __version__ = "0.1.0"
 
@@ -37,8 +37,7 @@ class DocumentRejected(ValueError):
         self.diagnostics = diagnostics
 
 
-def compile_document(data: bytes, source_name: str = "<input>",
-                     config: EmitConfig = EmitConfig()) -> bytes:
+def compile_document(data: bytes, source_name: str = "<input>") -> bytes:
     """Bytes in, XML bytes out.
 
     Raises :class:`DecodeError` on invalid UTF-8 or a character XML forbids,
@@ -48,7 +47,7 @@ def compile_document(data: bytes, source_name: str = "<input>",
     result = parse_document(text)
     if result.document is None:
         raise DocumentRejected(result.diagnostics)
-    return emit(result.document, config)
+    return emit(result.document)
 
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "DecodeError",
     "Document",
     "DocumentRejected",
-    "EmitConfig",
     "LocDate",
     "NormalizedText",
     "ParseResult",

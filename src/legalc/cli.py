@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import TextIO
 
-from .codegen import MAX_INDENT, EmitConfig, check_config, emit
+from .codegen import emit
 from .normalize import DecodeError, NormalizedText, preprocess
 from .parser import Diagnostic, dump_ast, parse_document
 from .scanner import dump_tokens
@@ -42,12 +42,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                       help="print the token stream instead of XML")
     mode.add_argument("--dump-ast", action="store_true",
                       help="print the parsed structure instead of XML")
-    parser.add_argument("--indent", type=int, default=2, metavar="N",
-                        help=f"XML indent width, 0 to {MAX_INDENT} (default: 2)")
-    parser.add_argument("--root-tag", default="document", metavar="NAME",
-                        help="root element name (default: document)")
-    parser.add_argument("--no-declaration", action="store_true",
-                        help="omit the XML declaration line")
     return parser
 
 
@@ -84,15 +78,19 @@ def _read_input(path: str, err: TextIO) -> bytes | None:
         return None
 
 
-def _same_file(a: str, b: str) -> bool:
+def _file_id(path: str) -> tuple[int, int] | None:
+    """The (device, inode) of the file at ``path``, or None if there is none."""
     try:
-        return os.path.samefile(a, b)
+        st = os.stat(path)
     except OSError:   # a destination that does not exist yet is no input
-        return False
+        return None
+    return st.st_dev, st.st_ino
 
 
-def _process_one(path: str, args: argparse.Namespace, config: EmitConfig,
+def _process_one(path: str, args: argparse.Namespace, claimed: dict[tuple[int, int], str],
                  out: TextIO, err: TextIO) -> int:
+    """Compile one input.  ``claimed`` maps the file ids that no output may
+    overwrite (the inputs, and the outputs written so far) to the reason."""
     source = "<stdin>" if path == "-" else path
     data = _read_input(path, err)
     if data is None:
@@ -116,7 +114,7 @@ def _process_one(path: str, args: argparse.Namespace, config: EmitConfig,
         out.write(dump_ast(result.document) + "\n")
         return EXIT_OK
 
-    payload = emit(result.document, config)
+    payload = emit(result.document)
     if args.output:
         dest = args.output
     elif path == "-":
@@ -125,17 +123,20 @@ def _process_one(path: str, args: argparse.Namespace, config: EmitConfig,
         dest = str(Path(path).with_suffix(".xml"))
     if dest == "-":
         out.write(payload.decode("utf-8"))
-    elif path != "-" and _same_file(path, dest):
-        # an input named *.xml is its own default destination
-        err.write(f"legalc: error: cannot write {dest}: it is the input file\n")
-        return EXIT_USAGE
-    else:
+        return EXIT_OK
+    # an input named *.xml is its own default destination, and a.txt and
+    # a.md share one
+    reason = claimed.get(_file_id(dest))
+    if reason is None:
         try:
             Path(dest).write_bytes(payload)
         except OSError as exc:
-            err.write(f"legalc: error: cannot write {dest}: {exc.strerror or exc}\n")
-            return EXIT_USAGE
-    return EXIT_OK
+            reason = exc.strerror or str(exc)
+        else:
+            claimed[_file_id(dest)] = "this run already wrote it"
+            return EXIT_OK
+    err.write(f"legalc: error: cannot write {dest}: {reason}\n")
+    return EXIT_USAGE
 
 
 def run(argv: list[str] | None = None, stdout: TextIO | None = None,
@@ -153,17 +154,11 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None,
     if args.output and len(args.inputs) > 1:
         err.write("legalc: error: -o/--output requires exactly one input\n")
         return EXIT_USAGE
-    config = EmitConfig(root_tag=args.root_tag, indent=args.indent,
-                        xml_declaration=not args.no_declaration)
-    try:
-        check_config(config)
-    except ValueError as exc:   # the indent is named as the option is spelled
-        dashes = "--" if str(exc).startswith("indent") else ""
-        err.write(f"legalc: error: {dashes}{exc}\n")
-        return EXIT_USAGE
+    ids = (_file_id(path) for path in args.inputs if path != "-")
+    claimed = {fid: "it is an input file" for fid in ids if fid}
     code = EXIT_OK
     for path in args.inputs:
-        code = max(code, _process_one(path, args, config, out, err))
+        code = max(code, _process_one(path, args, claimed, out, err))
     return code
 
 

@@ -3,12 +3,13 @@
     python3 tests/interleave.py PARENT/src/legalc CHANGE/src/legalc \
         [--workload large-docs] [--seed 1] [--rounds 7]
 
-Each argument is a ``src/legalc`` package directory.  Whole rounds over one
-workload's documents (built by ``bench/inputs.py``, which is only read)
-alternate between the two trees, the tree that goes first swapping each
-round.  A machine whose speed drifts between runs slows both trees alike
-within a round, so the per-round ratio is steadier than two separate
-benchmark runs.
+Each argument is a ``src/legalc`` package directory.  A round runs each of
+one workload's documents (built by ``bench/inputs.py``, which is only read)
+on both trees back to back, the tree that goes first swapping with each
+document, and sums each tree's times.  A machine whose speed drifts, even
+within seconds, slows both trees alike, so the per-round ratio is steadier
+than two separate benchmark runs, or than whole rounds run one tree at a
+time.
 
 For ``batch-mixed`` and ``large-docs`` the two trees are imported under
 distinct package names, so both live in this one process, and a round
@@ -119,11 +120,16 @@ def bytecode_state(package_dir: Path) -> str:
     return f"__pycache__ with current bytecode for {fresh} of {len(sources)} modules"
 
 
-def time_round(compile_doc, docs) -> float:
-    start = perf_counter()
-    for doc in docs:
-        compile_doc(doc)
-    return perf_counter() - start
+def time_round(trees, docs, first: int) -> list[float]:
+    """Each tree's seconds over ``docs``, every document run on both trees
+    back to back; tree ``first`` goes first on the first document."""
+    totals = [0.0, 0.0]
+    for i, doc in enumerate(docs):
+        for side in ((0, 1) if (first + i) % 2 == 0 else (1, 0)):
+            start = perf_counter()
+            trees[side](doc)
+            totals[side] += perf_counter() - start
+    return totals
 
 
 def main() -> None:
@@ -165,8 +171,8 @@ def compare_and_time(args, docs, trees, dirs: tuple[Path, Path]) -> None:
 
     times: list[list[float]] = [[], []]
     for r in range(args.rounds):
-        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-            times[side].append(time_round(trees[side], docs))
+        for side, seconds in enumerate(time_round(trees, docs, r % 2)):
+            times[side].append(seconds)
     quartiles = []
     for label, ts in zip("AB", times):
         q1, median, q3 = statistics.quantiles(ts, n=4, method="inclusive")

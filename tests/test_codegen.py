@@ -2,16 +2,16 @@
 
 import dataclasses
 import random
-import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import legalc
 import legalc.codegen as codegen
+from docgen import generate_document
 from legalc import (
     Article,
     Document,
-    EmitConfig,
     LocDate,
     Signature,
     SignatureKind,
@@ -50,8 +50,8 @@ def test_escaped_text_survives_reparse_byte_exactly():
         assert ET.fromstring(xml).text == original
 
 
-def _reread(doc, config=EmitConfig()):
-    return ET.fromstring(emit(doc, config))
+def _reread(doc):
+    return ET.fromstring(emit(doc))
 
 
 def test_tree_shape_and_tag_order():
@@ -88,7 +88,7 @@ def test_empty_collections_self_close():
     assert "<articleTitle>فرعي</articleTitle>" in out
 
 
-# SAMPLE as emitted with the defaults: two spaces a level, with the declaration.
+# SAMPLE as emitted: two spaces a level, with the declaration.
 LAYOUT = """\
 <?xml version="1.0" encoding="UTF-8"?>
 <document>
@@ -128,36 +128,14 @@ LAYOUT = """\
 """
 
 
-def _layout(indent: int, declaration: bool = True, root: str = "document") -> str:
-    """LAYOUT with ``indent`` spaces a level, the declaration kept or dropped
-    and the root renamed."""
-    lines = LAYOUT.splitlines(keepends=True)[0 if declaration else 1:]
-    text = "".join(" " * (indent * ((len(line) - len(line.lstrip(" "))) // 2)) + line.lstrip(" ")
-                   for line in lines)
-    return text.replace("<document>", f"<{root}>").replace("</document>", f"</{root}>")
-
-
 def test_serialize_layout():
     assert emit(SAMPLE).decode("utf-8") == LAYOUT
 
 
-def test_serialize_options():
-    assert _layout(2) == LAYOUT
-    assert _layout(4, root="decree").splitlines()[1:3] == ["<decree>", "    <type>مرسوم</type>"]
-    for config in (EmitConfig(indent=0), EmitConfig(indent=4),
-                   EmitConfig(xml_declaration=False), EmitConfig(indent=0, xml_declaration=False),
-                   EmitConfig(root_tag="decree", indent=4),
-                   EmitConfig(root_tag="decree", indent=2, xml_declaration=False)):
-        expected = _layout(config.indent, config.xml_declaration, config.root_tag)
-        assert emit(SAMPLE, config).decode("utf-8") == expected, config
-
-
 def test_generate_gives_the_root_lines_and_serialize_frames_them():
-    lines = generate(SAMPLE, EmitConfig(indent=4))
-    assert lines == _layout(4, declaration=False).splitlines()
+    assert generate(SAMPLE) == LAYOUT.splitlines()[1:]
     assert serialize(["<r>", "  <a>x</a>", "</r>"]) == (
         '<?xml version="1.0" encoding="UTF-8"?>\n<r>\n  <a>x</a>\n</r>\n')
-    assert serialize(["<r>x</r>"], EmitConfig(xml_declaration=False)) == "<r>x</r>\n"
 
 
 def test_emit_calls_generate_and_serialize_once_each(monkeypatch):
@@ -184,26 +162,32 @@ def test_emit_is_utf8_bytes_with_trailing_newline():
     assert payload.decode("utf-8").startswith('<?xml version="1.0" encoding="UTF-8"?>')
 
 
-def test_custom_root_tag():
-    payload = emit(SAMPLE, EmitConfig(root_tag="decree"))
-    root = ET.fromstring(payload)
-    assert root.tag == "decree"
+def test_every_level_indents_two_spaces():
+    rng = random.Random(11)
+    for _ in range(50):
+        lines = emit(generate_document(rng).document).decode("utf-8").splitlines()
+        assert lines[0] == '<?xml version="1.0" encoding="UTF-8"?>'
+        depth = 0
+        for line in lines[1:]:
+            body = line.lstrip(" ")
+            closing = body.startswith("</")
+            depth -= closing
+            assert line == "  " * depth + body
+            depth += not closing and not body.endswith("/>") and "</" not in body
+        assert depth == 0
 
 
-@pytest.mark.parametrize("config, message", [
-    (EmitConfig(root_tag="a b"), "invalid root tag name: 'a b'"),
-    (EmitConfig(root_tag="doc\n"), "invalid root tag name: 'doc\\n'"),
-    (EmitConfig(root_tag="قرار"), "invalid root tag name: 'قرار'"),
-    (EmitConfig(indent=-1), "indent must be between 0 and 64"),
-    (EmitConfig(indent=65), "indent must be between 0 and 64"),
-    (EmitConfig(indent=10**19), "indent must be between 0 and 64"),
-])
-def test_bad_config_raises_value_error(corpus_dir, config, message):
+def test_output_shape_has_no_config():
+    assert "EmitConfig" not in legalc.__all__
+    for name in ("EmitConfig", "check_config", "MAX_INDENT"):
+        assert not hasattr(codegen, name) and not hasattr(legalc, name), name
+
+
+def test_emit_and_compile_document_take_no_config(corpus_dir):
     data = (corpus_dir / "decree-25.txt").read_bytes()
-    calls = (lambda: generate(SAMPLE, config), lambda: emit(SAMPLE, config),
-             lambda: compile_document(data, config=config))
-    for call in calls:
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    for call in (lambda: generate(SAMPLE, None), lambda: serialize(["<r/>"], None),
+                 lambda: emit(SAMPLE, None), lambda: compile_document(data, "x", None)):
+        with pytest.raises(TypeError):
             call()
 
 
@@ -230,7 +214,6 @@ def test_round_trip_structure_matches_element_tree():
 
 
 def test_corpus_outputs_reparse_and_match_goldens(corpus_paths, golden_dir):
-    from legalc import compile_document
     for path in corpus_paths:
         payload = compile_document(path.read_bytes(), path.name)
         ET.fromstring(payload)  # well-formed

@@ -57,8 +57,8 @@ def test_compiles_leave_no_cyclic_garbage(corpus_paths, tmp_path):
     cli.build_arg_parser()
     runs = [
         paths, ["--dump-tokens", *paths], ["--dump-ast", *paths],
-        # usage errors: -o with two inputs, a negative indent, a missing file
-        ["-o", "-", *paths[:2]], ["--indent", "-1", paths[0]], [str(tmp_path / "missing.txt")],
+        # usage errors: -o with two inputs, -o naming the input, a missing file
+        ["-o", "-", *paths[:2]], ["-o", paths[0], paths[0]], [str(tmp_path / "missing.txt")],
     ]
     codes = []
     with collector(False):
