@@ -125,7 +125,7 @@ class Diagnostic(NamedTuple):
 
 
 class ScanResult(NamedTuple):
-    """Both token streams for one document plus any structural diagnostics."""
+    """Both token streams for one document plus any location/date layout diagnostic."""
 
     tokens: list[Token]
     grammar_tokens: list[Token]
@@ -376,9 +376,9 @@ def parse_grammar_tokens(tokens: Sequence[Token]) -> tuple[Document | None, Diag
 
 
 def _segment_trailer(text: NormalizedText, heads: Sequence[KeywordMatch | None],
-                     start_line: int) -> int | Diagnostic:
+                     start_line: int) -> int | None:
     """The location/date line, which splits the lines from ``start_line`` on
-    into article content and the signature block.
+    into article content and the signature block; None when none fits.
 
     The anchor is the first line opening with الإمضاء (folded), read from
     the document's line ``heads`` (:attr:`~legalc.scanner.Scanner.heads`).
@@ -391,17 +391,10 @@ def _segment_trailer(text: NormalizedText, heads: Sequence[KeywordMatch | None],
     anchor = _first_line_opening(heads, K.IMDAA, start_line, len(text.lines))
     if anchor is None:
         last = len(text.lines) - 1
-        if last >= start_line and _looks_like_loc_date(text, last):
-            return last
-        span = Span.point(max(last, 0), 0)
-        return Diagnostic("no signature line found and the final line "
-                          "does not look like a location/date line", span)
+        return last if last >= start_line and _looks_like_loc_date(text, last) else None
     if anchor - 1 >= start_line and _looks_like_loc_date(text, anchor - 1):
         return anchor - 1
-    if anchor - 2 >= start_line:
-        return anchor - 2
-    return Diagnostic("signature block leaves no room for article content "
-                      "and a location/date line", Span.point(anchor, 0))
+    return anchor - 2 if anchor - 2 >= start_line else None
 
 
 def _first_line_opening(heads: Sequence[KeywordMatch | None], kind: TokenKind,
@@ -422,16 +415,16 @@ def _looks_like_loc_date(text: NormalizedText, line: int) -> bool:
 
 
 def _merge_region(tokens: list[Token]) -> Token:
-    """One STRING covering a content region, its tokens joined as written."""
-    parts: list[str] = []
-    for tok in tokens:
-        if not tok.detached:
-            if parts:
-                parts.append(" ")
+    """One STRING covering a content region, its tokens joined as written: a
+    token split off the word the one before it ends in joins without a space."""
+    parts = [tokens[0].lexeme]
+    for before, tok in zip(tokens, tokens[1:]):
+        if tok.span[:2] != before.span[2:]:
+            parts.append(" ")
         parts.append(tok.lexeme)
     first, last = tokens[0].span, tokens[-1].span
     span = _tuple_new(Span, (first.start_line, first.start_word, last.end_line, last.end_word))
-    return _tuple_new(Token, (_STRING, "".join(parts), span, False))
+    return _tuple_new(Token, (_STRING, "".join(parts), span))
 
 
 # The kinds sets the driver expects, built once; none holds STRING.  The
@@ -537,8 +530,7 @@ class _Driver:
         if sc.at_end() and sc.pending is None:
             return
         loc_date_line = _segment_trailer(sc.text, sc.heads, sc.line)
-        if isinstance(loc_date_line, Diagnostic):
-            self.diagnostics.append(loc_date_line)
+        if loc_date_line is None:
             return
         self._articles(loc_date_line)
         self._loc_date(loc_date_line)

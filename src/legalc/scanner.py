@@ -34,8 +34,8 @@ rule (CACM 1966) and Python's INDENT/DEDENT tokenizer make per line.  The
 pass folds every line's first word and looks it up among the one-word
 phrases in C; only a line whose first word opens a longer phrase is probed.
 
-A delimiter detached from a host word ('الجمهورية،' ends an issuer phrase) is
-held as its own COMMA/DOT/COLON token and emitted before the cursor moves on.
+A delimiter split off a host word ('الجمهورية،' ends an issuer phrase) is held
+as its own token on that word and emitted before the cursor moves on.
 """
 
 from __future__ import annotations
@@ -264,10 +264,10 @@ class Scanner:
         # last word's trailing delimiter as pending.
         if trailing:
             self.pending = _tuple_new(Token, (_PUNCTUATION[trailing[0]], trailing,
-                                               _tuple_new(Span, (line, last, line, last)), True))
+                                               _tuple_new(Span, (line, last, line, last))))
         self.line, self.word = (line, last + 1) if last + 1 < len(words) else (line + 1, 0)
         lexeme = body if last == word else " ".join((*words[word:last], body))
-        return _tuple_new(Token, (kind, lexeme, _tuple_new(Span, (line, word, line, last)), False))
+        return _tuple_new(Token, (kind, lexeme, _tuple_new(Span, (line, word, line, last))))
 
     def _take_string(self, kinds: frozenset[TokenKind], stop_before: tuple[int, int] | None,
                      probe: bool, stops: tuple[str, str]) -> Token:
@@ -300,22 +300,17 @@ class Scanner:
                     stop = mid_line if word < count - 1 else line_end
                     body = original.rstrip(_FORMAT_CONTROLS)
                     if body and body[-1] in stop:   # a word of controls alone is text
-                        point = _tuple_new(Span, (line, word, line, word))
                         cut = len(body) - 1
-                        if cut:
-                            delimiter = _tuple_new(Token, (_PUNCTUATION[body[-1]], original[cut:],
-                                                           point, True))
-                            body = original[:cut]
-                        else:
-                            delimiter = _tuple_new(Token, (_PUNCTUATION[body], original,
-                                                           point, False))
+                        delimiter = _tuple_new(Token, (_PUNCTUATION[body[-1]], original[cut:],
+                                                       _tuple_new(Span, (line, word, line, word))))
+                        body = original[:cut]
                         break
                 word += 1
             if word > first:
                 pieces += words[first:word]
                 end_line, end_word = line, word - 1
             if delimiter is not None:
-                if delimiter.detached:
+                if body:
                     pieces.append(body)
                     end_line, end_word = line, word
                 word += 1
@@ -337,24 +332,26 @@ class Scanner:
                 return delimiter
             self.pending = delimiter
         return _tuple_new(Token, (_STRING, " ".join(pieces),
-                                  _tuple_new(Span, (start_line, start_word, end_line, end_word)),
-                                  False))
+                                  _tuple_new(Span, (start_line, start_word, end_line, end_word))))
 
 
 def reconstruct_words(tokens: list[Token]) -> list[str]:
     """Rebuild the source word sequence from a completed scan.
 
-    Detached punctuation reattaches to its host word; standalone punctuation
+    A delimiter whose span starts where the previous token's ends was split
+    off that token's last word and reattaches to it; standalone punctuation
     becomes its own word again.  Used to verify that scanning loses nothing.
     """
     words: list[str] = []
+    end = None
     for tok in tokens:
         if tok.kind is TokenKind.EOF:
             continue
-        if tok.detached:
+        if tok.span[:2] == end:
             words[-1] += tok.lexeme
-            continue
-        words.extend(p for p in tok.lexeme.split(" ") if p)
+        else:
+            words.extend(p for p in tok.lexeme.split(" ") if p)
+        end = tok.span[2:]
     return words
 
 

@@ -8,9 +8,8 @@ The hot paths (the scanner's token sites and the parser's region merge)
 build them with ``tuple.__new__(Token, (...))``, as the record's own
 ``_make`` does less its length check: the generated constructor is a
 Python-level function, and skipping it halves the cost of a record.  Such a
-site passes every field, defaults included (``detached`` as a real
-``bool``), since nothing checks a missing or extra value.  Cold sites use
-the constructor.
+site passes every field, since nothing checks a missing or extra value.
+Cold sites use the constructor.
 """
 
 from __future__ import annotations
@@ -93,13 +92,12 @@ class Span(NamedTuple):
 
 class Token(NamedTuple):
     """One scanned token.  ``lexeme`` keeps original spelling; it is empty
-    only for EOF.  ``detached`` marks punctuation split off a host word (as
-    opposed to punctuation that was a word of its own)."""
+    only for EOF.  A delimiter split off its host word shares that word, so
+    its span starts where the previous token's span ends."""
 
     kind: TokenKind
     lexeme: str
     span: Span
-    detached: bool = False
 
 
 _PUNCTUATION = {"،": TokenKind.COMMA, ".": TokenKind.DOT, ":": TokenKind.COLON}

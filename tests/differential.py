@@ -6,6 +6,12 @@ Run it against two versions of ``src`` (for example a change and its parent)
 and compare the printed lines: equal digests mean byte-identical output.  It
 is a script, not a test module, so pytest does not collect it.
 
+    PYTHONPATH=src python3 tests/differential.py --expect tests/differential.expected
+
+compares the printed lines with the committed ones and exits 1, naming each
+line that moved.  A change that moves a digest updates that file, so the
+move shows in its diff.
+
 Each input goes through four modes: the CLI writing XML to standard output
 (``-o -``), ``--dump-tokens`` and ``--dump-ast``, plus the grammar token
 stream of ``scan_document``, which no golden file pins.  For each mode it
@@ -39,6 +45,7 @@ streams the driver never produces.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import itertools
@@ -176,11 +183,11 @@ def descent_digest() -> str:
             f"determined={counts['determined']}")
 
 
-def main() -> None:
+def digest_lines() -> Iterator[str]:
     docs = inputs()
     modes = {name: (lambda data, argv=argv: run_cli(argv, data)) for name, argv in CLI_MODES.items()}
     modes["grammar-tokens"] = grammar_stream
-    print(f"{len(docs)} inputs")
+    yield f"{len(docs)} inputs"
     for name, mode in modes.items():
         digest = hashlib.sha256()
         codes: Counter[int] = Counter()
@@ -191,10 +198,35 @@ def main() -> None:
                 digest.update(part.encode("utf-8"))
                 digest.update(b"\0")
         counts = " ".join(f"exit{code}={n}" for code, n in sorted(codes.items()))
-        print(f"{name:15} {digest.hexdigest()}  {counts}")
-    print(f"{'oracle':15} {oracle_digest()}")
-    print(f"{'descent':15} {descent_digest()}")
+        yield f"{name:15} {digest.hexdigest()}  {counts}"
+    yield f"{'oracle':15} {oracle_digest()}"
+    yield f"{'descent':15} {descent_digest()}"
+
+
+def label(line: str) -> str:
+    """A printed line's name: its mode, or ``inputs`` for the count line."""
+    first, _, rest = line.partition(" ")
+    return rest if first.isdigit() else first
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description="Print output digests over fixed inputs.")
+    parser.add_argument("--expect", type=Path, metavar="FILE",
+                        help="compare the printed lines with FILE's; exit 1 if any moved")
+    args = parser.parse_args()
+    printed = []
+    for line in digest_lines():
+        print(line, flush=True)
+        printed.append(line)
+    if args.expect is None:
+        return 0
+    expected = args.expect.read_text(encoding="utf-8").splitlines()
+    moved = [(want, got) for want, got in itertools.zip_longest(expected, printed, fillvalue="")
+             if want != got]
+    for want, got in moved:
+        print(f"moved: {label(want or got)}\n  expected {want}\n  printed  {got}", file=sys.stderr)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

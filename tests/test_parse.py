@@ -59,14 +59,21 @@ def test_trailer_digit_bearing_word_counts_as_loc_date():
 
 def test_trailer_missing_loc_date_is_diagnosed():
     text = norm("محتوى فقط\nسطر أخير بلا تاريخ")
-    seg = _segment_trailer(text, Scanner(text).heads, 0)
-    assert isinstance(seg, Diagnostic)
+    assert _segment_trailer(text, Scanner(text).heads, 0) is None
+    # The driver then takes no article, and the grammar reports the first
+    # token after the acknowledgment.
+    d = reject(MINIMAL.replace("بيروت في ٢٠٢٠", "سطر أخير بلا تاريخ"))
+    assert (d.message, d.span.start_line, d.span.start_word) == (
+        "expected مادة opening an article", 5, 0)
 
 
 def test_trailer_signature_too_early_is_diagnosed():
     text = norm("الامضاء: فلان\nمنصب")
-    seg = _segment_trailer(text, Scanner(text).heads, 0)
-    assert isinstance(seg, Diagnostic)
+    assert _segment_trailer(text, Scanner(text).heads, 0) is None
+    # the same trailer after the acknowledgment: no article is taken
+    d = reject(MINIMAL.split("مادة ١:")[0] + "الامضاء: فلان\nمنصب")
+    assert (d.message, d.span.start_line, d.span.start_word) == (
+        "expected مادة opening an article", 5, 0)
 
 
 # -- full documents -------------------------------------------------------------
@@ -133,8 +140,9 @@ def test_merge_region_joins_as_written():
     content = Token(K.STRING, "نص المادة", Span(6, 0, 7, 1))
     lone_dot = Token(K.DOT, ".", Span.point(8, 0))
     assert _merge_region([lone_dot]) == Token(K.STRING, ".", Span.point(8, 0))
-    detached_dot = Token(K.DOT, ".", Span.point(7, 1), detached=True)
-    assert _merge_region([content, detached_dot]) == Token(K.STRING, "نص المادة.", Span(6, 0, 7, 1))
+    # a dot in the word where the content ends was split off that word
+    split_dot = Token(K.DOT, ".", Span.point(7, 1))
+    assert _merge_region([content, split_dot]) == Token(K.STRING, "نص المادة.", Span(6, 0, 7, 1))
     # a standalone delimiter word is joined with a space, as it was written
     assert _merge_region([content, lone_dot]) == Token(K.STRING, "نص المادة .", Span(6, 0, 8, 0))
 
@@ -270,6 +278,77 @@ def test_rejection_never_raises_on_structured_text():
     result = parse("مرسوم رقم ٥\nعنوان\nإن الوزير،\nبناء على كذا،\nيرسم ما يأتي:\nبلا مادة هنا")
     assert result.document is None
     assert len(result.diagnostics) == 1
+
+
+# -- trailers the grammar reports --------------------------------------------------
+#
+# Where the layout finds no location/date line, the driver takes no article,
+# so the grammar fails at or before the first token after the acknowledgment.
+# That token lies on or before the line the layout would have named: the first
+# line opening with الإمضاء from the acknowledgment on, or else the last line.
+
+def _lines_opening(text, kind) -> list[int]:
+    return [line for line, head in enumerate(Scanner(text).heads)
+            if head is not None and head.kind is kind]
+
+
+def _trailer_bound(text, tokens) -> int:
+    ack = next((tok.span.start_line for tok in tokens if tok.kind is K.YAKOUR), 0)
+    return next((line for line in _lines_opening(text, K.IMDAA) if line >= ack),
+                len(text.lines) - 1)
+
+
+# (source, the grammar's message, its 1-based line and word)
+_TRAILER_CASES = [
+    # the acknowledgment line carries text and is the last line
+    ("\n".join(MINIMAL.splitlines()[:4]) + "\nيرسم ما يأتي: نص",
+     "expected مادة opening an article", (5, 4)),
+    # a reference clause runs onto a line opening with الإمضاء
+    (MINIMAL.replace("الدستور،", "الدستور\nالإمضاء فلان، كذا"),
+     "expected the acknowledgment phrase (يرسم/يقرر ما يأتي)", (5, 3)),
+    # a signature line right after the acknowledgment
+    (MINIMAL.replace("يرسم ما يأتي:", "يرسم ما يلي:\nالإمضاء: فلان"),
+     "expected مادة opening an article", (6, 1)),
+]
+
+
+def _trailer_shapes():
+    """Documents whose trailer leaves no room for a location/date line."""
+    rng = random.Random(25)
+    for _ in range(150):
+        text = norm(docgen.generate_document(rng).text)
+        lines = [" ".join(words) for words in text.lines]
+        signatures = _lines_opening(text, K.IMDAA)
+        # every signature line deleted, and a last line with no date
+        yield "\n".join([line for n, line in enumerate(lines) if n not in signatures]
+                        + ["سطر أخير بلا تاريخ"])
+        if signatures:
+            # the first signature line moved to just after the acknowledgment
+            moved = lines.pop(signatures[0])
+            lines.insert(_lines_opening(text, K.YAKOUR)[0] + 1, moved)
+            yield "\n".join(lines)
+    yield from (source for source, _, _ in _TRAILER_CASES)
+    # a title line opening with الإمضاء, and no date on the last line
+    yield MINIMAL.replace("عنوان قصير", "الإمضاء: عنوان").replace("في ٢٠٢٠", "بلا تاريخ")
+
+
+def test_trailer_without_loc_date_is_rejected_by_the_grammar_in_time():
+    count = 0
+    for source in _trailer_shapes():
+        text = norm(source)
+        result = parse_document(text)
+        assert result.document is None and len(result.diagnostics) == 1, source
+        [d] = result.diagnostics
+        assert d.span.start_line <= _trailer_bound(text, result.tokens), (source, d)
+        count += 1
+    assert count > 250, count
+
+
+@pytest.mark.parametrize("source, message, at", _TRAILER_CASES,
+                         ids=["ack-text-last", "clause-runs-on", "signature-after-ack"])
+def test_trailer_diagnostic_is_the_grammars(source, message, at):
+    d = reject(source)
+    assert (d.message, (d.span.start_line + 1, d.span.start_word + 1)) == (message, at)
 
 
 # -- driver paths no other input reaches ------------------------------------------
@@ -612,7 +691,7 @@ def test_removed_names_stay_removed():
                (grammar, "DEFAULT_LENGTH_BOUND"), (legalc, "min_derivable_length"),
                (grammar, "min_derivable_length"), (normalize.NormalizedText, "words"),
                (normalize.NormalizedText, "line_count"),
-               (normalize.NormalizedText, "line_text")]
+               (normalize.NormalizedText, "line_text"), (tokens.Token, "detached")]
     for owner, name in removed:
         assert not hasattr(owner, name), name
     assert {"parse_token_kinds", "segment_trailer", "Element", "StopSet",

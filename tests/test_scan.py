@@ -139,9 +139,10 @@ def test_number_only_taken_when_expected():
 def test_string_stops_at_attached_comma_and_queues_it():
     sc = Scanner(norm("رئيس الجمهورية، كذا"))
     tok = sc.take(frozenset({K.COMMA}))
-    assert (tok.kind, tok.lexeme) == (K.STRING, "رئيس الجمهورية")
+    assert (tok.kind, tok.lexeme, tok.span) == (K.STRING, "رئيس الجمهورية", Span(0, 0, 0, 1))
+    # split off its host, the comma spans the word the text ends in
     comma = sc.take(frozenset({K.COMMA}))
-    assert (comma.kind, comma.detached) == (K.COMMA, True)
+    assert (comma.kind, comma.lexeme, comma.span) == (K.COMMA, "،", Span.point(0, 1))
     rest = sc.take(frozenset())
     assert (rest.kind, rest.lexeme) == (K.STRING, "كذا")
 
@@ -157,9 +158,10 @@ def test_no_keyword_is_peeked_while_a_delimiter_is_pending():
 def test_standalone_comma_stops_and_is_not_detached():
     sc = Scanner(norm("كذا ، تابع"))
     tok = sc.take(frozenset({K.COMMA}))
-    assert tok.lexeme == "كذا"
+    assert (tok.lexeme, tok.span) == ("كذا", Span.point(0, 0))
+    # a word of its own, the comma starts after the text's last word
     comma = sc.take(frozenset())
-    assert (comma.kind, comma.detached) == (K.COMMA, False)
+    assert (comma.kind, comma.span) == (K.COMMA, Span.point(0, 1))
 
 
 def test_comma_stops_even_when_unexpected():
@@ -189,9 +191,10 @@ def test_colon_stops_only_when_expected():
 
 def test_lone_colon_word_returned_directly_when_expected():
     sc = Scanner(norm("يرسم ما يأتي :"))
-    assert sc.take(frozenset({K.YAKOUR})).kind is K.YAKOUR
+    tok = sc.take(frozenset({K.YAKOUR}))
+    assert (tok.kind, tok.span) == (K.YAKOUR, Span(0, 0, 0, 2))
     colon = sc.take(frozenset({K.COLON}))
-    assert (colon.kind, colon.detached) == (K.COLON, False)
+    assert (colon.kind, colon.lexeme, colon.span) == (K.COLON, ":", Span.point(0, 3))
 
 
 def test_keyword_stops_string_mid_line():
@@ -298,15 +301,16 @@ def test_spans_and_tokens_compare_and_hash_by_value():
     twin = Token(K.STRING, "نص", Span(0, 1, 2, 3))
     assert token == twin and hash(token) == hash(twin) and len({token, twin}) == 1
     assert Span.point(1, 2) == Span(1, 2, 1, 2) and hash(Span.point(1, 2)) == hash(Span(1, 2, 1, 2))
-    assert token != Token(K.STRING, "نص", span, detached=True)
+    assert token != Token(K.COMMA, "نص", span)
     assert token != Token(K.STRING, "نص", Span(0, 1, 2, 4))
-    assert str(span) == "1:2-3:4" and token.detached is False
+    assert str(span) == "1:2-3:4" and Token._fields == ("kind", "lexeme", "span")
 
 
 def test_hot_path_records_are_full_namedtuples():
     # The scanner and the region merge build their records with
-    # tuple.__new__, which checks nothing; a plain tuple or a detached flag
-    # of 0 would still compare equal, so the types are checked here.
+    # tuple.__new__, which checks nothing; a plain tuple or one of the wrong
+    # length would still compare or unpack, so types and lengths are checked
+    # here.
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     rng = random.Random(12)
     sources = [p.read_text(encoding="utf-8") for p in sorted(corpus.glob("*.txt"))]
@@ -318,11 +322,11 @@ def test_hot_path_records_are_full_namedtuples():
     for source in sources:
         result = scan_document(norm(source))
         for tok in (*result.tokens, *result.grammar_tokens):
-            assert type(tok) is Token and len(tok) == 4, tok
+            assert type(tok) is Token and len(tok) == 3, tok
             assert type(tok.span) is Span and len(tok.span) == 4, tok
-            assert type(tok.detached) is bool, tok
-            kinds_seen.add((tok.kind, tok.detached))
-    # every scanner site ran: keyword, NUM, STRING, detached and whole delimiters
+        for before, tok in zip(result.tokens, result.tokens[1:]):
+            kinds_seen.add((tok.kind, tok.span[:2] == before.span[2:]))
+    # every scanner site ran: keyword, NUM, STRING, split-off and whole delimiters
     assert {(K.MADA, False), (K.NUM, False), (K.STRING, False),
             (K.COMMA, True), (K.DOT, True), (K.DOT, False), (K.COMMA, False)} <= kinds_seen
 

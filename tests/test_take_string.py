@@ -65,7 +65,7 @@ class ReferenceScanner(Scanner):
             if trailing_kind is not None and self._delimiter_stops(trailing_kind, kinds):
                 pieces.append(body)
                 end = (line, word)
-                self.pending = Token(trailing_kind, trailing, Span.point(line, word), True)
+                self.pending = Token(trailing_kind, trailing, Span.point(line, word))
                 self._advance()
                 break
             pieces.append(original)
