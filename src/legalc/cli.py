@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import gc
 import os
@@ -68,13 +69,35 @@ def render_diagnostic(diag: Diagnostic, text: NormalizedText) -> str:
     return "\n".join(out) + "\n"
 
 
-def _read_input(path: str, err: TextIO) -> bytes | None:
-    if path == "-":
-        return sys.stdin.buffer.read()
+class _Stream:
+    """One of :func:`run`'s text streams, flushed after each write.  Its first
+    failure (a closed pipe, a full device, or None for a closed descriptor)
+    is the last write tried."""
+
+    def __init__(self, stream: TextIO | None):
+        self.stream = stream
+        self.error = None if stream is not None else OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def write(self, text: str) -> bool:
+        """Write ``text``; False once the stream has failed."""
+        if self.error is None:
+            try:
+                self.stream.write(text)
+                self.stream.flush()
+            except OSError as exc:
+                self.error = exc
+        return self.error is None
+
+
+def _read_input(path: str, source: str, err: _Stream) -> bytes | None:
     try:
-        return Path(path).read_bytes()
+        if path != "-":
+            return Path(path).read_bytes()
+        if sys.stdin is None:   # a closed descriptor
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        return sys.stdin.buffer.read()
     except OSError as exc:
-        err.write(f"legalc: error: cannot read {path}: {exc.strerror or exc}\n")
+        err.write(f"legalc: error: cannot read {source}: {exc.strerror or exc}\n")
         return None
 
 
@@ -88,11 +111,12 @@ def _file_id(path: str) -> tuple[int, int] | None:
 
 
 def _process_one(path: str, args: argparse.Namespace, claimed: dict[tuple[int, int], str],
-                 out: TextIO, err: TextIO) -> int:
+                 out: _Stream, err: _Stream) -> int:
     """Compile one input.  ``claimed`` maps the file ids that no output may
-    overwrite (the inputs, and the outputs written so far) to the reason."""
+    overwrite (the inputs, and the outputs written so far) to the reason.  A
+    failed write to ``out`` gives exit 2, and :func:`run` reports it."""
     source = "<stdin>" if path == "-" else path
-    data = _read_input(path, err)
+    data = _read_input(path, source, err)
     if data is None:
         return EXIT_USAGE
     try:
@@ -102,8 +126,8 @@ def _process_one(path: str, args: argparse.Namespace, claimed: dict[tuple[int, i
         return EXIT_REJECTED
 
     result = parse_document(text)
-    if args.dump_tokens:
-        out.write(dump_tokens(result.tokens) + "\n")
+    if args.dump_tokens and not out.write(dump_tokens(result.tokens) + "\n"):
+        return EXIT_USAGE
     if result.document is None:
         for diag in result.diagnostics:
             err.write(render_diagnostic(diag, text))
@@ -111,8 +135,7 @@ def _process_one(path: str, args: argparse.Namespace, claimed: dict[tuple[int, i
     if args.validate or args.dump_tokens:
         return EXIT_OK
     if args.dump_ast:
-        out.write(dump_ast(result.document) + "\n")
-        return EXIT_OK
+        return EXIT_OK if out.write(dump_ast(result.document) + "\n") else EXIT_USAGE
 
     payload = emit(result.document)
     if args.output:
@@ -122,8 +145,7 @@ def _process_one(path: str, args: argparse.Namespace, claimed: dict[tuple[int, i
     else:
         dest = str(Path(path).with_suffix(".xml"))
     if dest == "-":
-        out.write(payload.decode("utf-8"))
-        return EXIT_OK
+        return EXIT_OK if out.write(payload.decode("utf-8")) else EXIT_USAGE
     # an input named *.xml is its own default destination, and a.txt and
     # a.md share one
     reason = claimed.get(_file_id(dest))
@@ -141,12 +163,13 @@ def _process_one(path: str, args: argparse.Namespace, claimed: dict[tuple[int, i
 
 def run(argv: list[str] | None = None, stdout: TextIO | None = None,
         stderr: TextIO | None = None) -> int:
-    out = stdout if stdout is not None else sys.stdout
-    err = stderr if stderr is not None else sys.stderr
+    out = _Stream(stdout if stdout is not None else sys.stdout)
+    err = _Stream(stderr if stderr is not None else sys.stderr)
     parser = build_arg_parser()
     try:
         # argparse prints usage/help to the process streams on its own;
-        # route that through the streams the caller handed us instead.
+        # route that through the streams the caller handed us instead.  Like
+        # argparse's own printing, that output may fail unreported.
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -159,6 +182,9 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None,
     code = EXIT_OK
     for path in args.inputs:
         code = max(code, _process_one(path, args, claimed, out, err))
+    if out.error is not None:
+        err.write(f"legalc: error: cannot write <stdout>: {out.error.strerror or out.error}\n")
+        return EXIT_USAGE
     return code
 
 
@@ -171,6 +197,17 @@ def main() -> None:
     needs to walk them.  Unlike ``os._exit``, the exit still flushes stdio
     and runs atexit handlers.  :func:`run` and the library never freeze, as
     a caller's heap is not theirs to pin.
+
+    Stdout holds data at the end only after a write that :func:`run`
+    reported failed.  If the flush here fails on it again, the descriptor
+    goes to ``os.devnull``, as the ``signal`` docs advise for a closed pipe,
+    so that the interpreter's own flush at exit cannot fail too.
     """
     gc.freeze()
-    raise SystemExit(run())
+    code = run()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)

@@ -3,11 +3,11 @@
 Parsing happens in two phases.  A driver walks the document shape
 (statement line, title, issuer, reference and justification clauses,
 acknowledgment, articles, location/date line, signature block), telling the
-scanner which kinds it expects at every step and producing two token streams:
-the fine-grained stream exactly as scanned, and a grammar stream in which
-each article's multi-line content region is merged into a single STRING.
+scanner which kinds it expects at every step, and produces one token
+stream.  Each article's content region, which may span lines, is one STRING
+in it, built by the driver from the text's lines.
 
-The second phase is a recursive-descent parser over the grammar stream.  It
+The second phase is a recursive-descent parser over that stream.  It
 implements the document grammar exactly (see :mod:`legalc.grammar`) and
 decides each step from the next token, except once: the last article's title,
 which the article list retries without (:func:`_gen_article_list`).  Because
@@ -125,7 +125,7 @@ class Diagnostic(NamedTuple):
 
 
 class ScanResult(NamedTuple):
-    """Both token streams for one document plus any location/date layout diagnostic."""
+    """One document's token stream (``grammar_tokens`` is ``tokens``) and layout diagnostic."""
 
     tokens: list[Token]
     grammar_tokens: list[Token]
@@ -352,12 +352,10 @@ def _parse_document_tokens(ctx: _Ctx) -> Document | None:
     return None
 
 
-def _with_eof(tokens: Sequence[Token]) -> list[Token]:
-    toks = list(tokens)
-    if not toks or toks[-1].kind is not K.EOF:
-        pos = len(toks)
-        toks.append(Token(K.EOF, "", Span.point(0, pos)))
-    return toks
+def _with_eof(tokens: Sequence[Token]) -> Sequence[Token]:
+    if tokens and tokens[-1].kind is _EOF:   # a scanned stream: read it as it is
+        return tokens
+    return [*tokens, Token(K.EOF, "", Span.point(0, len(tokens)))]
 
 
 def parse_grammar_tokens(tokens: Sequence[Token]) -> tuple[Document | None, Diagnostic | None]:
@@ -414,19 +412,6 @@ def _looks_like_loc_date(text: NormalizedText, line: int) -> bool:
     return any(has_digit(w) for w in words)
 
 
-def _merge_region(tokens: list[Token]) -> Token:
-    """One STRING covering a content region, its tokens joined as written: a
-    token split off the word the one before it ends in joins without a space."""
-    parts = [tokens[0].lexeme]
-    for before, tok in zip(tokens, tokens[1:]):
-        if tok.span[:2] != before.span[2:]:
-            parts.append(" ")
-        parts.append(tok.lexeme)
-    first, last = tokens[0].span, tokens[-1].span
-    span = _tuple_new(Span, (first.start_line, first.start_word, last.end_line, last.end_word))
-    return _tuple_new(Token, (_STRING, "".join(parts), span))
-
-
 # The kinds sets the driver expects, built once; none holds STRING.  The
 # driver hands the scanner one of these and, where a scan is scoped to a
 # line or region, the bound as they are, so a bounded scan builds nothing.
@@ -447,28 +432,25 @@ class _Driver:
 
     The article header lines are read off the scanner's line heads in one
     pass.  Each article's header is a table of steps, each scoped to the
-    header line, and its content runs to the next header line, the last
-    article's to the location/date line.
-
-    Only the fine stream grows while scanning.  Each article content region
-    that merges into a new STRING is recorded as (start, end, merged) over
-    the fine stream, and :meth:`run` builds the grammar stream from both at
-    the end.  End of input is one rule: :meth:`take` keeps no EOF in the fine
-    stream, and :meth:`run` ends it with the one EOF.
+    header line.  Its content region, up to the next header line or the
+    location/date line, is one STRING of its words as written, joined here
+    from the text's lines: a scan with ``_ANY`` would probe no keyword and
+    only split pieces to rejoin, and a STRING kinds set in :meth:`Scanner.take`
+    would loosen its refusal of STRING and fork its hottest path.
+    :meth:`take` keeps no EOF; :meth:`run` adds the one EOF.
     """
 
     def __init__(self, text: NormalizedText):
         self.sc = Scanner(text)
-        self.fine: list[Token] = []
-        self.merged: list[tuple[int, int, Token]] = []
+        self.tokens: list[Token] = []
         self.diagnostics: list[Diagnostic] = []
 
     def take(self, kinds: frozenset[TokenKind], bound: tuple[int, int] | None = None) -> Token:
         """The next token expecting ``kinds``, scoped to end before ``bound``,
-        kept in the fine stream unless it is EOF."""
+        kept in the stream unless it is EOF."""
         tok = self.sc.take(kinds, bound)
         if tok.kind is not _EOF:
-            self.fine.append(tok)
+            self.tokens.append(tok)
         return tok
 
     def drain(self) -> None:
@@ -485,23 +467,16 @@ class _Driver:
         delimiter still pending there.  Every caller's bound lies within the
         text, so no token taken here is EOF."""
         sc = self.sc
-        take, append, kinds = sc.take, self.fine.append, _ANY
+        take, append, kinds = sc.take, self.tokens.append, _ANY
         while sc.pending is not None or (sc.line, sc.word) < bound:
             append(take(kinds, bound))
 
     def run(self) -> ScanResult:
         self._policy()
         self._residual()
-        fine = self.fine
-        fine.append(self.sc.take(_ANY, None))
-        grammar: list[Token] = []
-        done = 0
-        for start, end, merged in self.merged:
-            grammar += fine[done:start]
-            grammar.append(merged)
-            done = end
-        grammar += fine[done:]
-        return ScanResult(fine, grammar, self.diagnostics)
+        tokens = self.tokens
+        tokens.append(self.sc.take(_ANY, None))
+        return ScanResult(tokens, tokens, self.diagnostics)
 
     # The policy mirrors the document shape.  It never fails on mismatches:
     # it keeps scanning something sensible and lets the grammar phase report
@@ -527,8 +502,6 @@ class _Driver:
         if self.at(K.YAKOUR):
             self.take(_STOP_AT[K.YAKOUR])
             self.take(_STOP_AT[K.COLON])
-        if sc.at_end() and sc.pending is None:
-            return
         loc_date_line = _segment_trailer(sc.text, sc.heads, sc.line)
         if loc_date_line is None:
             return
@@ -561,8 +534,8 @@ class _Driver:
         self.text_to((boundary_line, 0))
 
     def _one_article(self, header_line: int, content_end: int) -> None:
-        sc, fine = self.sc, self.fine
-        take, append = sc.take, fine.append
+        sc = self.sc
+        take, append = sc.take, self.tokens.append
         header_end = (header_line + 1, 0)
         # The header takes all stay before ``header_end``, a line that exists,
         # so none meets EOF.
@@ -570,14 +543,16 @@ class _Driver:
         for kinds in _HEADER:                                   # number, colon, title
             if sc.pending is not None or (sc.line, sc.word) < header_end:
                 append(take(kinds, header_end))
-        if sc.pending is not None:
-            append(take(_ANY, header_end))
-        start = len(fine)
-        self.text_to((content_end, 0))
-        # A region that already is one STRING stays as it is.
-        region = len(fine) - start
-        if region > 1 or region == 1 and fine[start].kind is not _STRING:
-            self.merged.append((start, len(fine), _merge_region(fine[start:])))
+        self.drain()
+        # The content region: one STRING to the next header line, with
+        # nothing pending.
+        line, word = sc.line, sc.word
+        if line < content_end:
+            lines, last = sc.text.lines, content_end - 1
+            lexeme = " ".join(map(" ".join, (lines[line][word:], *lines[line + 1:content_end])))
+            append(_tuple_new(Token, (_STRING, lexeme,
+                                      _tuple_new(Span, (line, word, last, len(lines[last]) - 1)))))
+            sc.line, sc.word = content_end, 0
 
     def _loc_date(self, line: int) -> None:
         sc = self.sc

@@ -4,7 +4,7 @@ Spans and tokens are made in the scanner's inner loop, so they are plain
 :class:`typing.NamedTuple` records: immutable, compared and hashed by value,
 and cheaper to build than frozen dataclasses.
 
-The hot paths (the scanner's token sites and the parser's region merge)
+The hot paths (the scanner's token sites and the driver's content regions)
 build them with ``tuple.__new__(Token, (...))``, as the record's own
 ``_make`` does less its length check: the generated constructor is a
 Python-level function, and skipping it halves the cost of a record.  Such a

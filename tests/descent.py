@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from legalc.parser import _Ctx, _parse_document_tokens, parse_grammar_tokens
+import legalc.parser
+from legalc.parser import parse_grammar_tokens
 from legalc.tokens import Span, Token, TokenKind
 
 
@@ -23,13 +24,14 @@ def parse_token_kinds(kinds: Sequence[TokenKind]) -> bool:
     return parse_grammar_tokens(_tokens(kinds))[0] is not None
 
 
-def rejects_all_extensions(kinds: Sequence[TokenKind]) -> bool:
+def rejects_all_extensions(kinds: Sequence[TokenKind], parser=legalc.parser) -> bool:
     """True when the parser rejects this prefix without ever consulting a
     token at or past ``len(kinds)``.  Every extension of such a prefix is
     rejected identically, which lets bounded-exhaustive equivalence checks
-    prune whole subtrees soundly."""
-    ctx = _Ctx(_tokens(kinds))
+    prune whole subtrees soundly.  ``parser`` is the ``legalc.parser``
+    module of the tree to ask, and ``kinds`` that tree's members."""
+    ctx = parser._Ctx(_tokens(kinds))
     try:
-        return _parse_document_tokens(ctx) is None
+        return parser._parse_document_tokens(ctx) is None
     except IndexError:   # a read past the prefix: the outcome depends on later tokens
         return False

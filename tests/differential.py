@@ -12,6 +12,16 @@ compares the printed lines with the committed ones and exits 1, naming each
 line that moved.  A change that moves a digest updates that file, so the
 move shows in its diff.
 
+    PYTHONPATH=src python3 tests/differential.py --against PARENT/src/legalc
+
+loads the package directory ``PARENT/src/legalc`` as a second tree (A,
+beside this checkout's B; as ``tests/interleave.py`` does) and runs every
+input through every mode on both.  Per mode it prints how many inputs
+differ and, for the first 20 of them, which parts moved (exit code, stdout
+and stderr; an oracle case's verdict; a descent case's result and
+verdict) with the first differing line on each side.  It exits 1 when any
+input differs.
+
 Each input goes through four modes: the CLI writing XML to standard output
 (``-o -``), ``--dump-tokens`` and ``--dump-ast``, plus the grammar token
 stream of ``scan_document``, which no golden file pins.  For each mode it
@@ -47,21 +57,20 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import io
 import itertools
 import random
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import docgen
+import legalc
 from descent import rejects_all_extensions
-from legalc.cli import run
-from legalc.grammar import GRAMMAR, derivable_strings, oracle_accepts
-from legalc.normalize import preprocess
-from legalc.parser import dump_ast, parse_grammar_tokens, scan_document
-from legalc.scanner import dump_tokens
+from interleave import load_tree
+from legalc.grammar import GRAMMAR, derivable_strings
 from legalc.tokens import Span, Token, TokenKind
 from test_grammar_oracle import reachable_terminals, single_edits
 
@@ -69,19 +78,26 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GENERATED = 1500
 NOISY = 300
 ARTICLE_COUNTS = (100, 500, 1000, 2000, 3000)
+SHOWN = 20   # moved inputs described per mode under --against
 
 CLI_MODES = {"xml": ["-o", "-"], "tokens": ["--dump-tokens"], "ast": ["--dump-ast"]}
+# What each part of a mode's record is; the modes not named hold CLI runs.
+PARTS = {"oracle": ("verdict",), "descent": ("result", "determined")}
+RUN_PARTS = ("exit code", "stdout", "stderr")
 
 
-def inputs() -> list[bytes]:
-    docs = [p.read_bytes() for p in sorted(CORPUS.glob("*.txt"))]
+def inputs() -> list[tuple[str, bytes]]:
+    """(label, bytes) for every input document."""
+    docs = [(p.name, p.read_bytes()) for p in sorted(CORPUS.glob("*.txt"))]
     rng = random.Random(2026)
     generated = [docgen.generate_document(rng).text for _ in range(GENERATED)]
     mutants = [docgen.mutate_text(rng, text) for text in generated]
     noisy = [docgen.add_fold_noise(rng, text) for text in generated[:NOISY]]
-    large = [docgen.many_articles(n) for n in ARTICLE_COUNTS]
-    docs += [text.encode("utf-8")
-             for text in (*generated, *mutants, *noisy, *large, *lone_delimiters())]
+    groups = {"generated": generated, "mutant": mutants, "noisy": noisy,
+              "many_articles": [docgen.many_articles(n) for n in ARTICLE_COUNTS],
+              "lone delimiter": lone_delimiters()}
+    docs += [(f"{group} {n}", text.encode("utf-8"))
+             for group, texts in groups.items() for n, text in enumerate(texts)]
     return docs
 
 
@@ -93,8 +109,8 @@ def lone_delimiters() -> list[str]:
             for delimiter in (".", "،") for n in (1, 3)]
 
 
-def run_cli(argv: list[str], data: bytes) -> tuple[int, str, str]:
-    """``legalc.cli.run`` on one document read from standard input."""
+def run_cli(run, argv: list[str], data: bytes) -> tuple[str, str, str]:
+    """A ``legalc.cli.run`` on one document read from standard input."""
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
@@ -102,11 +118,7 @@ def run_cli(argv: list[str], data: bytes) -> tuple[int, str, str]:
         code = run(["-", *argv], stdout=out, stderr=err)
     finally:
         sys.stdin = stdin
-    return code, out.getvalue(), err.getvalue()
-
-
-def grammar_stream(data: bytes) -> tuple[int, str, str]:
-    return 0, dump_tokens(scan_document(preprocess(data, "<stdin>")).grammar_tokens), ""
+    return str(code), out.getvalue(), err.getvalue()
 
 
 def oracle_cases() -> Iterator[tuple[str, tuple[TokenKind, ...]]]:
@@ -127,16 +139,6 @@ def oracle_cases() -> Iterator[tuple[str, tuple[TokenKind, ...]]]:
         start = rng.choice(starts)
         alphabet = reachable_terminals(start)
         yield start, tuple(rng.choice(alphabet) for _ in range(rng.randrange(17)))
-
-
-def oracle_digest() -> str:
-    digest = hashlib.sha256()
-    verdicts: Counter[bool] = Counter()
-    for start, kinds in oracle_cases():
-        ok = oracle_accepts(kinds, start=start)
-        verdicts[ok] += 1
-        digest.update(b"1" if ok else b"0")
-    return f"{digest.hexdigest()}  accept={verdicts[True]} reject={verdicts[False]}"
 
 
 K = TokenKind
@@ -163,44 +165,121 @@ def descent_cases() -> Iterator[tuple[TokenKind, ...]]:
         yield head + tuple(rng.choice(everything) for _ in range(n - len(head)))
 
 
-def descent_digest() -> str:
-    digest = hashlib.sha256()
+def tree_modes(package, docs: list[bytes]) -> dict[str, Callable[[], Iterator[tuple[str, ...]]]]:
+    """Each mode's records over the legalc package ``package``, one tuple of
+    strings per input.  The kinds of the oracle and descent cases are this
+    checkout's; each tree gets its own members of the same names."""
+    tree_kind = {k: package.tokens.TokenKind[k.name] for k in TokenKind}.__getitem__
+    run = importlib.import_module(package.__name__ + ".cli").run
+    parser = package.parser
+
+    def cli_mode(argv: list[str]) -> Callable[[], Iterator[tuple[str, ...]]]:
+        return lambda: (run_cli(run, argv, data) for data in docs)
+
+    def grammar_stream() -> Iterator[tuple[str, ...]]:
+        for data in docs:
+            scan = parser.scan_document(package.normalize.preprocess(data, "<stdin>"))
+            yield "0", package.scanner.dump_tokens(scan.grammar_tokens), ""
+
+    def oracle() -> Iterator[tuple[str, ...]]:
+        for start, kinds in oracle_cases():
+            kinds = tuple(map(tree_kind, kinds))
+            yield ("1" if package.grammar.oracle_accepts(kinds, start=start) else "0",)
+
+    def descent() -> Iterator[tuple[str, ...]]:
+        for kinds in descent_cases():
+            kinds = tuple(map(tree_kind, kinds))
+            doc, diag = parser.parse_grammar_tokens([Token(k, k.value, Span.point(0, i))
+                                                     for i, k in enumerate(kinds)])
+            if doc is not None:
+                result = "accept\n" + parser.dump_ast(doc)
+            else:
+                expected = ",".join(k.name for k in diag.expected)
+                result = f"{diag.message}\n{diag.span}\n{expected}\n{diag.found.name}"
+            yield result, str(int(rejects_all_extensions(kinds, parser)))
+
+    modes = {name: cli_mode(argv) for name, argv in CLI_MODES.items()}
+    return {**modes, "grammar-tokens": grammar_stream, "oracle": oracle, "descent": descent}
+
+
+def run_digest(records: Iterator[tuple[str, ...]]) -> str:
+    sha = hashlib.sha256()
+    codes: Counter[int] = Counter()
+    for record in records:
+        codes[int(record[0])] += 1
+        for part in record:
+            sha.update(part.encode("utf-8"))
+            sha.update(b"\0")
+    counts = " ".join(f"exit{code}={n}" for code, n in sorted(codes.items()))
+    return f"{sha.hexdigest()}  {counts}"
+
+
+def oracle_digest(records: Iterator[tuple[str, ...]]) -> str:
+    sha = hashlib.sha256()
+    verdicts: Counter[str] = Counter()
+    for (verdict,) in records:
+        verdicts[verdict] += 1
+        sha.update(verdict.encode("utf-8"))
+    return f"{sha.hexdigest()}  accept={verdicts['1']} reject={verdicts['0']}"
+
+
+def descent_digest(records: Iterator[tuple[str, ...]]) -> str:
+    sha = hashlib.sha256()
     counts: Counter[str] = Counter()
-    for kinds in descent_cases():
-        doc, diag = parse_grammar_tokens([Token(k, k.value, Span.point(0, i))
-                                          for i, k in enumerate(kinds)])
-        if doc is not None:
-            counts["accept"] += 1
-            record = "accept\n" + dump_ast(doc)
-        else:
-            counts["reject"] += 1
-            expected = ",".join(k.name for k in diag.expected)
-            record = f"{diag.message}\n{diag.span}\n{expected}\n{diag.found.name}"
-        determined = rejects_all_extensions(kinds)
-        counts["determined"] += determined
-        digest.update(f"{record}\n{int(determined)}\0".encode("utf-8"))
-    return (f"{digest.hexdigest()}  accept={counts['accept']} reject={counts['reject']} "
+    for result, determined in records:
+        counts["accept" if result.startswith("accept\n") else "reject"] += 1
+        counts["determined"] += determined == "1"
+        sha.update(f"{result}\n{determined}\0".encode("utf-8"))
+    return (f"{sha.hexdigest()}  accept={counts['accept']} reject={counts['reject']} "
             f"determined={counts['determined']}")
 
 
+DIGESTS = {"oracle": oracle_digest, "descent": descent_digest}
+
+
 def digest_lines() -> Iterator[str]:
-    docs = inputs()
-    modes = {name: (lambda data, argv=argv: run_cli(argv, data)) for name, argv in CLI_MODES.items()}
-    modes["grammar-tokens"] = grammar_stream
+    docs = [data for _, data in inputs()]
     yield f"{len(docs)} inputs"
-    for name, mode in modes.items():
-        digest = hashlib.sha256()
-        codes: Counter[int] = Counter()
-        for data in docs:
-            code, out, err = mode(data)
-            codes[code] += 1
-            for part in (str(code), out, err):
-                digest.update(part.encode("utf-8"))
-                digest.update(b"\0")
-        counts = " ".join(f"exit{code}={n}" for code, n in sorted(codes.items()))
-        yield f"{name:15} {digest.hexdigest()}  {counts}"
-    yield f"{'oracle':15} {oracle_digest()}"
-    yield f"{'descent':15} {descent_digest()}"
+    for name, records in tree_modes(legalc, docs).items():
+        yield f"{name:15} {DIGESTS.get(name, run_digest)(records())}"
+
+
+def first_difference(a: str, b: str) -> tuple[int, str, str]:
+    """The 1-based number of the first line where ``a`` and ``b`` differ, and
+    that line on each side ("(none)" past one side's end), from a little
+    before the first character that differs."""
+    pairs = itertools.zip_longest(a.split("\n"), b.split("\n"), fillvalue="(none)")
+    n, x, y = next((n, x, y) for n, (x, y) in enumerate(pairs, 1) if x != y)
+    column = next((i for i, (p, q) in enumerate(zip(x, y)) if p != q), min(len(x), len(y)))
+    cut = max(column - 60, 0)
+    return n, ("…" if cut else "") + x[cut:cut + 160], ("…" if cut else "") + y[cut:cut + 160]
+
+
+def report_moved(name: str, labels: list[str], modes_a, modes_b) -> int:
+    """Print how many of one mode's inputs differ between the trees, and for
+    the first ``SHOWN`` of them which parts moved and their first differing
+    lines; return the count."""
+    parts = PARTS.get(name, RUN_PARTS)
+    moved = total = 0
+    per_part: Counter[str] = Counter()
+    for i, (a, b) in enumerate(zip(modes_a[name](), modes_b[name]())):
+        total += 1
+        if a == b:
+            continue
+        moved += 1
+        changed = [(part, x, y) for part, x, y in zip(parts, a, b) if x != y]
+        per_part.update(part for part, _, _ in changed)
+        if moved > SHOWN:
+            continue
+        what = labels[i] if name not in PARTS else "a token-kind case"
+        print(f"  input {i} ({what}): {', '.join(part for part, _, _ in changed)} moved")
+        for part, x, y in changed:
+            n, x, y = first_difference(x, y)
+            print(f"    {part} line {n}:\n      A: {x}\n      B: {y}")
+    by_part = ", ".join(f"{part} {per_part[part]}" for part in parts if per_part[part])
+    print(f"{name:15} {moved} of {total} inputs differ" + (f" ({by_part})" if moved else ""),
+          flush=True)
+    return moved
 
 
 def label(line: str) -> str:
@@ -211,9 +290,21 @@ def label(line: str) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description="Print output digests over fixed inputs.")
-    parser.add_argument("--expect", type=Path, metavar="FILE",
-                        help="compare the printed lines with FILE's; exit 1 if any moved")
+    what = parser.add_mutually_exclusive_group()
+    what.add_argument("--expect", type=Path, metavar="FILE",
+                      help="compare the printed lines with FILE's; exit 1 if any moved")
+    what.add_argument("--against", type=Path, metavar="PACKAGE_DIR",
+                      help="compare every input's output with the src/legalc tree "
+                           "PACKAGE_DIR (as A); exit 1 if any differs")
     args = parser.parse_args()
+    if args.against is not None:
+        labelled = inputs()
+        labels = [label for label, _ in labelled]
+        docs = [data for _, data in labelled]
+        modes_a = tree_modes(load_tree(args.against.resolve(), "legalc_a"), docs)
+        modes_b = tree_modes(legalc, docs)
+        moved = [report_moved(name, labels, modes_a, modes_b) for name in modes_b]
+        return 1 if any(moved) else 0
     printed = []
     for line in digest_lines():
         print(line, flush=True)

@@ -167,6 +167,13 @@ def test_dump_tokens(good):
     assert out.splitlines()[-1].startswith("EOF")
 
 
+@pytest.mark.parametrize("flag,suffix", [("--dump-tokens", ".tokens"), ("--dump-ast", ".ast")])
+def test_dumps_are_the_golden(corpus_dir, golden_dir, flag, suffix):
+    code, out, err = invoke([str(corpus_dir / "decree-25.txt"), flag])
+    assert (code, err) == (0, "")
+    assert out == (golden_dir / ("decree-25" + suffix)).read_text(encoding="utf-8")
+
+
 def test_dump_tokens_on_rejected_input_still_prints(bad):
     code, out, err = invoke([str(bad), "--dump-tokens"])
     assert code == 1

@@ -20,7 +20,7 @@ from legalc import (
     preprocess,
     reconstruct_words,
 )
-from legalc.parser import _merge_region, _segment_trailer, dump_ast, parse_grammar_tokens
+from legalc.parser import _segment_trailer, dump_ast, parse_grammar_tokens
 from legalc.tokens import Span, Token, TokenKind
 
 K = TokenKind
@@ -136,15 +136,46 @@ def test_multiline_article_content_merges_with_punctuation():
     assert result.document.articles[0].content == "نص المادة، تابع سطر ثان."
 
 
-def test_merge_region_joins_as_written():
-    content = Token(K.STRING, "نص المادة", Span(6, 0, 7, 1))
-    lone_dot = Token(K.DOT, ".", Span.point(8, 0))
-    assert _merge_region([lone_dot]) == Token(K.STRING, ".", Span.point(8, 0))
-    # a dot in the word where the content ends was split off that word
-    split_dot = Token(K.DOT, ".", Span.point(7, 1))
-    assert _merge_region([content, split_dot]) == Token(K.STRING, "نص المادة.", Span(6, 0, 7, 1))
+def _from_first_article(result):
+    """The token stream from the first article's مادة on."""
+    toks = result.tokens
+    return toks[next(i for i, tok in enumerate(toks) if tok.kind is K.MADA):]
+
+
+@pytest.mark.parametrize("content,lexeme,span", [
+    ("نص، تابع", "نص، تابع", Span(6, 0, 6, 1)),            # a ، split off its word
+    ("نص المادة.", "نص المادة.", Span(6, 0, 6, 1)),          # a line-final .
     # a standalone delimiter word is joined with a space, as it was written
-    assert _merge_region([content, lone_dot]) == Token(K.STRING, "نص المادة .", Span(6, 0, 8, 0))
+    ("نص المادة\n.", "نص المادة .", Span(6, 0, 7, 0)),
+    (".", ".", Span.point(6, 0)),
+    ("،", "،", Span.point(6, 0)),
+])
+def test_content_region_joins_as_written(content, lexeme, span):
+    result = parse(MINIMAL.replace("نص المادة\n", content + "\n"))
+    assert result.ok and result.document.articles[0].content == lexeme
+    toks = _from_first_article(result)
+    # the region is the one token between the header and the location/date line
+    assert toks[3] == Token(K.STRING, lexeme, span)
+    assert toks[4].span[:2] == (span.end_line + 1, 0)
+
+
+def test_content_region_starts_mid_header_line_after_a_title_stopped_at_comma():
+    result = parse(MINIMAL.replace("مادة ١:\nنص المادة", "مادة ١: عنوان، بقية\nسطر ثان"))
+    assert [(tok.kind, tok.lexeme, tok.span) for tok in _from_first_article(result)[:6]] == [
+        (K.MADA, "مادة", Span.point(5, 0)), (K.NUM, "١", Span.point(5, 1)),
+        (K.COLON, ":", Span.point(5, 1)), (K.STRING, "عنوان", Span.point(5, 2)),
+        (K.COMMA, "،", Span.point(5, 2)), (K.STRING, "بقية سطر ثان", Span(5, 3, 6, 1))]
+    [diag] = result.diagnostics
+    assert (diag.message, diag.span, diag.found) == (
+        "expected the location/date line", Span.point(5, 2), K.COMMA)
+
+
+def test_empty_content_region_takes_no_token():
+    result = parse(MINIMAL.replace("مادة ١:\nنص المادة", "مادة ١:\nمادة ٢:\nنص المادة"))
+    assert [tok.kind for tok in _from_first_article(result)[:4]] == [K.MADA, K.NUM, K.COLON, K.MADA]
+    [diag] = result.diagnostics
+    assert (diag.message, diag.span, diag.expected, diag.found) == (
+        "article has no content", Span.point(6, 0), (K.STRING,), K.MADA)
 
 
 def test_article_headers_accept_word_numbers():
@@ -362,7 +393,7 @@ def _with_line(corpus_dir, number: int, line: str) -> str:
 
 def _rejected_with(source: str, message: str, span: str, *tokens: str) -> None:
     """The one diagnostic (message and 1-based span), and each listed token
-    as ``KIND span lexeme`` in the fine-grained stream."""
+    as ``KIND span lexeme`` in the token stream (``--dump-tokens`` prints it)."""
     result = parse(source)
     assert result.document is None
     assert [(d.message, str(d.span)) for d in result.diagnostics] == [(message, span)]
@@ -382,6 +413,20 @@ def test_delimiter_pending_after_the_last_signature(corpus_dir):
     _rejected_with(_with_line(corpus_dir, 20, "الامضاء: سعد الدين الحريري."),
                    "unexpected trailing input after the signature block", "20:4-20:4",
                    "DOT 20:4-20:4 .")
+
+
+def test_loc_date_line_opening_with_fi_takes_no_location(corpus_dir):
+    _rejected_with(_with_line(corpus_dir, 16, "في بعيدا في ١٣ آذار ٢٠١٨"),
+                   "expected the location/date line", "16:1-16:1",
+                   "FI 16:1-16:1 في", "STRING 16:2-16:6 بعيدا في ١٣ آذار ٢٠١٨")
+
+
+def test_two_word_loc_date_line_with_fi_expects_the_date(corpus_dir):
+    # a second word في makes the line the location/date line, so the date
+    # is missing after في, on the signature line below it
+    _rejected_with(_with_line(corpus_dir, 16, "بعيدا في"),
+                   "expected the date after في", "17:1-17:1",
+                   "STRING 16:1-16:1 بعيدا", "FI 16:2-16:2 في")
 
 
 def test_loc_date_line_already_entered_is_scanned_as_text():

@@ -307,7 +307,7 @@ def test_spans_and_tokens_compare_and_hash_by_value():
 
 
 def test_hot_path_records_are_full_namedtuples():
-    # The scanner and the region merge build their records with
+    # The scanner and the driver's content regions build their records with
     # tuple.__new__, which checks nothing; a plain tuple or one of the wrong
     # length would still compare or unpack, so types and lengths are checked
     # here.
@@ -317,7 +317,10 @@ def test_hot_path_records_are_full_namedtuples():
     sources += [docgen.generate_document(rng).text for _ in range(100)]
     sources += [docgen.many_articles(300),
                 docgen.many_articles(3).replace("نص المادة رقمها 1\n", ".\n"),
-                docgen.many_articles(3).replace("نص المادة رقمها 3\n", "،\n")]
+                docgen.many_articles(3).replace("نص المادة رقمها 3\n", "،\n"),
+                # a content region is one STRING, so the split-off and the
+                # standalone DOT come from the residual of a rejected text
+                "نص بلا نوع.\n.\n"]
     kinds_seen = set()
     for source in sources:
         result = scan_document(norm(source))
