@@ -76,12 +76,14 @@ class _Stream:
 
     def __init__(self, stream: TextIO | None):
         self.stream = stream
-        self.error = None if stream is not None else OSError(errno.EBADF, os.strerror(errno.EBADF))
+        self.error: OSError | None = None
 
     def write(self, text: str) -> bool:
         """Write ``text``; False once the stream has failed."""
         if self.error is None:
             try:
+                if self.stream is None:   # a closed descriptor fails only when written to
+                    raise OSError(errno.EBADF, os.strerror(errno.EBADF))
                 self.stream.write(text)
                 self.stream.flush()
             except OSError as exc:
@@ -191,12 +193,13 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None,
 def main() -> None:
     """The process entry behind the ``legalc`` script and ``python -m legalc``.
 
-    It first freezes the collector's view of the heap (``gc.freeze()``): the
+    It freezes the collector's view of the heap (``gc.freeze()``): the
     modules, classes and tables that start-up built live until the process
     exits, so no later collection, the interpreter's shutdown ones included,
     needs to walk them.  Unlike ``os._exit``, the exit still flushes stdio
-    and runs atexit handlers.  :func:`run` and the library never freeze, as
-    a caller's heap is not theirs to pin.
+    and runs atexit handlers.  It also sets stdout's encoding to UTF-8, the
+    one the XML declares.  :func:`run` and the library do neither, as a
+    caller's heap and streams are not theirs to change.
 
     Stdout holds data at the end only after a write that :func:`run`
     reported failed.  If the flush here fails on it again, the descriptor
@@ -204,6 +207,8 @@ def main() -> None:
     so that the interpreter's own flush at exit cannot fail too.
     """
     gc.freeze()
+    if sys.stdout is not None:
+        sys.stdout.reconfigure(encoding="utf-8")
     code = run()
     try:
         if sys.stdout is not None:

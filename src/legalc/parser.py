@@ -1,11 +1,11 @@
 """Document parsing: layout-aware scanning plus grammar-exact descent.
 
-Parsing happens in two phases.  A driver walks the document shape
-(statement line, title, issuer, reference and justification clauses,
-acknowledgment, articles, location/date line, signature block), telling the
-scanner which kinds it expects at every step, and produces one token
-stream.  Each article's content region, which may span lines, is one STRING
-in it, built by the driver from the text's lines.
+Parsing happens in two phases.  A driver walks the document shape in three
+parts, the head policy (statement line to acknowledgment), the article list
+and the tail walk (location/date line and signature block, line by line),
+telling the scanner which kinds it expects at every step, and produces one
+token stream.  Each article's content region, which may span lines, is one
+STRING in it, built by the driver from the text's lines.
 
 The second phase is a recursive-descent parser over that stream.  It
 implements the document grammar exactly (see :mod:`legalc.grammar`) and
@@ -430,14 +430,16 @@ _HEADER = (_NUMBER, _STOP_AT[K.COLON], _ANY)
 class _Driver:
     """Walks the document shape, choosing expected kinds and scoping line scans.
 
-    The article header lines are read off the scanner's line heads in one
-    pass.  Each article's header is a table of steps, each scoped to the
-    header line.  Its content region, up to the next header line or the
-    location/date line, is one STRING of its words as written, joined here
-    from the text's lines: a scan with ``_ANY`` would probe no keyword and
-    only split pieces to rejoin, and a STRING kinds set in :meth:`Scanner.take`
-    would loosen its refusal of STRING and fork its hottest path.
-    :meth:`take` keeps no EOF; :meth:`run` adds the one EOF.
+    Its parts are the head policy (:meth:`_policy`), the article list
+    (:meth:`_articles`) and the tail walk (:meth:`_tail`).  The article
+    header lines are read off the scanner's line heads in one pass.  Each
+    article's header is a table of steps, each scoped to the header line.
+    Its content region, up to the next header line or the location/date
+    line, is one STRING of its words as written, joined here from the
+    text's lines: a scan with ``_ANY`` would probe no keyword and only split
+    pieces to rejoin, and a STRING kinds set in :meth:`Scanner.take` would
+    loosen its refusal of STRING and fork its hottest path.  :meth:`take`
+    keeps no EOF; :meth:`run` adds the one EOF.
     """
 
     def __init__(self, text: NormalizedText):
@@ -472,18 +474,16 @@ class _Driver:
             append(take(kinds, bound))
 
     def run(self) -> ScanResult:
-        self._policy()
-        self._residual()
-        tokens = self.tokens
-        tokens.append(self.sc.take(_ANY, None))
-        return ScanResult(tokens, tokens, self.diagnostics)
+        self._tail(self._policy())
+        self.tokens.append(self.sc.take(_ANY, None))
+        return ScanResult(self.tokens, self.tokens, self.diagnostics)
 
-    # The policy mirrors the document shape.  It never fails on mismatches:
-    # it keeps scanning something sensible and lets the grammar phase report
-    # the first error with a proper span.  Nor does it stop at the end of the
-    # input: from there every take gives EOF and keeps nothing, ``at`` is
-    # False and ``drain`` does nothing, so the remaining steps run out.
-    def _policy(self) -> None:
+    # The head policy returns the location/date line, or None.  No part fails
+    # on mismatches: each keeps scanning something sensible and lets the
+    # grammar phase report the first error with a proper span.  Nor does one
+    # stop at the end of the input: from there every take gives EOF and keeps
+    # nothing, ``at`` is False and ``drain`` does nothing, so the steps run out.
+    def _policy(self) -> int | None:
         sc = self.sc
         self.take(_STOP_AT[K.TYPE])
         self.take(_STOP_AT[K.RAQM])
@@ -503,11 +503,9 @@ class _Driver:
             self.take(_STOP_AT[K.YAKOUR])
             self.take(_STOP_AT[K.COLON])
         loc_date_line = _segment_trailer(sc.text, sc.heads, sc.line)
-        if loc_date_line is None:
-            return
-        self._articles(loc_date_line)
-        self._loc_date(loc_date_line)
-        self._signatures()
+        if loc_date_line is not None:
+            self._articles(loc_date_line)
+        return loc_date_line
 
     def _clauses(self, opener: TokenKind) -> None:
         while self.at(opener):
@@ -555,11 +553,8 @@ class _Driver:
             sc.line, sc.word = content_end, 0
 
     def _loc_date(self, line: int) -> None:
-        sc = self.sc
-        if (sc.line, sc.word) != (line, 0):
-            return
         line_end = (line + 1, 0)
-        words = sc.text.lines[line]
+        words = self.sc.text.lines[line]
         fi_index = next((i for i, w in enumerate(words) if fold_for_matching(w) == "في"), None)
         if fi_index is not None:
             at_fi = _STOP_AT[K.FI]
@@ -575,22 +570,21 @@ class _Driver:
                     Span(line, 0, line, max(len(words) - 1, 0))))
             if digit_index is not None and digit_index > 0:
                 self.take(_ANY, (line, digit_index))                         # location
-        self.text_to(line_end)                                               # date
 
-    def _signatures(self) -> None:
+    def _tail(self, loc_date_line: int | None) -> None:
+        """Every line left, as text to its end, after the location and في of
+        the location/date line, or a signature line's الإمضاء and colon."""
         sc = self.sc
         while not sc.at_end():
             line_end = (sc.line + 1, 0)
-            if sc.word == 0 and self.at(K.IMDAA):
-                self.take(_STOP_AT[K.IMDAA])
-                if sc.pending is not None or (sc.line, sc.word) < line_end:
-                    self.take(_STOP_AT[K.COLON], line_end)
-            self.text_to(line_end)                                           # name, or the line
-
-    def _residual(self) -> None:
-        sc = self.sc
-        while not sc.at_end():
-            self.text_to((sc.line + 1, 0))
+            if sc.word == 0:
+                if sc.line == loc_date_line:
+                    self._loc_date(loc_date_line)
+                elif loc_date_line is not None and self.at(K.IMDAA):
+                    self.take(_STOP_AT[K.IMDAA])
+                    if sc.pending is not None or (sc.line, sc.word) < line_end:
+                        self.take(_STOP_AT[K.COLON], line_end)
+            self.text_to(line_end)                           # the date, a name, or the line
         self.drain()
 
 

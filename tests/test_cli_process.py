@@ -18,11 +18,13 @@ from legalc import cli
 SRC = Path(legalc.__file__).resolve().parents[1]
 
 
-def python(*args: str, cwd: Path, **streams) -> subprocess.CompletedProcess:
+def python(*args: str, cwd: Path, env: dict[str, str] | None = None,
+           **streams) -> subprocess.CompletedProcess:
     """``args`` run by this interpreter over ``SRC``, with Python's default
-    buffering of stdout; ``streams`` are :func:`subprocess.run` arguments,
-    by default stdout and stderr captured."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    buffering of stdout and the variables ``env`` added to the environment;
+    ``streams`` are :func:`subprocess.run` arguments, by default stdout and
+    stderr captured."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), **(env or {})}
     env.pop("PYTHONUNBUFFERED", None)
     streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, timeout=60, **streams)
@@ -46,6 +48,19 @@ def test_stdout_is_the_golden(tmp_path, corpus_dir, golden_dir):
     proc = python("-m", "legalc", str(corpus_dir / "decree-25.txt"), "-o", "-", cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == (golden_dir / "decree-25.xml").read_bytes()
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "cp1256", "utf-16"])
+def test_stdout_is_utf8_whatever_its_encoding_was(tmp_path, corpus_dir, golden_dir, encoding):
+    # the XML declares UTF-8; ascii and cp1256 cannot hold all of the
+    # document's text (cp1256 has no Arabic-Indic digits)
+    source, env = str(corpus_dir / "decree-25.txt"), {"PYTHONIOENCODING": encoding}
+    proc = python("-m", "legalc", source, "-o", "-", cwd=tmp_path, env=env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (golden_dir / "decree-25.xml").read_bytes()
+    proc = python("-m", "legalc", source, "--dump-ast", cwd=tmp_path, env=env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (golden_dir / "decree-25.ast").read_bytes()
 
 
 def test_rejection_and_usage_error_exit_codes(tmp_path, corpus_dir):
@@ -109,6 +124,16 @@ def test_stdout_closed(tmp_path, corpus_dir):
     proc = python("-m", "legalc", str(corpus_dir / "decree-25.txt"), "-o", "-",
                   cwd=tmp_path, preexec_fn=lambda: os.close(1))
     assert_io_error(proc, "cannot write <stdout>")
+
+
+@pytest.mark.parametrize("mode", [["--validate"], ["-o", "out.xml"]],
+                         ids=["--validate", "-o FILE"])
+def test_stdout_closed_and_not_written_to(tmp_path, corpus_dir, golden_dir, mode):
+    proc = python("-m", "legalc", str(corpus_dir / "decree-25.txt"), *mode,
+                  cwd=tmp_path, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    if "-o" in mode:
+        assert (tmp_path / "out.xml").read_bytes() == (golden_dir / "decree-25.xml").read_bytes()
 
 
 def test_stdin_closed(tmp_path):

@@ -429,6 +429,19 @@ def test_two_word_loc_date_line_with_fi_expects_the_date(corpus_dir):
                    "STRING 16:1-16:1 بعيدا", "FI 16:2-16:2 في")
 
 
+def test_imdaa_line_without_a_loc_date_line_is_plain_text():
+    # No line fits as the location/date line, so the article list and the
+    # signature block are empty and every line after the acknowledgment,
+    # the one opening with الامضاء too, is one plain STRING.
+    src = ("مرسوم رقم ٢٥\nعنوان\nإن رئيس الجمهورية،\nبناء على الدستور،\n"
+           "يرسم ما يأتي:\nرئيس الجمهورية\nالامضاء: ميشال عون\n")
+    result = parse(src)
+    assert [(d.message, str(d.span)) for d in result.diagnostics] == [
+        ("expected مادة opening an article", "6:1-6:2")]
+    assert [f"{tok.kind} {tok.span} {tok.lexeme}" for tok in result.tokens[-3:]] == [
+        "STRING 6:1-6:2 رئيس الجمهورية", "STRING 7:1-7:3 الامضاء: ميشال عون", "EOF 7:4-7:4 "]
+
+
 def test_loc_date_line_already_entered_is_scanned_as_text():
     # the location/date line is the acknowledgment's own line, so the cursor
     # is past its start and the loc/date steps are skipped
