@@ -1,11 +1,12 @@
 """Document parsing: layout-aware scanning plus grammar-exact descent.
 
-Parsing happens in two phases.  A driver walks the document shape in three
-parts, the head policy (statement line to acknowledgment), the article list
-and the tail walk (location/date line and signature block, line by line),
-telling the scanner which kinds it expects at every step, and produces one
-token stream.  Each article's content region, which may span lines, is one
-STRING in it, built by the driver from the text's lines.
+Parsing happens in two phases.  A driver walks the document shape in two
+parts, telling the scanner which kinds it expects at every step, and produces
+one token stream: the head policy (statement line to acknowledgment), decided
+by the keywords it expects, and the tail walk (article list, location/date
+line and signature block), decided by lines.  Each article's content region,
+which may span lines, is one STRING in it, built by the driver from the
+text's lines.
 
 The second phase is a recursive-descent parser over that stream.  It
 implements the document grammar exactly (see :mod:`legalc.grammar`) and
@@ -430,9 +431,11 @@ _HEADER = (_NUMBER, _STOP_AT[K.COLON], _ANY)
 class _Driver:
     """Walks the document shape, choosing expected kinds and scoping line scans.
 
-    Its parts are the head policy (:meth:`_policy`), the article list
-    (:meth:`_articles`) and the tail walk (:meth:`_tail`).  The article
-    header lines are read off the scanner's line heads in one pass.  Each
+    It has two parts.  The head policy (:meth:`_policy`) takes each step of
+    the statement line to the acknowledgment when its expected keyword is at
+    the cursor.  The tail walk (:meth:`_tail`) decides the rest by lines: the
+    location/date line, the article header lines before it, read off the
+    scanner's line heads in one pass, and the lines after it.  Each
     article's header is a table of steps, each scoped to the header line.
     Its content region, up to the next header line or the location/date
     line, is one STRING of its words as written, joined here from the
@@ -474,16 +477,17 @@ class _Driver:
             append(take(kinds, bound))
 
     def run(self) -> ScanResult:
-        self._tail(self._policy())
+        self._policy()
+        self._tail()
         self.tokens.append(self.sc.take(_ANY, None))
         return ScanResult(self.tokens, self.tokens, self.diagnostics)
 
-    # The head policy returns the location/date line, or None.  No part fails
-    # on mismatches: each keeps scanning something sensible and lets the
-    # grammar phase report the first error with a proper span.  Nor does one
-    # stop at the end of the input: from there every take gives EOF and keeps
-    # nothing, ``at`` is False and ``drain`` does nothing, so the steps run out.
-    def _policy(self) -> int | None:
+    # No part fails on mismatches: each keeps scanning something sensible and
+    # lets the grammar phase report the first error with a proper span.  Nor
+    # does one stop at the end of the input: from there every take gives EOF
+    # and keeps nothing, ``at`` is False and ``drain`` does nothing, so the
+    # steps run out.
+    def _policy(self) -> None:
         sc = self.sc
         self.take(_STOP_AT[K.TYPE])
         self.take(_STOP_AT[K.RAQM])
@@ -502,34 +506,12 @@ class _Driver:
         if self.at(K.YAKOUR):
             self.take(_STOP_AT[K.YAKOUR])
             self.take(_STOP_AT[K.COLON])
-        loc_date_line = _segment_trailer(sc.text, sc.heads, sc.line)
-        if loc_date_line is not None:
-            self._articles(loc_date_line)
-        return loc_date_line
 
     def _clauses(self, opener: TokenKind) -> None:
         while self.at(opener):
             self.take(_STOP_AT[opener])
             self.take(_ANY)                                          # clause text
             self.drain()                                             # terminator
-
-    def _articles(self, boundary_line: int) -> None:
-        sc = self.sc
-        heads, first = sc.heads, sc.line
-        if (sc.word == 0 and sc.pending is None
-                and (head := heads[first]) is not None and head.kind is _MADA):
-            # Each article runs from its مادة line to the next one, the last
-            # to the location/date line.  An article's scan ends exactly at
-            # the next header line's start with nothing pending, so the
-            # header lines are known before the first is scanned.
-            starts = [line for line in range(first, boundary_line)
-                      if (head := heads[line]) is not None and head.kind is _MADA]
-            starts.append(boundary_line)
-            for header_line, content_end in zip(starts, starts[1:]):
-                self._one_article(header_line, content_end)
-        # Anything left before the location/date line is scanned as plain
-        # text; the grammar phase reports what was actually wrong.
-        self.text_to((boundary_line, 0))
 
     def _one_article(self, header_line: int, content_end: int) -> None:
         sc = self.sc
@@ -562,19 +544,35 @@ class _Driver:
                 self.take(at_fi, line_end)                                   # location
             self.take(at_fi, line_end)                                       # في
         else:
+            # The location comes before the first digit-bearing word.
             digit_index = next((i for i, w in enumerate(words) if has_digit(w)), None)
-            if len(words) < 2 or digit_index is None:
+            if digit_index:
+                self.take(_ANY, (line, digit_index))                         # location
+            else:
                 self.diagnostics.append(Diagnostic(
                     "location/date line needs a location and a date "
                     "(في or a digit-bearing word)",
                     Span(line, 0, line, max(len(words) - 1, 0))))
-            if digit_index is not None and digit_index > 0:
-                self.take(_ANY, (line, digit_index))                         # location
 
-    def _tail(self, loc_date_line: int | None) -> None:
-        """Every line left, as text to its end, after the location and في of
-        the location/date line, or a signature line's الإمضاء and colon."""
+    def _tail(self) -> None:
+        """Everything after the head, by lines.  The location/date line,
+        found first (:func:`_segment_trailer`), ends the article list: each
+        article runs from its مادة line to the next one, the last to the
+        location/date line, and its scan ends at the next one's start with
+        nothing pending.  Anything else before that line is plain text.
+        Every line left is text to its end, after the location and في of the
+        location/date line, or a signature line's الإمضاء and colon."""
         sc = self.sc
+        heads, first = sc.heads, sc.line
+        loc_date_line = _segment_trailer(sc.text, heads, first)
+        if loc_date_line is not None:
+            if (sc.word == 0 and sc.pending is None
+                    and (head := heads[first]) is not None and head.kind is _MADA):
+                starts = [line for line in range(first, loc_date_line)
+                          if (head := heads[line]) is not None and head.kind is _MADA]
+                for header_line, content_end in zip(starts, [*starts[1:], loc_date_line]):
+                    self._one_article(header_line, content_end)
+            self.text_to((loc_date_line, 0))
         while not sc.at_end():
             line_end = (sc.line + 1, 0)
             if sc.word == 0:

@@ -429,6 +429,17 @@ def test_two_word_loc_date_line_with_fi_expects_the_date(corpus_dir):
                    "STRING 16:1-16:1 بعيدا", "FI 16:2-16:2 في")
 
 
+def test_loc_date_line_opening_with_its_date_is_rejected(corpus_dir):
+    # The location must come before the first digit-bearing word, so a line
+    # that opens with its date has none; without the rule the grammar reads
+    # the whole line as the location and the position line below as the date.
+    lines = (corpus_dir / "decree-25.txt").read_text(encoding="utf-8").split("\n")
+    source = "\n".join([*lines[:15], "١٣ آذار ٢٠١٨", "رئيس الجمهورية",
+                        "الامضاء: ميشال عون", "رئيس مجلس الوزراء"])
+    _rejected_with(source, "location/date line needs a location and a date "
+                   "(في or a digit-bearing word)", "16:1-16:3")
+
+
 def test_imdaa_line_without_a_loc_date_line_is_plain_text():
     # No line fits as the location/date line, so the article list and the
     # signature block are empty and every line after the acknowledgment,
