@@ -6,15 +6,13 @@ I/O error.  Batch runs process every input and return the worst code.
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import errno
-import functools
 import gc
 import os
+import re
 import sys
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .codegen import emit
 from .normalize import DecodeError, NormalizedText, preprocess
@@ -26,24 +24,128 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
 
+# The options, in the order argparse lists them when a long option's prefix
+# is ambiguous.
+_OPTIONS = ("-h", "--help", "-o", "--output", "--validate", "--dump-tokens", "--dump-ast")
+# An argument that looks like a negative number is an input, not an option.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
-@functools.cache   # one parser per process: argparse builds reference cycles
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="legalc",
-        description="Validate Arabic legal documents and translate them to XML.")
-    parser.add_argument("inputs", nargs="+", metavar="input",
-                        help="input file(s); use - to read one document from stdin")
-    parser.add_argument("-o", "--output", metavar="PATH",
-                        help="output path (single input only); use - for stdout")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--validate", action="store_true",
-                      help="check the inputs and set the exit code, write no XML")
-    mode.add_argument("--dump-tokens", action="store_true",
-                      help="print the token stream instead of XML")
-    mode.add_argument("--dump-ast", action="store_true",
-                      help="print the parsed structure instead of XML")
-    return parser
+_USAGE = """\
+usage: legalc [-h] [-o PATH] [--validate | --dump-tokens | --dump-ast]
+              input [input ...]
+"""
+
+_HELP = _USAGE + """
+Validate Arabic legal documents and translate them to XML.
+
+positional arguments:
+  input                 input file(s); use - to read one document from stdin
+
+options:
+  -h, --help            show this help message and exit
+  -o PATH, --output PATH
+                        output path (single input only); use - for stdout
+  --validate            check the inputs and set the exit code, write no XML
+  --dump-tokens         print the token stream instead of XML
+  --dump-ast            print the parsed structure instead of XML
+"""
+
+
+class _Args(NamedTuple):
+    """A command line read: the inputs, the ``-o`` path, and the mode, the
+    option that chose it (``--validate``, ``--dump-tokens``, ``--dump-ast``
+    or ``--help``) or None for XML."""
+
+    inputs: list[str]
+    output: str | None
+    mode: str | None
+
+
+def _read_args(argv: list[str]) -> _Args | str:
+    """``argv`` read as an argparse parser of legalc's options reads it, or
+    the message of the usage error it makes.
+
+    An option takes its value as ``-o PATH``, ``-oPATH``, ``--output PATH``
+    or ``--output=PATH``; a long option may be shortened to any prefix that
+    names it alone.  Every argument after ``--``, and ``-``, is an input.
+    The inputs are one run of arguments, which may stand before, after or
+    between options; an argument after that run is unrecognized.  The
+    checks fall in argparse's order: an ambiguous prefix first, then each
+    option in turn (``--help`` ends the reading there), then a missing
+    input, then the unrecognized arguments.
+    """
+    end = argv.index("--") if "--" in argv else len(argv)
+    # index -> (the option, or None for an unknown one; the value attached)
+    named: dict[int, tuple[str | None, str | None]] = {}
+    for i, arg in enumerate(argv[:end]):
+        if arg[:1] != "-" or arg == "-":
+            continue
+        name, eq, value = arg.partition("=")
+        if arg in _OPTIONS:
+            named[i] = arg, None
+        elif eq and name in _OPTIONS:
+            named[i] = name, value
+        elif arg[1] == "-" and (matches := [o for o in _OPTIONS if o.startswith(name)]):
+            if len(matches) > 1:
+                return f"ambiguous option: {arg} could match {', '.join(matches)}"
+            named[i] = matches[0], value if eq else None
+        elif arg[:2] in _OPTIONS:   # -oPATH, or -h run together with more short options
+            named[i] = arg[:2], arg[2:]
+        elif not _NEGATIVE_NUMBER(arg) and " " not in arg:
+            named[i] = None, None
+
+    inputs: list[str] | None = None
+    output: str | None = None
+    mode: str | None = None
+    extras: list[str] = []
+    i = 0
+    while i < len(argv):
+        if i not in named:   # a run of arguments, up to the next option
+            j = i + 1
+            while j < len(argv) and j not in named:
+                j += 1
+            values = argv[i:j]
+            if i <= end < j:
+                del values[end - i]
+            if inputs is None and values:
+                inputs = values
+            else:
+                extras += argv[i:j]
+            i = j
+            continue
+        name, value = named[i]
+        i += 1
+        takes_next = i < end and i not in named
+        if name is None:
+            extras.append(argv[i - 1])
+        elif name in ("-o", "--output"):
+            if value is None:
+                if not takes_next:
+                    return "argument -o/--output: expected one argument"
+                value = argv[i]
+                i += 1
+            output = value
+        elif name in ("-h", "--help"):
+            if value is not None:
+                if name == "--help" or not value:
+                    return f"argument -h/--help: ignored explicit argument {value!r}"
+                value = value.lstrip("h")   # -hh, -hoPATH, -ho PATH
+                if value[:1] not in ("", "o"):
+                    return f"argument -h/--help: ignored explicit argument {value!r}"
+                if value == "o" and not takes_next:
+                    return "argument -o/--output: expected one argument"
+            return _Args([], None, "--help")
+        elif value is not None:
+            return f"argument {name}: ignored explicit argument {value!r}"
+        elif mode not in (None, name):
+            return f"argument {name}: not allowed with argument {mode}"
+        else:
+            mode = name
+    if inputs is None:
+        return "the following arguments are required: input"
+    if extras:
+        return "unrecognized arguments: " + " ".join(extras)
+    return _Args(inputs, output, mode)
 
 
 def render_diagnostic(diag: Diagnostic, text: NormalizedText) -> str:
@@ -112,7 +214,7 @@ def _file_id(path: str) -> tuple[int, int] | None:
     return st.st_dev, st.st_ino
 
 
-def _process_one(path: str, args: argparse.Namespace, claimed: dict[tuple[int, int], str],
+def _process_one(path: str, args: _Args, claimed: dict[tuple[int, int], str],
                  out: _Stream, err: _Stream) -> int:
     """Compile one input.  ``claimed`` maps the file ids that no output may
     overwrite (the inputs, and the outputs written so far) to the reason.  A
@@ -128,15 +230,15 @@ def _process_one(path: str, args: argparse.Namespace, claimed: dict[tuple[int, i
         return EXIT_REJECTED
 
     result = parse_document(text)
-    if args.dump_tokens and not out.write(dump_tokens(result.tokens) + "\n"):
+    if args.mode == "--dump-tokens" and not out.write(dump_tokens(result.tokens) + "\n"):
         return EXIT_USAGE
     if result.document is None:
         for diag in result.diagnostics:
             err.write(render_diagnostic(diag, text))
         return EXIT_REJECTED
-    if args.validate or args.dump_tokens:
+    if args.mode in ("--validate", "--dump-tokens"):
         return EXIT_OK
-    if args.dump_ast:
+    if args.mode == "--dump-ast":
         return EXIT_OK if out.write(dump_ast(result.document) + "\n") else EXIT_USAGE
 
     payload = emit(result.document)
@@ -167,23 +269,21 @@ def run(argv: list[str] | None = None, stdout: TextIO | None = None,
         stderr: TextIO | None = None) -> int:
     out = _Stream(stdout if stdout is not None else sys.stdout)
     err = _Stream(stderr if stderr is not None else sys.stderr)
-    parser = build_arg_parser()
-    try:
-        # argparse prints usage/help to the process streams on its own;
-        # route that through the streams the caller handed us instead.  Like
-        # argparse's own printing, that output may fail unreported.
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    if args.output and len(args.inputs) > 1:
+    args = _read_args(sys.argv[1:] if argv is None else list(argv))
+    if isinstance(args, str):
+        err.write(f"{_USAGE}legalc: error: {args}\n")
+        return EXIT_USAGE
+    code = EXIT_OK
+    if args.mode == "--help":
+        out.write(_HELP)
+    elif args.output and len(args.inputs) > 1:
         err.write("legalc: error: -o/--output requires exactly one input\n")
         return EXIT_USAGE
-    ids = (_file_id(path) for path in args.inputs if path != "-")
-    claimed = {fid: "it is an input file" for fid in ids if fid}
-    code = EXIT_OK
-    for path in args.inputs:
-        code = max(code, _process_one(path, args, claimed, out, err))
+    else:
+        ids = (_file_id(path) for path in args.inputs if path != "-")
+        claimed = {fid: "it is an input file" for fid in ids if fid}
+        for path in args.inputs:
+            code = max(code, _process_one(path, args, claimed, out, err))
     if out.error is not None:
         err.write(f"legalc: error: cannot write <stdout>: {out.error.strerror or out.error}\n")
         return EXIT_USAGE

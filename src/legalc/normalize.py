@@ -109,7 +109,8 @@ def preprocess(data: bytes, source_name: str = "<input>") -> NormalizedText:
     XML 1.0 forbids.
     """
     try:
-        decoded = data.decode("utf-8-sig")
+        # Not "utf-8-sig", which counts error offsets from after the BOM.
+        decoded = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DecodeError(exc.start, exc.reason) from None
     # The two noncharacters are found faster in the text than in the bytes.

@@ -1,6 +1,9 @@
 """Command-line behavior: modes, exit codes, outputs, diagnostics."""
 
+import argparse
+import contextlib
 import io
+import itertools
 import random
 import sys
 import time
@@ -9,7 +12,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from docgen import add_fold_noise, generate_document, many_articles, mutate_text
-from legalc.cli import render_diagnostic, run
+from legalc.cli import _read_args, render_diagnostic, run
 from legalc.codegen import emit
 from legalc.normalize import fold_for_matching, preprocess
 from legalc.parser import parse_document
@@ -379,6 +382,84 @@ def test_help_exits_zero():
     code, out, _ = invoke(["--help"])
     assert code == 0
     assert "usage:" in out and "--validate" in out
+
+
+def argparse_reading(argv):
+    """What the argparse parser legalc once read its command line with makes
+    of ``argv``: (inputs, output, mode), or (exit code, stdout, stderr)."""
+    parser = argparse.ArgumentParser(
+        prog="legalc",
+        description="Validate Arabic legal documents and translate them to XML.")
+    parser.add_argument("inputs", nargs="+", metavar="input",
+                        help="input file(s); use - to read one document from stdin")
+    parser.add_argument("-o", "--output", metavar="PATH",
+                        help="output path (single input only); use - for stdout")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--validate", action="store_true",
+                      help="check the inputs and set the exit code, write no XML")
+    mode.add_argument("--dump-tokens", action="store_true",
+                      help="print the token stream instead of XML")
+    mode.add_argument("--dump-ast", action="store_true",
+                      help="print the parsed structure instead of XML")
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+    modes = [flag for flag in ("--validate", "--dump-tokens", "--dump-ast")
+             if getattr(args, flag[2:].replace("-", "_"))]
+    return args.inputs, args.output, (modes or [None])[0]
+
+
+def reading(argv):
+    """What legalc makes of ``argv``, in :func:`argparse_reading`'s terms."""
+    args = _read_args(argv)
+    if isinstance(args, str) or args.mode == "--help":
+        return invoke(argv)
+    return args.inputs, args.output, args.mode
+
+
+@pytest.mark.parametrize("argv", [
+    # -o's four forms, an empty value, and - as the value and as an input
+    ["-o", "x", "a"], ["-ox", "a"], ["--output", "x", "a"], ["--output=x", "a"], ["-o=x", "a"],
+    ["-o", "", "a"], ["-o", "-", "-"],
+    # -- ends the options, and is an input after that
+    ["a", "--", "-b", "--validate"], ["--", "-o"], ["a", "--"], ["a", "--", "--"],
+    ["-o", "x", "--", "a"], ["a", "--validate", "--"],
+    # the inputs before, after or between the options; a second run of them
+    ["--validate", "a", "b"], ["a", "b", "--dump-ast"], ["-o", "x", "a", "--dump-tokens"],
+    ["a", "-o", "x"], ["a", "--validate", "b"], ["a", "--", "b", "c"],
+    # prefixes of long options, unique and ambiguous
+    ["--val", "a"], ["--out=x", "a"], ["--out", "x", "a"], ["--dump", "a"], ["--dump-t", "a"],
+    ["--=x", "a"], ["--validate", "a", "--dump"],
+    # -o twice, with no value, and with an option after it
+    ["-o", "x", "-o", "y", "a"], ["a", "-o"], ["-o", "--validate", "a"], ["-o", "--", "a"],
+    # two modes, and one mode twice
+    ["--validate", "--dump-ast", "a"], ["a", "--dump-tokens", "--validate"],
+    ["--validate", "--validate", "a"],
+    # a value given to an option that takes none
+    ["--validate=x", "a"], ["--val=", "a"], ["--help=x"], ["-h=x"], ["-h="], ["-hx"], ["-hhx"],
+    # unknown options, no input, and what looks like an option but is an input
+    ["-x", "a"], ["a", "-x"], ["--indent", "2", "a"], [], ["--validate"], ["-1"], ["-x y"],
+    ["-.5", "a"], [""],
+    # -h among other arguments, and run together with -h and -o
+    ["-h"], ["--help"], ["--he"], ["a", "-h", "--validate"], ["-x", "-h"], ["-h", "--dump"],
+    ["-h", "--validate", "--dump-ast"], ["--validate", "--dump-ast", "-h"], ["-o", "-h"],
+    ["-hh"], ["-ho"], ["-ho", "x"], ["-hox"],
+], ids=repr)
+def test_command_line_is_read_as_argparse_reads_it(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps its help to the terminal
+    assert reading(argv) == argparse_reading(argv)
+
+
+def test_every_short_command_line_is_read_as_argparse_reads_it(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    words = ["a", "-", "--", "", "-o", "-ox", "--out=x", "--val", "--dump-ast", "--dump",
+             "-x", "-h", "-hx", "-1"]
+    for n in range(4):
+        for argv in itertools.product(words, repeat=n):
+            assert reading([*argv]) == argparse_reading([*argv]), argv
 
 
 def test_thousands_of_articles(tmp_path):

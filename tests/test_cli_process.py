@@ -91,6 +91,18 @@ def test_main_freezes_the_start_up_heap(tmp_path, corpus_dir):
     assert after > 0
 
 
+def test_a_run_imports_no_argument_parser(tmp_path, corpus_dir):
+    # argparse, the gettext it imports, and the BOM-stripping codec are
+    # start-up work that no run needs
+    script = ("import sys\n"
+              "import legalc.cli\n"
+              f"code = legalc.cli.run(['--validate', {str(corpus_dir / 'decree-25.txt')!r}])\n"
+              "unwanted = {'argparse', 'gettext', 'encodings.utf_8_sig'}\n"
+              "print(code, *sorted(unwanted & set(sys.modules)))\n")
+    proc = python("-c", script, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0\n", b"")
+
+
 def test_run_leaves_the_heap_unfrozen(corpus_paths):
     before = gc.get_freeze_count()
     code = cli.run(["--validate", *map(str, corpus_paths)],
@@ -123,6 +135,18 @@ def test_stdout_a_full_device(tmp_path, corpus_dir, mode):
 def test_stdout_closed(tmp_path, corpus_dir):
     proc = python("-m", "legalc", str(corpus_dir / "decree-25.txt"), "-o", "-",
                   cwd=tmp_path, preexec_fn=lambda: os.close(1))
+    assert_io_error(proc, "cannot write <stdout>")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_help_to_a_full_device(tmp_path):
+    with open("/dev/full", "wb") as full:
+        proc = python("-m", "legalc", "--help", cwd=tmp_path, stdout=full)
+    assert_io_error(proc, "cannot write <stdout>")
+
+
+def test_help_to_a_closed_stdout(tmp_path):
+    proc = python("-m", "legalc", "--help", cwd=tmp_path, preexec_fn=lambda: os.close(1))
     assert_io_error(proc, "cannot write <stdout>")
 
 

@@ -32,6 +32,14 @@ def test_utf8_bom_is_tolerated():
     assert text.lines[0][0] == "مرسوم"
 
 
+@pytest.mark.parametrize("data,offset", [(b"\xef\xbb\xbfabc\xff", 6), (b"\xef\xbb\xbfab\x01c", 5)],
+                         ids=["invalid-utf8", "illegal-character"])
+def test_byte_offset_after_a_bom_counts_the_bom(data, offset):
+    with pytest.raises(DecodeError) as exc:
+        preprocess(data, "t")
+    assert exc.value.byte_offset == offset
+
+
 def test_crlf_and_cr_become_lf():
     text = preprocess("أ ب\r\nج\rد".encode("utf-8"), "t")
     assert len(text.lines) == 3
