@@ -9,7 +9,6 @@ from __future__ import annotations
 import errno
 import gc
 import os
-import re
 import sys
 from pathlib import Path
 from typing import NamedTuple, TextIO
@@ -23,12 +22,6 @@ from .tokens import KIND_DISPLAY
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
-
-# The options, in the order argparse lists them when a long option's prefix
-# is ambiguous.
-_OPTIONS = ("-h", "--help", "-o", "--output", "--validate", "--dump-tokens", "--dump-ast")
-# An argument that looks like a negative number is an input, not an option.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 _USAGE = """\
 usage: legalc [-h] [-o PATH] [--validate | --dump-tokens | --dump-ast]
@@ -62,89 +55,42 @@ class _Args(NamedTuple):
 
 
 def _read_args(argv: list[str]) -> _Args | str:
-    """``argv`` read as an argparse parser of legalc's options reads it, or
-    the message of the usage error it makes.
+    """``argv`` read left to right, or the message of its first usage error.
 
-    An option takes its value as ``-o PATH``, ``-oPATH``, ``--output PATH``
-    or ``--output=PATH``; a long option may be shortened to any prefix that
-    names it alone.  Every argument after ``--``, and ``-``, is an input.
-    The inputs are one run of arguments, which may stand before, after or
-    between options; an argument after that run is unrecognized.  The
-    checks fall in argparse's order: an ambiguous prefix first, then each
-    option in turn (``--help`` ends the reading there), then a missing
-    input, then the unrecognized arguments.
+    Options and inputs mix freely.  ``-o`` takes its path as ``-o PATH``,
+    ``-oPATH``, ``--output PATH`` or ``--output=PATH``, and the last one
+    given wins.  ``--`` ends the options, and ``-`` is an input.  No option
+    may be shortened, and any other argument that starts with ``-`` is a
+    usage error.  ``-h``/``--help`` ends the reading, unless a usage error
+    came before it.
     """
-    end = argv.index("--") if "--" in argv else len(argv)
-    # index -> (the option, or None for an unknown one; the value attached)
-    named: dict[int, tuple[str | None, str | None]] = {}
-    for i, arg in enumerate(argv[:end]):
-        if arg[:1] != "-" or arg == "-":
-            continue
-        name, eq, value = arg.partition("=")
-        if arg in _OPTIONS:
-            named[i] = arg, None
-        elif eq and name in _OPTIONS:
-            named[i] = name, value
-        elif arg[1] == "-" and (matches := [o for o in _OPTIONS if o.startswith(name)]):
-            if len(matches) > 1:
-                return f"ambiguous option: {arg} could match {', '.join(matches)}"
-            named[i] = matches[0], value if eq else None
-        elif arg[:2] in _OPTIONS:   # -oPATH, or -h run together with more short options
-            named[i] = arg[:2], arg[2:]
-        elif not _NEGATIVE_NUMBER(arg) and " " not in arg:
-            named[i] = None, None
-
-    inputs: list[str] | None = None
+    inputs: list[str] = []
     output: str | None = None
     mode: str | None = None
-    extras: list[str] = []
-    i = 0
-    while i < len(argv):
-        if i not in named:   # a run of arguments, up to the next option
-            j = i + 1
-            while j < len(argv) and j not in named:
-                j += 1
-            values = argv[i:j]
-            if i <= end < j:
-                del values[end - i]
-            if inputs is None and values:
-                inputs = values
-            else:
-                extras += argv[i:j]
-            i = j
-            continue
-        name, value = named[i]
-        i += 1
-        takes_next = i < end and i not in named
-        if name is None:
-            extras.append(argv[i - 1])
-        elif name in ("-o", "--output"):
-            if value is None:
-                if not takes_next:
-                    return "argument -o/--output: expected one argument"
-                value = argv[i]
-                i += 1
-            output = value
-        elif name in ("-h", "--help"):
-            if value is not None:
-                if name == "--help" or not value:
-                    return f"argument -h/--help: ignored explicit argument {value!r}"
-                value = value.lstrip("h")   # -hh, -hoPATH, -ho PATH
-                if value[:1] not in ("", "o"):
-                    return f"argument -h/--help: ignored explicit argument {value!r}"
-                if value == "o" and not takes_next:
-                    return "argument -o/--output: expected one argument"
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--":
+            inputs += rest   # takes the rest, which ends the loop
+        elif arg == "-" or not arg.startswith("-"):
+            inputs.append(arg)
+        elif arg in ("-h", "--help"):
             return _Args([], None, "--help")
-        elif value is not None:
-            return f"argument {name}: ignored explicit argument {value!r}"
-        elif mode not in (None, name):
-            return f"argument {name}: not allowed with argument {mode}"
+        elif arg in ("--validate", "--dump-tokens", "--dump-ast"):
+            if mode not in (None, arg):
+                return f"argument {arg}: not allowed with argument {mode}"
+            mode = arg
+        elif arg in ("-o", "--output"):
+            output = next(rest, "")
+        elif arg.startswith("--output="):
+            output = arg[len("--output="):]
+        elif arg.startswith("-o"):
+            output = arg[2:]
         else:
-            mode = name
-    if inputs is None:
+            return f"unrecognized arguments: {arg}"
+        if output == "":
+            return "argument -o/--output: expected a path"
+    if not inputs:
         return "the following arguments are required: input"
-    if extras:
-        return "unrecognized arguments: " + " ".join(extras)
     return _Args(inputs, output, mode)
 
 
@@ -297,9 +243,11 @@ def main() -> None:
     modules, classes and tables that start-up built live until the process
     exits, so no later collection, the interpreter's shutdown ones included,
     needs to walk them.  Unlike ``os._exit``, the exit still flushes stdio
-    and runs atexit handlers.  It also sets stdout's encoding to UTF-8, the
-    one the XML declares.  :func:`run` and the library do neither, as a
-    caller's heap and streams are not theirs to change.
+    and runs atexit handlers.  It also sets stdout and stderr to UTF-8, the
+    encoding the XML declares and one that holds a diagnostic's Arabic;
+    stderr still escapes a file name's undecodable byte.  :func:`run` and
+    the library do neither, as a caller's heap and streams are not theirs
+    to change.
 
     Stdout holds data at the end only after a write that :func:`run`
     reported failed.  If the flush here fails on it again, the descriptor
@@ -309,6 +257,8 @@ def main() -> None:
     gc.freeze()
     if sys.stdout is not None:
         sys.stdout.reconfigure(encoding="utf-8")
+    if sys.stderr is not None:
+        sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     code = run()
     try:
         if sys.stdout is not None:

@@ -1,9 +1,6 @@
 """Command-line behavior: modes, exit codes, outputs, diagnostics."""
 
-import argparse
-import contextlib
 import io
-import itertools
 import random
 import sys
 import time
@@ -12,7 +9,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from docgen import add_fold_noise, generate_document, many_articles, mutate_text
-from legalc.cli import _read_args, render_diagnostic, run
+from legalc.cli import _USAGE, _Args, _read_args, render_diagnostic, run
 from legalc.codegen import emit
 from legalc.normalize import fold_for_matching, preprocess
 from legalc.parser import parse_document
@@ -384,82 +381,77 @@ def test_help_exits_zero():
     assert "usage:" in out and "--validate" in out
 
 
-def argparse_reading(argv):
-    """What the argparse parser legalc once read its command line with makes
-    of ``argv``: (inputs, output, mode), or (exit code, stdout, stderr)."""
-    parser = argparse.ArgumentParser(
-        prog="legalc",
-        description="Validate Arabic legal documents and translate them to XML.")
-    parser.add_argument("inputs", nargs="+", metavar="input",
-                        help="input file(s); use - to read one document from stdin")
-    parser.add_argument("-o", "--output", metavar="PATH",
-                        help="output path (single input only); use - for stdout")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--validate", action="store_true",
-                      help="check the inputs and set the exit code, write no XML")
-    mode.add_argument("--dump-tokens", action="store_true",
-                      help="print the token stream instead of XML")
-    mode.add_argument("--dump-ast", action="store_true",
-                      help="print the parsed structure instead of XML")
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code, out.getvalue(), err.getvalue()
-    modes = [flag for flag in ("--validate", "--dump-tokens", "--dump-ast")
-             if getattr(args, flag[2:].replace("-", "_"))]
-    return args.inputs, args.output, (modes or [None])[0]
+HELP = _Args([], None, "--help")
+NO_PATH = "argument -o/--output: expected a path"
+NO_INPUT = "the following arguments are required: input"
 
 
-def reading(argv):
-    """What legalc makes of ``argv``, in :func:`argparse_reading`'s terms."""
-    args = _read_args(argv)
-    if isinstance(args, str) or args.mode == "--help":
-        return invoke(argv)
-    return args.inputs, args.output, args.mode
+def unknown(arg):
+    return f"unrecognized arguments: {arg}"
 
 
-@pytest.mark.parametrize("argv", [
-    # -o's four forms, an empty value, and - as the value and as an input
-    ["-o", "x", "a"], ["-ox", "a"], ["--output", "x", "a"], ["--output=x", "a"], ["-o=x", "a"],
-    ["-o", "", "a"], ["-o", "-", "-"],
+def exclusive(second, first):
+    return f"argument {second}: not allowed with argument {first}"
+
+
+# (argv, the reading: (inputs, output, mode) or the first usage error's message)
+CONTRACT = [
+    # -o's four forms; in -oPATH the path is everything after -o
+    (["-o", "x", "a"], (["a"], "x", None)), (["-ox", "a"], (["a"], "x", None)),
+    (["--output", "x", "a"], (["a"], "x", None)), (["--output=x", "a"], (["a"], "x", None)),
+    (["-o=x", "a"], (["a"], "=x", None)),
+    # -o takes the next argument whatever it is; the last -o wins; - is stdout and stdin
+    (["-o", "--validate", "a"], (["a"], "--validate", None)),
+    (["-o", "--", "a"], (["a"], "--", None)), (["-o", "-h"], NO_INPUT),
+    (["-o", "x", "-o", "y", "a"], (["a"], "y", None)), (["-o", "-", "-"], (["-"], "-", None)),
+    # -o with no value, or an empty one
+    (["a", "-o"], NO_PATH), (["a", "--output"], NO_PATH), (["-o", "", "a"], NO_PATH),
+    (["--output", "", "a"], NO_PATH), (["--output=", "a"], NO_PATH),
     # -- ends the options, and is an input after that
-    ["a", "--", "-b", "--validate"], ["--", "-o"], ["a", "--"], ["a", "--", "--"],
-    ["-o", "x", "--", "a"], ["a", "--validate", "--"],
-    # the inputs before, after or between the options; a second run of them
-    ["--validate", "a", "b"], ["a", "b", "--dump-ast"], ["-o", "x", "a", "--dump-tokens"],
-    ["a", "-o", "x"], ["a", "--validate", "b"], ["a", "--", "b", "c"],
-    # prefixes of long options, unique and ambiguous
-    ["--val", "a"], ["--out=x", "a"], ["--out", "x", "a"], ["--dump", "a"], ["--dump-t", "a"],
-    ["--=x", "a"], ["--validate", "a", "--dump"],
-    # -o twice, with no value, and with an option after it
-    ["-o", "x", "-o", "y", "a"], ["a", "-o"], ["-o", "--validate", "a"], ["-o", "--", "a"],
+    (["a", "--", "-b", "--validate"], (["a", "-b", "--validate"], None, None)),
+    (["--", "-o"], (["-o"], None, None)), (["a", "--"], (["a"], None, None)),
+    (["a", "--", "--"], (["a", "--"], None, None)), (["-o", "x", "--", "a"], (["a"], "x", None)),
+    (["a", "--validate", "--"], (["a"], None, "--validate")),
+    (["a", "--", "b", "c"], (["a", "b", "c"], None, None)),
+    # options before, after and between the inputs
+    (["--validate", "a", "b"], (["a", "b"], None, "--validate")),
+    (["a", "b", "--dump-ast"], (["a", "b"], None, "--dump-ast")),
+    (["-o", "x", "a", "--dump-tokens"], (["a"], "x", "--dump-tokens")),
+    (["a", "-o", "x"], (["a"], "x", None)),
+    (["a", "--validate", "b"], (["a", "b"], None, "--validate")),
     # two modes, and one mode twice
-    ["--validate", "--dump-ast", "a"], ["a", "--dump-tokens", "--validate"],
-    ["--validate", "--validate", "a"],
-    # a value given to an option that takes none
-    ["--validate=x", "a"], ["--val=", "a"], ["--help=x"], ["-h=x"], ["-h="], ["-hx"], ["-hhx"],
-    # unknown options, no input, and what looks like an option but is an input
-    ["-x", "a"], ["a", "-x"], ["--indent", "2", "a"], [], ["--validate"], ["-1"], ["-x y"],
-    ["-.5", "a"], [""],
-    # -h among other arguments, and run together with -h and -o
-    ["-h"], ["--help"], ["--he"], ["a", "-h", "--validate"], ["-x", "-h"], ["-h", "--dump"],
-    ["-h", "--validate", "--dump-ast"], ["--validate", "--dump-ast", "-h"], ["-o", "-h"],
-    ["-hh"], ["-ho"], ["-ho", "x"], ["-hox"],
-], ids=repr)
-def test_command_line_is_read_as_argparse_reads_it(argv, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps its help to the terminal
-    assert reading(argv) == argparse_reading(argv)
+    (["--validate", "--dump-ast", "a"], exclusive("--dump-ast", "--validate")),
+    (["a", "--dump-tokens", "--validate"], exclusive("--validate", "--dump-tokens")),
+    (["--validate", "--validate", "a"], (["a"], None, "--validate")),
+    # no option may be shortened, or take a value it has no use for
+    (["--val", "a"], unknown("--val")), (["--out=x", "a"], unknown("--out=x")),
+    (["--out", "x", "a"], unknown("--out")), (["--dump", "a"], unknown("--dump")),
+    (["--dump-t", "a"], unknown("--dump-t")), (["--he"], unknown("--he")),
+    (["--validate", "a", "--dump"], unknown("--dump")),
+    (["--validate=x", "a"], unknown("--validate=x")), (["--val=", "a"], unknown("--val=")),
+    (["--help=x"], unknown("--help=x")), (["-h=x"], unknown("-h=x")), (["-h="], unknown("-h=")),
+    (["-hx"], unknown("-hx")), (["-hhx"], unknown("-hhx")), (["-hh"], unknown("-hh")),
+    (["-ho"], unknown("-ho")), (["-ho", "x"], unknown("-ho")), (["-hox"], unknown("-hox")),
+    # any other argument that starts with - is an unknown option; the rest are inputs
+    (["-x", "a"], unknown("-x")), (["a", "-x"], unknown("-x")), (["--=x", "a"], unknown("--=x")),
+    (["--indent", "2", "a"], unknown("--indent")), (["-1"], unknown("-1")),
+    (["-.5", "a"], unknown("-.5")), (["-x y"], unknown("-x y")),
+    ([""], ([""], None, None)), (["./-x"], (["./-x"], None, None)),
+    # no input
+    ([], NO_INPUT), (["--validate"], NO_INPUT), (["--"], NO_INPUT),
+    # -h anywhere, unless a usage error comes first
+    (["-h"], HELP), (["--help"], HELP), (["a", "-h", "--validate"], HELP), (["-h", "-x"], HELP),
+    (["-h", "--dump"], HELP), (["-h", "--validate", "--dump-ast"], HELP),
+    (["-x", "-h"], unknown("-x")),
+    (["--validate", "--dump-ast", "-h"], exclusive("--dump-ast", "--validate")),
+]
 
 
-def test_every_short_command_line_is_read_as_argparse_reads_it(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    words = ["a", "-", "--", "", "-o", "-ox", "--out=x", "--val", "--dump-ast", "--dump",
-             "-x", "-h", "-hx", "-1"]
-    for n in range(4):
-        for argv in itertools.product(words, repeat=n):
-            assert reading([*argv]) == argparse_reading([*argv]), argv
+@pytest.mark.parametrize("argv,read", CONTRACT, ids=[repr(argv) for argv, _ in CONTRACT])
+def test_command_line_is_read_by_its_contract(argv, read):
+    assert _read_args(argv) == read
+    if isinstance(read, str):
+        assert invoke(argv) == (2, "", f"{_USAGE}legalc: error: {read}\n")
 
 
 def test_thousands_of_articles(tmp_path):

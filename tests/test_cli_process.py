@@ -63,6 +63,28 @@ def test_stdout_is_utf8_whatever_its_encoding_was(tmp_path, corpus_dir, golden_d
     assert proc.stdout == (golden_dir / "decree-25.ast").read_bytes()
 
 
+@pytest.mark.parametrize("encoding", ["ascii", "cp1256", "utf-16"])
+def test_stderr_is_utf8_whatever_its_encoding_was(tmp_path, corpus_dir, encoding):
+    # the diagnostic's Arabic line, with the caret under the misspelt word
+    bad = tmp_path / "bad.txt"
+    bad.write_text((corpus_dir / "decree-25.txt").read_text(encoding="utf-8")
+                   .replace("مرسوم", "مرسم", 1), encoding="utf-8")
+    expected = io.StringIO()
+    assert cli.run([str(bad)], stdout=io.StringIO(), stderr=expected) == cli.EXIT_REJECTED
+    proc = python("-m", "legalc", str(bad), cwd=tmp_path, env={"PYTHONIOENCODING": encoding})
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == expected.getvalue().encode("utf-8")
+    line, caret = proc.stderr.decode("utf-8").splitlines()[1:3]
+    assert line[caret.index("^"):].startswith("مرسم ")
+
+
+def test_undecodable_file_name_is_escaped_on_stderr(tmp_path):
+    name = os.fsdecode(b"\xff.txt")   # a lone surrogate where the file system encoding is UTF-8
+    proc = python("-m", "legalc", name, cwd=tmp_path)
+    assert_io_error(proc, "cannot read " + name.encode("utf-8", "backslashreplace").decode("utf-8"))
+    assert proc.stdout == b""
+
+
 def test_rejection_and_usage_error_exit_codes(tmp_path, corpus_dir):
     bad = tmp_path / "bad.txt"
     bad.write_text((corpus_dir / "decree-25.txt").read_text(encoding="utf-8")
