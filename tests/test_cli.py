@@ -1,5 +1,7 @@
 """Command-line behavior: modes, exit codes, outputs, diagnostics."""
 
+import argparse
+import contextlib
 import io
 import random
 import sys
@@ -452,6 +454,63 @@ def test_command_line_is_read_by_its_contract(argv, read):
     assert _read_args(argv) == read
     if isinstance(read, str):
         assert invoke(argv) == (2, "", f"{_USAGE}legalc: error: {read}\n")
+
+
+def argparse_reading(argv):
+    """What the argparse parser legalc once read its command line with makes
+    of ``argv``: (inputs, output, mode), or (exit code, stdout, stderr)."""
+    parser = argparse.ArgumentParser(
+        prog="legalc",
+        description="Validate Arabic legal documents and translate them to XML.")
+    parser.add_argument("inputs", nargs="+", metavar="input",
+                        help="input file(s); use - to read one document from stdin")
+    parser.add_argument("-o", "--output", metavar="PATH",
+                        help="output path (single input only); use - for stdout")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--validate", action="store_true",
+                      help="check the inputs and set the exit code, write no XML")
+    mode.add_argument("--dump-tokens", action="store_true",
+                      help="print the token stream instead of XML")
+    mode.add_argument("--dump-ast", action="store_true",
+                      help="print the parsed structure instead of XML")
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+    modes = [flag for flag in ("--validate", "--dump-tokens", "--dump-ast")
+             if getattr(args, flag[2:].replace("-", "_"))]
+    return args.inputs, args.output, (modes or [None])[0]
+
+
+def reading(argv):
+    """What legalc makes of ``argv``, in :func:`argparse_reading`'s terms."""
+    args = _read_args(argv)
+    if isinstance(args, str) or args.mode == "--help":
+        return invoke(argv)
+    return args.inputs, args.output, args.mode
+
+
+# The command lines of the contract table that argparse read the same way:
+# a command line that worked before the contract, or failed, still does, with
+# the same output, the same usage error and the same help text.
+@pytest.mark.parametrize("argv", [
+    ["-o", "x", "a"], ["-ox", "a"], ["--output", "x", "a"], ["--output=x", "a"],
+    ["-o", "-", "-"], ["-o", "x", "-o", "y", "a"],
+    ["a", "--", "-b", "--validate"], ["--", "-o"], ["a", "--"], ["a", "--", "--"],
+    ["-o", "x", "--", "a"], ["a", "--", "b", "c"],
+    ["--validate", "a", "b"], ["a", "b", "--dump-ast"], ["-o", "x", "a", "--dump-tokens"],
+    ["a", "-o", "x"],
+    ["--validate", "--dump-ast", "a"], ["a", "--dump-tokens", "--validate"],
+    ["--validate", "--validate", "a"],
+    ["-x", "a"], ["a", "-x"], ["--indent", "2", "a"], [], ["--validate"], [""],
+    ["-h"], ["--help"], ["a", "-h", "--validate"], ["-h", "--validate", "--dump-ast"],
+    ["--validate", "--dump-ast", "-h"],
+], ids=repr)
+def test_command_line_is_read_as_argparse_reads_it(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps its help to the terminal
+    assert reading(argv) == argparse_reading(argv)
 
 
 def test_thousands_of_articles(tmp_path):
