@@ -439,8 +439,8 @@ class _Driver:
     article's header is a table of steps, each scoped to the header line.
     Its content region, up to the next header line or the location/date
     line, is one STRING of its words as written, joined here from the
-    text's lines: a scan with ``_ANY`` would probe no keyword and only split
-    pieces to rejoin, and a STRING kinds set in :meth:`Scanner.take` would
+    text's lines: a scan with ``_ANY`` would only split pieces at each
+    delimiter to rejoin, and a STRING kinds set in :meth:`Scanner.take` would
     loosen its refusal of STRING and fork its hottest path.  :meth:`take`
     keeps no EOF; :meth:`run` adds the one EOF.
     """
@@ -535,24 +535,20 @@ class _Driver:
             sc.line, sc.word = content_end, 0
 
     def _loc_date(self, line: int) -> None:
-        line_end = (line + 1, 0)
+        # The location comes before the first في, or else before the first
+        # digit-bearing word.
         words = self.sc.text.lines[line]
-        fi_index = next((i for i, w in enumerate(words) if fold_for_matching(w) == "في"), None)
-        if fi_index is not None:
-            at_fi = _STOP_AT[K.FI]
-            if fi_index > 0:
-                self.take(at_fi, line_end)                                   # location
-            self.take(at_fi, line_end)                                       # في
+        split = next((i for i, w in enumerate(words) if fold_for_matching(w) == "في"), None)
+        if split is None:
+            split = next((i for i, w in enumerate(words) if has_digit(w)), None)
+        if split:
+            self.take(_ANY, (line, split))                                   # location
+            self.take(_STOP_AT[K.FI], (line + 1, 0))                         # في or the date
         else:
-            # The location comes before the first digit-bearing word.
-            digit_index = next((i for i, w in enumerate(words) if has_digit(w)), None)
-            if digit_index:
-                self.take(_ANY, (line, digit_index))                         # location
-            else:
-                self.diagnostics.append(Diagnostic(
-                    "location/date line needs a location and a date "
-                    "(في or a digit-bearing word)",
-                    Span(line, 0, line, max(len(words) - 1, 0))))
+            self.diagnostics.append(Diagnostic(
+                "location/date line needs a location and a date "
+                "(في or a digit-bearing word)",
+                Span(line, 0, line, max(len(words) - 1, 0))))
 
     def _tail(self) -> None:
         """Everything after the head, by lines.  The location/date line,

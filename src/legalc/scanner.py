@@ -1,10 +1,12 @@
 """Expectation-driven tokenizer.
 
 The scanner has no fixed token boundaries of its own: the parser tells it,
-with each :meth:`Scanner.take`, which kinds may come next, and free text
-(STRING) accumulates until an expected keyword, a phrase delimiter or a
-scope bound ends it.  Matching uses folded spellings so that e.g. الامضاء
-matches the الإمضاء keyword; emitted lexemes always keep the original text.
+with each :meth:`Scanner.take`, which kinds may come next.  An expected
+keyword is matched only at the cursor; free text (STRING) ends only at a
+'،', a line-final '.', an expected ':' or the caller's scope bound, so a
+keyword written inside it is text.  Matching uses folded spellings so that
+e.g. الامضاء matches the الإمضاء keyword; emitted lexemes always keep the
+original text.
 
 Keyword phrases (at most three words) live in one index keyed by their
 folded first word: a cut-down Aho & Corasick trie (CACM 1975).  A probe
@@ -22,10 +24,9 @@ STRING accumulation walks one line's word tuple at a time.  The scope bound
 becomes a word limit once per line.  A word's last character is tested
 against the line-final stop string, which holds every character that can
 stop the text; only on a hit is the word checked, past any trailing format
-controls, against the string for its place (mid-line or line-final).  A
-word is probed for a keyword only mid-line and only when the kinds set
-expects one.  The words a line gives the text are taken with one slice, and
-the cursor is written back once, when the token is done.
+controls, against the string for its place (mid-line or line-final).  The
+words a line gives the text are taken with one slice, and the cursor is
+written back once, when the token is done.
 
 Every line's head, the keyword phrase that opens it, is read once per
 document into ``Scanner.heads``; a probe at a line's first word reads that
@@ -123,10 +124,12 @@ _CAN_TRAIL = _STOP_CHARS[True][1]
 
 
 class _StopFacts(dict):
-    """Expected kinds -> what they decide for a scan: (probe for keywords,
-    take a NUM, the stop strings).  Each kinds set is worked out on first
-    use, and a document's scan meets only a handful of them.  A set holding
-    STRING is refused before anything is cached, so it raises at every use."""
+    """Expected kinds -> what they decide for a take: (match a keyword at the
+    cursor, take a NUM, the stop strings).  Of the kinds, only COLON has a
+    say in where free text ends: a '،', a line-final '.' and the bound end
+    it whatever the kinds.  Each kinds set is worked out on first use, and a
+    document's scan meets only a handful of them.  A set holding STRING is
+    refused before anything is cached, so it raises at every use."""
 
     def __missing__(self, kinds: frozenset[TokenKind]) -> tuple[bool, bool, tuple[str, str]]:
         if _STRING in kinds:
@@ -224,12 +227,13 @@ class Scanner:
         (line, word) bound ``stop_before``.
 
         A pending delimiter comes first.  Then, in order: an expected keyword
-        phrase; a digit run when NUM is expected; otherwise STRING, which an
-        expected keyword ends mid-line (never at a line start), as do a '،',
-        a line-final '.' and, when COLON is expected, a ':'.  Only the keyword
-        kinds, NUM and COLON in ``kinds`` matter.  At the end of the input the
-        token is EOF.  Raises :class:`ValueError` when the cursor is at or past
-        ``stop_before``, or when a word is to be read and ``kinds`` holds STRING.
+        phrase at the cursor; a digit run when NUM is expected; otherwise
+        STRING, which only a '،', a line-final '.', a ':' when COLON is
+        expected, or ``stop_before`` ends; a keyword past the cursor is text.
+        Only the keyword kinds, NUM and COLON in ``kinds`` matter.  At the end
+        of the input the token is EOF.  Raises :class:`ValueError` when the
+        cursor is at or past ``stop_before``, or when a word is to be read and
+        ``kinds`` holds STRING.
         """
         pending = self.pending
         if pending is not None:
@@ -258,7 +262,7 @@ class Scanner:
             kind, last = _NUM, word
             body, trailing = split
         else:
-            return self._take_string(kinds, stop_before, probe, stops)
+            return self._take_string(stop_before, stops)
 
         # A keyword or NUM token of the words up to ``last``, holding the
         # last word's trailing delimiter as pending.
@@ -269,11 +273,9 @@ class Scanner:
         lexeme = body if last == word else " ".join((*words[word:last], body))
         return _tuple_new(Token, (kind, lexeme, _tuple_new(Span, (line, word, line, last))))
 
-    def _take_string(self, kinds: frozenset[TokenKind], stop_before: tuple[int, int] | None,
-                     probe: bool, stops: tuple[str, str]) -> Token:
+    def _take_string(self, stop_before: tuple[int, int] | None, stops: tuple[str, str]) -> Token:
         """Free text from the cursor: whole lines' words are taken by slice,
-        up to an expected mid-line keyword, a stopping delimiter or the scope
-        bound, whichever comes first."""
+        up to a stopping delimiter or the scope bound, whichever comes first."""
         lines = self.text.lines
         start_line, start_word = line, word = self.line, self.word
         mid_line, line_end = stops
@@ -289,12 +291,6 @@ class Scanner:
             limit = count if line < bound_line else min(bound_word, count)
             first = word
             while word < limit:
-                # Only a mid-line keyword ends accumulation; a line's head
-                # does not.
-                if probe and word > first:
-                    match = self._match(line, word, stop_before)
-                    if match is not None and match.kind in kinds:
-                        break
                 original = words[word]
                 if original[-1] in line_end:   # every stop character: most words miss
                     stop = mid_line if word < count - 1 else line_end
@@ -318,7 +314,7 @@ class Scanner:
                     line += 1
                     word = 0
                 break
-            if word < count:   # a keyword or the scope bound ends the text
+            if word < count:   # the scope bound ends the text
                 break
             line += 1
             word = 0

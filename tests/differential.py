@@ -22,11 +22,10 @@ and stderr; an oracle case's verdict; a descent case's result and
 verdict) with the first differing line on each side.  It exits 1 when any
 input differs.
 
-Each input goes through four modes: the CLI writing XML to standard output
-(``-o -``), ``--dump-tokens`` and ``--dump-ast``, plus the grammar token
-stream of ``scan_document``, which no golden file pins.  For each mode it
-prints one SHA-256 over every input's exit code, standard output and
-standard error, and the count of each exit code.
+Each input goes through three modes: the CLI writing XML to standard output
+(``-o -``), ``--dump-tokens`` and ``--dump-ast``.  For each mode it prints
+one SHA-256 over every input's exit code, standard output and standard
+error, and the count of each exit code.
 
 Inputs: the corpus files, 1,500 ``docgen.generate_document`` documents, a
 ``mutate_text`` mutant of each, ``add_fold_noise`` variants of the first 300,
@@ -176,11 +175,6 @@ def tree_modes(package, docs: list[bytes]) -> dict[str, Callable[[], Iterator[tu
     def cli_mode(argv: list[str]) -> Callable[[], Iterator[tuple[str, ...]]]:
         return lambda: (run_cli(run, argv, data) for data in docs)
 
-    def grammar_stream() -> Iterator[tuple[str, ...]]:
-        for data in docs:
-            scan = parser.scan_document(package.normalize.preprocess(data, "<stdin>"))
-            yield "0", package.scanner.dump_tokens(scan.grammar_tokens), ""
-
     def oracle() -> Iterator[tuple[str, ...]]:
         for start, kinds in oracle_cases():
             kinds = tuple(map(tree_kind, kinds))
@@ -199,7 +193,7 @@ def tree_modes(package, docs: list[bytes]) -> dict[str, Callable[[], Iterator[tu
             yield result, str(int(rejects_all_extensions(kinds, parser)))
 
     modes = {name: cli_mode(argv) for name, argv in CLI_MODES.items()}
-    return {**modes, "grammar-tokens": grammar_stream, "oracle": oracle, "descent": descent}
+    return {**modes, "oracle": oracle, "descent": descent}
 
 
 def run_digest(records: Iterator[tuple[str, ...]]) -> str:

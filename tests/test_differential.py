@@ -24,12 +24,11 @@ def test_against_names_the_inputs_a_changed_message_reaches(tmp_path, corpus_dir
     labels = ["good", "reaches"]
     modes = tree_modes(legalc, docs)
     modes_changed = tree_modes(load_tree(changed, "legalc_changed"), docs)
-    for name in (*CLI_MODES, "grammar-tokens"):
+    for name in CLI_MODES:
         assert report_moved(name, labels, modes, modes) == 0
     capsys.readouterr()
     for name in CLI_MODES:
         assert report_moved(name, labels, modes_changed, modes) == 1, name
-    assert report_moved("grammar-tokens", labels, modes_changed, modes) == 0
     out = capsys.readouterr().out
     assert out.count("  input 1 (reaches): stderr moved\n") == len(CLI_MODES)
     assert out.count("      A: error: expected a date after في at <stdin>:17:1\n") == len(CLI_MODES)

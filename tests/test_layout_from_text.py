@@ -327,10 +327,6 @@ LAYOUT_RULES: dict[str, Callable[[Divergence], bool]] = {
         lambda d: (d.accepted and len(d.read) < len(d.written)
                    and d.read_as_text(frozenset((K.STRING,)))
                    and all(kind is K.STRING for kind in d.written)),
-    "an expected keyword ends text mid-line, and أن folds to إن: where no line "
-    "opens with إن, the title ends at the أن of a وبعد أن, وبما أن or وحيث أن "
-    "written in إن's place":
-        lambda d: d.accepted and d.written == (K.HAYSOU,) and d.read == (K.INNA,),
 }
 
 

@@ -92,13 +92,16 @@ def test_trailing_punctuation_on_final_word_is_fine():
 def test_match_respects_stop_before_limit():
     text = norm("كذا بناء على الدستور")
     assert match_keyword_phrase(text, 0, 1) is not None
+    kinds = frozenset({K.BINAA})
     # a bound excluding the phrase's second word leaves it plain text
     sc = Scanner(text)
-    assert sc.take(frozenset({K.BINAA}), (0, 2)).lexeme == "كذا بناء"
+    assert sc.take(kinds, (0, 1)) == Token(K.STRING, "كذا", Span(0, 0, 0, 0))
+    assert sc.take(kinds, (0, 2)) == Token(K.STRING, "بناء", Span(0, 1, 0, 1))
     sc = Scanner(text)
-    kinds = frozenset({K.BINAA})
-    assert sc.take(kinds, (0, 3)) == Token(K.STRING, "كذا", Span(0, 0, 0, 0))
+    assert sc.take(kinds, (0, 1)) == Token(K.STRING, "كذا", Span(0, 0, 0, 0))
     assert sc.take(kinds, (0, 3)) == Token(K.BINAA, "بناء على", Span(0, 1, 0, 2))
+    # mid-line, the expected phrase does not end the text: only the bound does
+    assert Scanner(text).take(kinds, (0, 3)).lexeme == "كذا بناء على"
 
 
 def test_bench_hooks_resolve_on_scanner_and_parser():
@@ -197,10 +200,13 @@ def test_lone_colon_word_returned_directly_when_expected():
     assert (colon.kind, colon.lexeme, colon.span) == (K.COLON, ":", Span.point(0, 3))
 
 
-def test_keyword_stops_string_mid_line():
+def test_expected_keyword_mid_line_is_text():
+    # a keyword is matched only at the cursor; free text ends at a delimiter
+    # or the bound, so a bound is what leaves an expected keyword next
     sc = Scanner(norm("بعيدا في ٢٠١٨"))
-    tok = sc.take(frozenset({K.FI}))
-    assert tok.lexeme == "بعيدا"
+    assert sc.take(frozenset({K.FI})).lexeme == "بعيدا في ٢٠١٨"
+    sc = Scanner(norm("بعيدا في ٢٠١٨"))
+    assert sc.take(frozenset({K.FI}), (0, 1)).lexeme == "بعيدا"
     assert sc.take(frozenset({K.FI})).kind is K.FI
 
 
@@ -232,10 +238,14 @@ def test_no_keyword_probe_without_an_expected_keyword(monkeypatch):
     assert kinds_of(tokens) == [K.STRING, K.COMMA, K.STRING, K.DOT, K.EOF]
     assert calls == []
 
+    # with a keyword expected, only the cursor is probed: the text runs on
+    # past the mid-line إن to the ،
     sc = Scanner(norm(clause))
-    assert sc.take(frozenset({K.INNA})).lexeme == "الدستور"
+    sc.word = 1
     assert sc.take(frozenset({K.INNA})).kind is K.INNA
-    assert calls
+    assert calls == [(0, 1)]
+    assert sc.take(frozenset({K.INNA})).lexeme == "مادة رقم ١١٦ في كذا"
+    assert calls == [(0, 1), (0, 2)]
 
 
 def test_stop_before_bounds_accumulation():

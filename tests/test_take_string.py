@@ -1,14 +1,14 @@
 """Line-at-a-time STRING accumulation scans exactly like the per-word loop.
 
 The reference below is the straightforward scanner: it moves the cursor one
-word at a time through its own cursor helpers, asks a helper per word whether
-a keyword stops the text, and splits each word's trailing delimiter before
-deciding, and it matches keywords afresh at every word, line starts too,
-bounded like the three-table reference matcher.  The scanner's line walk
-must produce the same tokens, spans and cursor positions under every kinds
-set and scope bound.  It must probe for keywords at the same places in the
-same order, except at a line's first word, which it reads from the line
-heads.
+word at a time through its own cursor helpers and splits each word's
+trailing delimiter before deciding whether it ends the text, and it matches
+keywords afresh, line starts too, bounded like the three-table reference
+matcher.  The scanner's line walk must produce the same tokens, spans and
+cursor positions under every kinds set and scope bound.  Both probe for a
+keyword only at the cursor a take starts from, never within free text, and
+the scanner does not probe at a line's first word, which it reads from the
+line heads.
 """
 
 import random
@@ -31,6 +31,10 @@ class ReferenceScanner(Scanner):
         scanner.match_keyword_phrase(self.text, line, word)   # a probe, counted like the scanner's
         return reference_match(self.text, line, word, limit)
 
+    def take(self, kinds, stop_before=None):
+        self.kinds = kinds
+        return super().take(kinds, stop_before)
+
     @property
     def cursor(self):
         return (self.line, self.word)
@@ -45,24 +49,22 @@ class ReferenceScanner(Scanner):
             self.line += 1
             self.word = 0
 
-    def _take_string(self, kinds, stop_before, _probe, _stops):
+    def _take_string(self, stop_before, _stops):
         pieces = []
         start = self.cursor
         end = self.cursor
         while not self.at_end() and not self._at_bound(stop_before):
             line, word = self.cursor
-            if pieces and self._keyword_stops_here(kinds, stop_before):
-                break
             original = self.text.lines[line][word]
             # a lone delimiter, perhaps followed by format controls
             lone_kind = PUNCTUATION.get(original.rstrip(_FORMAT_CONTROLS))
-            if lone_kind is not None and self._delimiter_stops(lone_kind, kinds):
+            if lone_kind is not None and self._delimiter_stops(lone_kind):
                 self.pending = Token(lone_kind, original, Span.point(line, word))
                 self._advance()
                 break
             body, trailing = split_trailing(original)
             trailing_kind = PUNCTUATION.get(trailing[:1])
-            if trailing_kind is not None and self._delimiter_stops(trailing_kind, kinds):
+            if trailing_kind is not None and self._delimiter_stops(trailing_kind):
                 pieces.append(body)
                 end = (line, word)
                 self.pending = Token(trailing_kind, trailing, Span.point(line, word))
@@ -78,21 +80,13 @@ class ReferenceScanner(Scanner):
             raise ValueError(f"expected text, found none at {start}")
         return Token(K.STRING, " ".join(pieces), Span(*start, *end))
 
-    def _keyword_stops_here(self, kinds, stop_before):
-        if self.word == 0:
-            return False
-        if kinds.isdisjoint(_KEYWORD_KINDS):
-            return False
-        match = self._match(self.line, self.word, stop_before)
-        return match is not None and match.kind in kinds
-
-    def _delimiter_stops(self, kind, kinds):
+    def _delimiter_stops(self, kind):
         if kind is K.COMMA:
             return True
         if kind is K.DOT:
             return self.word == len(self.text.lines[self.line]) - 1
         if kind is K.COLON:
-            return K.COLON in kinds
+            return K.COLON in self.kinds
         return False
 
 
@@ -168,13 +162,16 @@ def walk_both(monkeypatch, rng, documents, controls=False):
             outcome = ("ValueError", str(exc))
         return outcome, (sc.line, sc.word), list(probes)
 
-    strings = ended_by_delimiter = ended_by_keyword = head_probes = 0
+    strings = ended_by_delimiter = past_keyword = head_probes = 0
     for _ in range(documents):
         text = preprocess(random_document(rng, controls).encode("utf-8"), "random")
         ours, ref = Scanner(text), ReferenceScanner(text)
         for _ in range(40):
             kinds, stop_before = random_expectation(rng, text, ref.cursor)
+            start = ref.cursor
             token, position, ref_probes = step(ref, kinds, stop_before)
+            # a keyword is probed for only where the take starts, never mid-text
+            assert all(p == start for p in ref_probes), (text.lines, kinds, ref_probes)
             want_probes = [p for p in ref_probes if p[1] > 0]
             assert step(ours, kinds, stop_before) == (token, position, want_probes), (
                 text.lines, kinds, stop_before)
@@ -185,19 +182,30 @@ def walk_both(monkeypatch, rng, documents, controls=False):
                 strings += 1
                 if ref.pending is not None:
                     ended_by_delimiter += 1
-                elif not ref.at_end():
-                    m = reference_match(text, *ref.cursor, stop_before)
-                    if m is not None and m.kind in kinds:   # always mid-line
-                        ended_by_keyword += 1
-    return strings, ended_by_delimiter, ended_by_keyword, head_probes
+                past_keyword += expected_keyword_inside(text, token, kinds, stop_before)
+    return strings, ended_by_delimiter, past_keyword, head_probes
+
+
+def expected_keyword_inside(text, token, kinds, stop_before) -> bool:
+    """True when an expected keyword phrase starts at a word of a STRING
+    other than its first, mid-line: text that runs on past it."""
+    first_line, first_word, last_line, last_word = token.span
+    for line in range(first_line, last_line + 1):
+        end = last_word if line == last_line else len(text.lines[line]) - 1
+        for word in range(first_word + 1 if line == first_line else 1, end + 1):
+            m = reference_match(text, line, word, stop_before)
+            if m is not None and m.kind in kinds:
+                return True
+    return False
 
 
 def test_line_walk_agrees_with_per_word_reference(monkeypatch):
-    strings, ended_by_delimiter, ended_by_keyword, head_probes = walk_both(
+    strings, ended_by_delimiter, past_keyword, head_probes = walk_both(
         monkeypatch, random.Random(20261018), 1500)
-    # the draw really exercises every way a STRING ends, and line heads
+    # the draw really exercises every way a STRING ends, text running on past
+    # an expected mid-line keyword, and line heads
     assert strings > 2000 and ended_by_delimiter > 800
-    assert ended_by_keyword > 25, ended_by_keyword
+    assert past_keyword > 250, past_keyword
     assert head_probes > 0, head_probes
 
 
