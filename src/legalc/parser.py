@@ -4,9 +4,9 @@ Parsing happens in two phases.  A driver walks the document shape in two
 parts, telling the scanner which kinds it expects at every step, and produces
 one token stream: the head policy (statement line to acknowledgment), decided
 by the keywords it expects, and the tail walk (article list, location/date
-line and signature block), decided by lines.  Each article's content region,
-which may span lines, is one STRING in it, built by the driver from the
-text's lines.
+line and signature block), decided by lines.  The scanner forms every token
+and moves its own cursor; each article's content region, which may span
+lines, is one STRING that it forms from the text's lines.
 
 The second phase is a recursive-descent parser over that stream.  It
 implements the document grammar exactly (see :mod:`legalc.grammar`) and
@@ -34,7 +34,7 @@ from .normalize import NormalizedText, fold_for_matching, has_digit
 # match_keyword_phrase is not called here, but stays importable from this
 # module: bench/worker.py counts probes wherever a module looks it up.
 from .scanner import KeywordMatch, Scanner, match_keyword_phrase  # noqa: F401
-from .tokens import Span, Token, TokenKind, _tuple_new
+from .tokens import Span, Token, TokenKind
 
 K = TokenKind
 _F = TypeVar("_F", bound=Callable)
@@ -126,10 +126,9 @@ class Diagnostic(NamedTuple):
 
 
 class ScanResult(NamedTuple):
-    """One document's token stream (``grammar_tokens`` is ``tokens``) and layout diagnostic."""
+    """One document's token stream and layout diagnostic."""
 
     tokens: list[Token]
-    grammar_tokens: list[Token]
     diagnostics: list[Diagnostic]
 
 
@@ -387,7 +386,7 @@ def _segment_trailer(text: NormalizedText, heads: Sequence[KeywordMatch | None],
     Without any signature line, the final line must itself look like a
     location/date line.
     """
-    anchor = _first_line_opening(heads, K.IMDAA, start_line, len(text.lines))
+    anchor = _first_line_opening(heads, _STOP_AT[K.IMDAA], start_line)
     if anchor is None:
         last = len(text.lines) - 1
         return last if last >= start_line and _looks_like_loc_date(text, last) else None
@@ -396,12 +395,12 @@ def _segment_trailer(text: NormalizedText, heads: Sequence[KeywordMatch | None],
     return anchor - 2 if anchor - 2 >= start_line else None
 
 
-def _first_line_opening(heads: Sequence[KeywordMatch | None], kind: TokenKind,
-                        start: int, end: int) -> int | None:
-    """The first line in [start, end) whose head keyword is of ``kind``."""
-    for line in range(start, end):
+def _first_line_opening(heads: Sequence[KeywordMatch | None], kinds: frozenset[TokenKind],
+                        start: int) -> int | None:
+    """The first line from ``start`` on whose head keyword is of ``kinds``."""
+    for line in range(start, len(heads)):
         head = heads[line]
-        if head is not None and head.kind is kind:
+        if head is not None and head.kind in kinds:
             return line
     return None
 
@@ -422,6 +421,9 @@ _STOP_AT = {kind: frozenset((kind,)) for kind in (
     K.TYPE, K.RAQM, K.NUM, K.INNA, K.BINAA, K.HAYSOU, K.YAKOUR, K.COLON,
     K.MADA, K.FI, K.IMDAA)}
 _AT_MADA = _STOP_AT[K.MADA]
+# The heads of the lines that open a part: the issuer's and a clause's text
+# end before the next one.
+_OPENS_PART = frozenset((K.BINAA, K.HAYSOU, K.YAKOUR, K.MADA))
 # An article header after مادة, one kinds set a step: the number, the colon
 # and the title, each taken while the header line has words or a delimiter
 # left.
@@ -433,22 +435,24 @@ class _Driver:
 
     It has two parts.  The head policy (:meth:`_policy`) takes each step of
     the statement line to the acknowledgment when its expected keyword is at
-    the cursor.  The tail walk (:meth:`_tail`) decides the rest by lines: the
+    the cursor; the issuer's and each clause's text end before the next line
+    that opens a part, as Landin's off-side rule (CACM 1966) ends a phrase at
+    a line.  The tail walk (:meth:`_tail`) decides the rest by lines: the
     location/date line, the article header lines before it, read off the
     scanner's line heads in one pass, and the lines after it.  Each
     article's header is a table of steps, each scoped to the header line.
     Its content region, up to the next header line or the location/date
-    line, is one STRING of its words as written, joined here from the
-    text's lines: a scan with ``_ANY`` would only split pieces at each
-    delimiter to rejoin, and a STRING kinds set in :meth:`Scanner.take` would
-    loosen its refusal of STRING and fork its hottest path.  :meth:`take`
-    keeps no EOF; :meth:`run` adds the one EOF.
+    line, is one STRING of its words as written, which the scanner forms
+    (:meth:`Scanner.region`): the driver picks kinds and bounds, never a
+    token or the cursor.  :meth:`take` keeps no EOF; :meth:`run` adds the
+    one EOF.
     """
 
     def __init__(self, text: NormalizedText):
         self.sc = Scanner(text)
         self.tokens: list[Token] = []
         self.diagnostics: list[Diagnostic] = []
+        self.part_line = -1   # the line that ends the head text, as last found
 
     def take(self, kinds: frozenset[TokenKind], bound: tuple[int, int] | None = None) -> Token:
         """The next token expecting ``kinds``, scoped to end before ``bound``,
@@ -461,11 +465,6 @@ class _Driver:
     def drain(self) -> None:
         if self.sc.pending is not None:
             self.take(_ANY)
-
-    def at(self, kind: TokenKind) -> bool:
-        """True when the keyword at the cursor is of ``kind``."""
-        m = self.sc.peek_keyword()
-        return m is not None and m.kind is kind
 
     def text_to(self, bound: tuple[int, int]) -> None:
         """Scan plain text, split at ، and ., up to ``bound`` and through any
@@ -480,38 +479,48 @@ class _Driver:
         self._policy()
         self._tail()
         self.tokens.append(self.sc.take(_ANY, None))
-        return ScanResult(self.tokens, self.tokens, self.diagnostics)
+        return ScanResult(self.tokens, self.diagnostics)
 
     # No part fails on mismatches: each keeps scanning something sensible and
     # lets the grammar phase report the first error with a proper span.  Nor
     # does one stop at the end of the input: from there every take gives EOF
-    # and keeps nothing, ``at`` is False and ``drain`` does nothing, so the
-    # steps run out.
+    # and keeps nothing, ``Scanner.at`` is False and ``drain`` does nothing,
+    # so the steps run out.
     def _policy(self) -> None:
         sc = self.sc
         self.take(_STOP_AT[K.TYPE])
         self.take(_STOP_AT[K.RAQM])
         self.take(_STOP_AT[K.NUM])
         # The title may span lines, but not into a later line opening with إن.
-        title_end = _first_line_opening(sc.heads, K.INNA, sc.line + 1, len(sc.text.lines))
         at_inna = _STOP_AT[K.INNA]
+        title_end = _first_line_opening(sc.heads, at_inna, sc.line + 1)
         tok = self.take(at_inna, None if title_end is None else (title_end, 0))
         if tok.kind is not K.INNA:
             tok = self.take(at_inna)
         if tok.kind is K.INNA:
-            self.take(_ANY)                                          # issuer text
-            self.drain()                                             # terminator
+            self._head_text()                                        # the issuer
         self._clauses(K.BINAA)
         self._clauses(K.HAYSOU)
-        if self.at(K.YAKOUR):
+        if sc.at(K.YAKOUR):
             self.take(_STOP_AT[K.YAKOUR])
             self.take(_STOP_AT[K.COLON])
 
     def _clauses(self, opener: TokenKind) -> None:
-        while self.at(opener):
+        while self.sc.at(opener):
             self.take(_STOP_AT[opener])
-            self.take(_ANY)                                          # clause text
-            self.drain()                                             # terminator
+            self._head_text()
+
+    def _head_text(self) -> None:
+        """The issuer's or a clause's text and its terminator, which end before
+        the next line that opens a part.  That line is looked for again only
+        once the cursor has reached the one last found, so the head's lines
+        are searched once."""
+        sc = self.sc
+        if sc.line >= self.part_line:
+            found = _first_line_opening(sc.heads, _OPENS_PART, sc.line + 1)
+            self.part_line = len(sc.heads) if found is None else found
+        self.take(_ANY, (self.part_line, 0))
+        self.drain()
 
     def _one_article(self, header_line: int, content_end: int) -> None:
         sc = self.sc
@@ -524,15 +533,8 @@ class _Driver:
             if sc.pending is not None or (sc.line, sc.word) < header_end:
                 append(take(kinds, header_end))
         self.drain()
-        # The content region: one STRING to the next header line, with
-        # nothing pending.
-        line, word = sc.line, sc.word
-        if line < content_end:
-            lines, last = sc.text.lines, content_end - 1
-            lexeme = " ".join(map(" ".join, (lines[line][word:], *lines[line + 1:content_end])))
-            append(_tuple_new(Token, (_STRING, lexeme,
-                                      _tuple_new(Span, (line, word, last, len(lines[last]) - 1)))))
-            sc.line, sc.word = content_end, 0
+        if sc.line < content_end:          # the content region, with nothing pending
+            append(sc.region(content_end))
 
     def _loc_date(self, line: int) -> None:
         # The location comes before the first في, or else before the first
@@ -543,7 +545,10 @@ class _Driver:
             split = next((i for i, w in enumerate(words) if has_digit(w)), None)
         if split:
             self.take(_ANY, (line, split))                                   # location
-            self.take(_STOP_AT[K.FI], (line + 1, 0))                         # في or the date
+            tok = self.take(_STOP_AT[K.FI], (line + 1, 0))                   # في or the date
+            if tok.kind is K.FI and split == len(words) - 1:    # no date on the line
+                self.diagnostics.append(Diagnostic("expected the date after في", tok.span,
+                                                   (K.STRING,)))
         else:
             self.diagnostics.append(Diagnostic(
                 "location/date line needs a location and a date "
@@ -574,7 +579,7 @@ class _Driver:
             if sc.word == 0:
                 if sc.line == loc_date_line:
                     self._loc_date(loc_date_line)
-                elif loc_date_line is not None and self.at(K.IMDAA):
+                elif loc_date_line is not None and sc.at(K.IMDAA):
                     self.take(_STOP_AT[K.IMDAA])
                     if sc.pending is not None or (sc.line, sc.word) < line_end:
                         self.take(_STOP_AT[K.COLON], line_end)
@@ -592,12 +597,12 @@ def parse_document(text: NormalizedText) -> ParseResult:
     """Scan and parse one document.  On failure the result carries exactly
     one diagnostic, the earliest detected."""
     scan = scan_document(text)
-    doc, grammar_diag = parse_grammar_tokens(scan.grammar_tokens)
+    doc, grammar_diag = parse_grammar_tokens(scan.tokens)
     diagnostics = scan.diagnostics + ([grammar_diag] if grammar_diag is not None else [])
     if diagnostics:   # a scan diagnostic rejects a document the grammar accepts
         doc = None
         diagnostics = [min(diagnostics, key=lambda d: (d.span.start_line, d.span.start_word))]
-    return ParseResult(doc, diagnostics, scan.tokens, scan.grammar_tokens)
+    return ParseResult(doc, diagnostics, scan.tokens, scan.tokens)
 
 
 def dump_ast(doc: Document) -> str:

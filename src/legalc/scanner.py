@@ -16,9 +16,10 @@ All phrases that share a first word have the same length, so no phrase is a
 proper prefix of another, and a scope bound can only keep a phrase whole or
 rule it out: the bound is one comparison on the matched phrase's last word.
 
-Handing over a token is one call to :meth:`Scanner.take`, the scanner's one
-entry.  What a kinds set decides is worked out once, on its first use, in
-the module dict ``_FACTS``.
+The scanner forms every token and moves the cursor.  :meth:`Scanner.take` is
+the one expectation-driven entry; :meth:`Scanner.region` forms an article's
+content region.  What a kinds set decides is worked out once, on its first
+use, in the module dict ``_FACTS``.
 
 STRING accumulation walks one line's word tuple at a time.  The scope bound
 becomes a word limit once per line.  A word's last character is tested
@@ -212,12 +213,13 @@ class Scanner:
             return None
         return match
 
-    def peek_keyword(self) -> KeywordMatch | None:
-        """Non-consuming keyword match at the cursor, regardless of kind; None
-        at the end of input and while a delimiter is pending."""
+    def at(self, kind: TokenKind) -> bool:
+        """True when a keyword phrase of ``kind`` is at the cursor; False at
+        the end of input and while a delimiter is pending."""
         if self.pending is not None or self.line >= len(self.text.lines):
-            return None
-        return self._match(self.line, self.word, None)
+            return False
+        match = self._match(self.line, self.word, None)
+        return match is not None and match.kind is kind
 
     # -- tokenization ---------------------------------------------------
 
@@ -329,6 +331,16 @@ class Scanner:
             self.pending = delimiter
         return _tuple_new(Token, (_STRING, " ".join(pieces),
                                   _tuple_new(Span, (start_line, start_word, end_line, end_word))))
+
+    def region(self, end_line: int) -> Token:
+        """An article's content region: the words from the cursor, which lies
+        before ``end_line`` with nothing pending, to that line, as written, as
+        one STRING; no word is read for a stop.  The cursor moves to ``end_line``."""
+        line, word, lines, last = self.line, self.word, self.text.lines, end_line - 1
+        lexeme = " ".join(map(" ".join, (lines[line][word:], *lines[line + 1:end_line])))
+        self.line, self.word = end_line, 0
+        return _tuple_new(Token, (_STRING, lexeme,
+                                  _tuple_new(Span, (line, word, last, len(lines[last]) - 1))))
 
 
 def reconstruct_words(tokens: list[Token]) -> list[str]:

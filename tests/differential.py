@@ -20,7 +20,8 @@ input through every mode on both.  Per mode it prints how many inputs
 differ and, for the first 20 of them, which parts moved (exit code, stdout
 and stderr; an oracle case's verdict; a descent case's result and
 verdict) with the first differing line on each side.  It exits 1 when any
-input differs.
+input differs.  The exit-code count is split by direction, as in ``exit code
+17: 0→1 17``.
 
 Each input goes through three modes: the CLI writing XML to standard output
 (``-o -``), ``--dump-tokens`` and ``--dump-ast``.  For each mode it prints
@@ -250,12 +251,14 @@ def first_difference(a: str, b: str) -> tuple[int, str, str]:
 
 
 def report_moved(name: str, labels: list[str], modes_a, modes_b) -> int:
-    """Print how many of one mode's inputs differ between the trees, and for
-    the first ``SHOWN`` of them which parts moved and their first differing
-    lines; return the count."""
+    """Print how many of one mode's inputs differ between the trees, with
+    the exit-code moves counted by direction (A→B), and for the first
+    ``SHOWN`` of them which parts moved and their first differing lines;
+    return the count."""
     parts = PARTS.get(name, RUN_PARTS)
     moved = total = 0
     per_part: Counter[str] = Counter()
+    exits: Counter[str] = Counter()
     for i, (a, b) in enumerate(zip(modes_a[name](), modes_b[name]())):
         total += 1
         if a == b:
@@ -263,6 +266,7 @@ def report_moved(name: str, labels: list[str], modes_a, modes_b) -> int:
         moved += 1
         changed = [(part, x, y) for part, x, y in zip(parts, a, b) if x != y]
         per_part.update(part for part, _, _ in changed)
+        exits.update(f"{x}→{y}" for part, x, y in changed if part == "exit code")
         if moved > SHOWN:
             continue
         what = labels[i] if name not in PARTS else "a token-kind case"
@@ -270,7 +274,11 @@ def report_moved(name: str, labels: list[str], modes_a, modes_b) -> int:
         for part, x, y in changed:
             n, x, y = first_difference(x, y)
             print(f"    {part} line {n}:\n      A: {x}\n      B: {y}")
-    by_part = ", ".join(f"{part} {per_part[part]}" for part in parts if per_part[part])
+    shown = {part: f"{part} {n}" for part in parts if (n := per_part[part])}
+    if exits:
+        moves = " and ".join(f"{move} {n}" for move, n in sorted(exits.items()))
+        shown["exit code"] += f": {moves}"
+    by_part = ", ".join(shown.values())
     print(f"{name:15} {moved} of {total} inputs differ" + (f" ({by_part})" if moved else ""),
           flush=True)
     return moved

@@ -1,5 +1,6 @@
 """``tests/differential.py --against``: a change to one message moves
-exactly the inputs that reach it, and only their stderr."""
+exactly the inputs that reach it, and only their stderr; a change that
+rejects an input is counted by the direction its exit code moved."""
 
 import shutil
 from pathlib import Path
@@ -10,27 +11,55 @@ from differential import CLI_MODES, load_tree, report_moved, tree_modes
 SRC = Path(legalc.__file__).resolve().parent
 
 
-def test_against_names_the_inputs_a_changed_message_reaches(tmp_path, corpus_dir, capsys):
+def changed_tree(tmp_path, module: str, old: str, new: str):
+    """A copy of this checkout's package with the one ``old`` in ``module``
+    replaced by ``new``, loaded as a second tree under a name of its own."""
     changed = tmp_path / "legalc"
     shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
-    parser = changed / "parser.py"
-    source = parser.read_text(encoding="utf-8")
-    assert source.count('"expected the date after في"') == 1
-    parser.write_text(source.replace('"expected the date after في"', '"expected a date after في"'),
-                      encoding="utf-8")
-    good = (corpus_dir / "decree-25.txt").read_text(encoding="utf-8")
-    reaches = good.replace("بعيدا في ١٣ آذار ٢٠١٨", "بعيدا في")
-    docs = [good.encode("utf-8"), reaches.encode("utf-8")]
-    labels = ["good", "reaches"]
-    modes = tree_modes(legalc, docs)
-    modes_changed = tree_modes(load_tree(changed, "legalc_changed"), docs)
+    path = changed / module
+    source = path.read_text(encoding="utf-8")
+    assert source.count(old) == 1
+    path.write_text(source.replace(old, new), encoding="utf-8")
+    return load_tree(changed, f"legalc_{tmp_path.name}")
+
+
+def moved_report(changed, docs: list[str], labels: list[str], capsys) -> str:
+    """What ``report_moved`` prints for each CLI mode, with the changed tree
+    as A; each mode must move exactly one input."""
+    data = [doc.encode("utf-8") for doc in docs]
+    modes = tree_modes(legalc, data)
+    modes_changed = tree_modes(changed, data)
     for name in CLI_MODES:
         assert report_moved(name, labels, modes, modes) == 0
     capsys.readouterr()
     for name in CLI_MODES:
         assert report_moved(name, labels, modes_changed, modes) == 1, name
-    out = capsys.readouterr().out
+    return capsys.readouterr().out
+
+
+def test_against_names_the_inputs_a_changed_message_reaches(tmp_path, corpus_dir, capsys):
+    message = '"unexpected trailing input after the signature block"'
+    changed = changed_tree(tmp_path, "parser.py", message,
+                           '"unexpected input after the signature block"')
+    good = (corpus_dir / "decree-25.txt").read_text(encoding="utf-8")
+    reaches = good.replace("الامضاء: سعد الدين الحريري", "الامضاء: سعد الدين الحريري.")
+    out = moved_report(changed, [good, reaches], ["good", "reaches"], capsys)
     assert out.count("  input 1 (reaches): stderr moved\n") == len(CLI_MODES)
-    assert out.count("      A: error: expected a date after في at <stdin>:17:1\n") == len(CLI_MODES)
-    assert out.count("      B: error: expected the date after في at <stdin>:17:1\n") == len(CLI_MODES)
+    assert out.count("      A: error: unexpected input after the signature block at <stdin>:20:4\n"
+                     ) == len(CLI_MODES)
+    assert out.count("      B: error: unexpected trailing input after the signature block at "
+                     "<stdin>:20:4\n") == len(CLI_MODES)
     assert "inputs differ (stderr 1)\n" in out
+
+
+def test_against_counts_exit_code_moves_by_direction(tmp_path, corpus_dir, capsys):
+    # Without the قرار spelling the changed tree (A) rejects the decision,
+    # which this checkout (B) accepts.
+    changed = changed_tree(tmp_path, "scanner.py", '    ("قرار", TokenKind.TYPE),\n', "")
+    docs = [(corpus_dir / name).read_text(encoding="utf-8")
+            for name in ("decree-25.txt", "decision-104.txt")]
+    out = moved_report(changed, docs, ["decree", "decision"], capsys)
+    assert out.count("  input 1 (decision): exit code, stdout, stderr moved\n") == len(CLI_MODES)
+    for name in CLI_MODES:
+        assert (f"{name:15} 1 of 2 inputs differ (exit code 1: 1→0 1, stdout 1, stderr 1)\n"
+                in out), out

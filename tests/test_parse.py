@@ -435,10 +435,11 @@ def test_issuer_sharing_the_title_line_is_rejected():
 
 
 def test_two_word_loc_date_line_with_fi_expects_the_date(corpus_dir):
-    # a second word في makes the line the location/date line, so the date
-    # is missing after في, on the signature line below it
+    # a second word في makes the line the location/date line, and with no
+    # word after في on it the date is missing there: the signature line
+    # below is not taken as the date
     _rejected_with(_with_line(corpus_dir, 16, "بعيدا في"),
-                   "expected the date after في", "17:1-17:1",
+                   "expected the date after في", "16:2-16:2",
                    "STRING 16:1-16:1 بعيدا", "FI 16:2-16:2 في")
 
 
@@ -475,16 +476,26 @@ def test_loc_date_line_already_entered_is_scanned_as_text():
                    "STRING 5:4-5:5 بيروت ٢٠١٨")
 
 
-def test_articles_not_entered_mid_line(corpus_dir):
-    # With the last reference clause unterminated and no acknowledgment line,
-    # the clause runs on to the ، of the مادة line, so the articles would
-    # start mid-line: all up to the location/date line is one text instead.
+def test_unterminated_clause_stops_before_an_article_line(corpus_dir):
+    # The last reference clause is unterminated and there is no
+    # acknowledgment line: the clause text ends before the مادة line, which
+    # opens a part, so the clause is reported there.
     lines = (corpus_dir / "decree-25.txt").read_text(encoding="utf-8").split("\n")
     lines[4] = lines[4].rstrip("،")
     lines[5:7] = ["مادة ١: عقد، استثنائي"]
-    source = "\n".join(lines)
-    _rejected_with(source, "expected the acknowledgment phrase (يرسم/يقرر ما يأتي)", "6:4-12:12")
-    assert K.MADA not in [tok.kind for tok in parse(source).tokens]
+    _rejected_with("\n".join(lines), "reference clause must end with ، or a line-final .",
+                   "6:1-6:1")
+
+
+def test_articles_not_entered_mid_line():
+    # With no إن line the title runs to the ، of the مادة line, so the
+    # articles would start mid-line: the rest of that line is text instead,
+    # and no مادة or number is taken from it.
+    source = ("مرسوم رقم ٥\nعنوان\nمادة ١: عقد، استثنائي، ٢: نص\nبيروت في ١٣ آذار ٢٠١٨\n"
+              "الإمضاء: فلان\nالوزير\n")
+    _rejected_with(source, "expected إن opening the issuer line", "3:3-3:3")
+    assert _fine_stream_from(source, 3)[:4] == [
+        "COMMA 3:3-3:3", "STRING 3:4-3:4", "COMMA 3:4-3:4", "STRING 3:5-3:6"]
 
 
 def _fine_stream_from(source: str, line: int) -> list[str]:
@@ -696,6 +707,23 @@ def test_generated_documents_round_trip_exactly():
         assert reconstruct_words(result.tokens) == original
 
 
+def test_dropped_head_delimiter_is_reported_on_the_next_line():
+    # Drop the final ، or . of the issuer line or of a clause's last line.
+    # The text it ended then stops before the next line, which opens a
+    # clause or the acknowledgment, and the document is rejected there
+    # instead of taking that line into the text.
+    rng = random.Random(5)
+    acknowledgments = tuple(docgen.ACK_SPELLINGS)
+    for _ in range(500):
+        lines = docgen.generate_document(rng).text.split("\n")
+        ack = next(n for n, line in enumerate(lines) if line.startswith(acknowledgments))
+        edited = rng.choice([n for n in range(ack) if lines[n].endswith(("،", "."))])
+        lines[edited] = lines[edited][:-1].rstrip(" ")
+        result = parse("\n".join(lines))
+        assert not result.ok, lines
+        assert result.diagnostics[0].span.start_line == edited + 1, (result.diagnostics, lines)
+
+
 @pytest.mark.parametrize("word, floor", [("أن", 3), ("في", 14)])
 def test_keyword_like_free_text_is_seldom_accepted_wrong(monkeypatch, word, floor):
     # A word that folds to a keyword (أن to إن) or is one (في), mixed into
@@ -773,8 +801,10 @@ def test_public_names_resolve():
 def test_removed_names_stay_removed():
     # Test-only helpers and members no caller in the package used; the
     # helpers live on in tests/descent.py.  The code generator writes lines,
-    # not an element tree.  The scanner's one entry is Scanner.take.  The
-    # oracle takes a sequence of any length; NormalizedText is its lines.
+    # not an element tree.  The scanner's one expectation-driven entry is
+    # Scanner.take, and Scanner.at tests the keyword at the cursor; a scan's
+    # result is its tokens and diagnostics.  The oracle takes a sequence of
+    # any length; NormalizedText is its lines.
     import legalc
     from legalc import codegen, grammar, normalize, parser, scanner, tokens
     removed = [(legalc, "parse_token_kinds"), (legalc, "segment_trailer"),
@@ -790,7 +820,9 @@ def test_removed_names_stay_removed():
                (grammar, "DEFAULT_LENGTH_BOUND"), (legalc, "min_derivable_length"),
                (grammar, "min_derivable_length"), (normalize.NormalizedText, "words"),
                (normalize.NormalizedText, "line_count"),
-               (normalize.NormalizedText, "line_text"), (tokens.Token, "detached")]
+               (normalize.NormalizedText, "line_text"), (tokens.Token, "detached"),
+               (scanner.Scanner, "peek_keyword"), (parser._Driver, "at"),
+               (parser.ScanResult, "grammar_tokens")]
     for owner, name in removed:
         assert not hasattr(owner, name), name
     assert {"parse_token_kinds", "segment_trailer", "Element", "StopSet",

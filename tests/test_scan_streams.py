@@ -1,9 +1,10 @@
 """The driver's token stream, and what scanning one token costs.
 
 The grammar reads the stream as scanned: each article content region is one
-STRING that the driver builds from the text's lines, and ``grammar_tokens``
-is the same list as ``tokens``.  The stream ends in the one EOF wherever the
-text ends, which the cuts below check at every step of the driver's policy.
+STRING that the scanner forms from the text's lines, and a parse's
+``grammar_tokens`` is the same list as its ``tokens``.  The stream ends in
+the one EOF wherever the text ends, which the cuts below check at every step
+of the driver's policy.
 
 Scanning cost is pinned by a count, not a timing: the number of Python-level
 function calls per scanned token is deterministic, so a change that adds
@@ -64,7 +65,7 @@ def test_grammar_stream_is_the_token_stream_with_one_string_per_region():
     regions = 0
     for source in sources:
         text = norm(source)
-        result = scan_document(text)
+        result = parse_document(text)
         assert result.grammar_tokens is result.tokens
         regions += check_regions(text, result.tokens)
     # regions of several lines, words and delimiters, and lone delimiters
