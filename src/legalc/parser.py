@@ -11,15 +11,16 @@ lines, is one STRING that it forms from the text's lines.
 The second phase is a recursive-descent parser over that stream.  It
 implements the document grammar exactly (see :mod:`legalc.grammar`) and
 decides each step from the next token, except once: the last article's title,
-which the article list retries without (:func:`_gen_article_list`).  Because
-it reads nothing but tokens, the same code parses synthetic token sequences,
-which is how it is cross-checked against the membership oracle of
+which the trailer is read again without (:func:`_parse_document_tokens`).
+Because it reads nothing but tokens, the same code parses synthetic token
+sequences, which is how it is cross-checked against the membership oracle of
 :mod:`legalc.grammar`.  Each fixed run of tokens (the preamble, a clause
 body, the acknowledgment, an article header, the rest of a signature) is a
 module-level table of (kinds, message) steps that one function,
 :func:`_expect`, checks in order.
 
-The first error aborts; there is no recovery.
+A reading fails at the first token that no step takes, and that failure
+aborts the parse; there is no recovery.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import enum
 import functools
 import gc
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .normalize import NormalizedText, fold_for_matching, has_digit
 # match_keyword_phrase is not called here, but stays importable from this
@@ -152,27 +153,11 @@ class ParseResult(NamedTuple):
 _EOF, _MADA, _STRING = K.EOF, K.MADA, K.STRING
 
 
-class _Ctx:
-    """Parse state: the token list and the furthest failure seen so far.
+class _Mismatch(Exception):
+    """The first token, at ``i``, that no step of a reading takes."""
 
-    The descent reads a token only at 0 or right after a token it matched,
-    and EOF matches no step, so over a list that ends in EOF no read passes
-    that EOF.  Over a bare prefix, a read past its end raises IndexError.
-    """
-
-    def __init__(self, toks: Sequence[Token]):
-        self.toks = toks
-        self.fail_pos = -1
-        self.fail_expected: set[TokenKind] = set()
-        self.fail_message = ""
-
-    def fail(self, i: int, expected: set[TokenKind], message: str) -> None:
-        if i > self.fail_pos:
-            self.fail_pos = i
-            self.fail_expected = set(expected)
-            self.fail_message = message
-        elif i == self.fail_pos:
-            self.fail_expected |= expected
+    def __init__(self, i: int, expected: Sequence[TokenKind], message: str):
+        self.i, self.expected, self.message = i, expected, message
 
 
 # The grammar's fixed token runs as data: one (kinds, message) step per
@@ -214,142 +199,135 @@ _TYPE1_REST: _Steps = (                   # after الإمضاء: ": name", then
 _TYPE2_REST = _TYPE1_REST[:2]             # after "position الإمضاء": ": name"
 
 
-def _expect(ctx: _Ctx, i: int, steps: _Steps) -> list[Token] | None:
-    """The tokens of one fixed run from ``i`` on, or None once the first
-    mismatch is recorded."""
-    toks = ctx.toks
+def _expect(toks: Sequence[Token], i: int, steps: _Steps) -> list[Token]:
+    """The tokens of one fixed run from ``i`` on."""
     run: list[Token] = []
     for kinds, message in steps:
         tok = toks[i]
         if tok.kind not in kinds:
-            ctx.fail(i, set(kinds), message)
-            return None
+            raise _Mismatch(i, kinds, message)
         run.append(tok)
         i += 1
     return run
 
 
-def _parse_clause_list(ctx: _Ctx, i: int, opener: TokenKind,
-                       body: _Steps) -> tuple[list[str], int] | None:
+def _parse_clause_list(toks: Sequence[Token], i: int, opener: TokenKind,
+                       body: _Steps) -> tuple[list[str], int]:
     items: list[str] = []
-    while ctx.toks[i].kind is opener:
-        toks = _expect(ctx, i + 1, body)
-        if toks is None:
-            return None
-        items.append(toks[0].lexeme)
+    while toks[i].kind is opener:
+        items.append(_expect(toks, i + 1, body)[0].lexeme)
         i += 1 + len(body)
     return items, i
 
 
-def _gen_article_list(ctx: _Ctx, i: int) -> Iterator[tuple[list[Article], int]]:
-    """The greedy reading of the article list at i, then at most one retry.
+def _parse_article_list(toks: Sequence[Token], i: int) -> tuple[list[Article], int]:
+    """The greedy reading of the article list at i.
 
     An article reads as titled when ``STRING STRING`` follows its header, and
-    as untitled when one STRING does; another MADA continues the list.  When
-    the last article took a title, the retry reads it untitled, one token
-    shorter, so that its content STRING opens the location/date line.  An
-    earlier article needs no retry: untitled, the next MADA would follow the
-    location STRING, failing before anything the greedy reading records.  The
-    yielded list is reused: it is valid only until the generator resumes.
+    as untitled when one STRING does; another MADA continues the list.
     """
-    toks = ctx.toks
     articles: list[Article] = []
-    while (head := _expect(ctx, i, _ARTICLE_HEAD)) is not None:
+    while True:
+        head = _expect(toks, i, _ARTICLE_HEAD)
         number, first = head[1].lexeme, head[3].lexeme
         i += len(_ARTICLE_HEAD)
-        titled = toks[i].kind is _STRING
-        if titled:
+        if toks[i].kind is _STRING:
             articles.append(Article(number, first, toks[i].lexeme))
             i += 1
         else:
             articles.append(Article(number, None, first))
         # Another MADA must belong to the article list; anything else ends it.
         if toks[i].kind is not _MADA:
-            yield articles, i
-            if titled:
-                articles[-1] = Article(number, None, first)
-                yield articles, i - 1
-            return
+            return articles, i
 
 
-def _parse_loc_date(ctx: _Ctx, i: int) -> tuple[LocDate, int] | None:
-    loc_tok = ctx.toks[i]
-    if loc_tok.kind is not K.STRING:
-        ctx.fail(i, {K.STRING}, "expected the location/date line")
-        return None
-    nxt = ctx.toks[i + 1].kind
+def _parse_loc_date(toks: Sequence[Token], i: int) -> tuple[LocDate, int]:
+    loc_tok = toks[i]
+    if loc_tok.kind is not _STRING:
+        raise _Mismatch(i, (K.STRING,), "expected the location/date line")
+    nxt = toks[i + 1].kind
     if nxt is K.FI:
-        if ctx.toks[i + 2].kind is K.STRING:
-            return LocDate(loc_tok.lexeme, ctx.toks[i + 2].lexeme, True), i + 3
-        ctx.fail(i + 2, {K.STRING}, "expected the date after في")
-    elif nxt is K.STRING:
-        return LocDate(loc_tok.lexeme, ctx.toks[i + 1].lexeme, False), i + 2
-    else:
-        ctx.fail(i + 1, {K.FI, K.STRING}, "expected في or the date text after the location")
-    return None
+        if toks[i + 2].kind is _STRING:
+            return LocDate(loc_tok.lexeme, toks[i + 2].lexeme, True), i + 3
+        raise _Mismatch(i + 2, (K.STRING,), "expected the date after في")
+    if nxt is _STRING:
+        return LocDate(loc_tok.lexeme, toks[i + 1].lexeme, False), i + 2
+    raise _Mismatch(i + 1, (K.FI, K.STRING), "expected في or the date text after the location")
 
 
-def _parse_sig_list(ctx: _Ctx, i: int) -> tuple[list[Signature], int] | None:
+def _parse_sig_list(toks: Sequence[Token], i: int) -> tuple[list[Signature], int]:
     """The signature block at i: one type-1 signature when it opens with
     الإمضاء, then type-2 signatures.  Read as type-2 only, such a block is
     empty and fails at that الإمضاء, before anything the type-1 reading does.
     """
-    toks = ctx.toks
     sigs: list[Signature] = []
     if toks[i].kind is K.IMDAA:
-        first = _expect(ctx, i + 1, _TYPE1_REST)
-        if first is None:
-            return None
+        first = _expect(toks, i + 1, _TYPE1_REST)
         sigs.append(Signature(SignatureKind.TYPE1, first[1].lexeme, first[2].lexeme))
         i += 1 + len(_TYPE1_REST)
     while toks[i].kind is _STRING and toks[i + 1].kind is K.IMDAA:
-        rest = _expect(ctx, i + 2, _TYPE2_REST)
-        if rest is None:
-            return None
+        rest = _expect(toks, i + 2, _TYPE2_REST)
         sigs.append(Signature(SignatureKind.TYPE2, rest[1].lexeme, toks[i].lexeme))
         i += 2 + len(_TYPE2_REST)
     return sigs, i
 
 
-def _parse_document_tokens(ctx: _Ctx) -> Document | None:
-    pre = _expect(ctx, 0, _PREAMBLE)
-    if pre is None:
-        return None
-    rr = _parse_clause_list(ctx, len(_PREAMBLE), K.BINAA, _REFERENCE_BODY)
-    if rr is None:
-        return None
-    references, i = rr
+def _parse_trailer(toks: Sequence[Token], i: int) -> tuple[LocDate, list[Signature]]:
+    """The location/date line at i, the signature block and the EOF."""
+    loc_date, i = _parse_loc_date(toks, i)
+    signatures, i = _parse_sig_list(toks, i)
+    if toks[i].kind is not _EOF:
+        raise _Mismatch(i, (K.EOF,), "unexpected trailing input after the signature block")
+    return loc_date, signatures
+
+
+def _parse_document_tokens(toks: Sequence[Token]) -> Document:
+    """The document that ``toks`` holds.
+
+    The retry: when the trailer fails after a titled last article, it is read
+    again with that article untitled, one token earlier, so that its content
+    STRING opens the location/date line.  An earlier article needs no retry:
+    untitled, the next MADA would follow the location STRING, failing before
+    anything the greedy reading does.  When the retry fails too, the further
+    failure is raised; at the same token, the greedy one's message with the
+    kinds both expected.
+
+    A read is made only at 0 or right after a token that a step took, and no
+    step takes EOF, so over a scanned stream no read passes its EOF.  Over a
+    bare prefix, a read past its end raises IndexError.
+    """
+    pre = _expect(toks, 0, _PREAMBLE)
+    references, i = _parse_clause_list(toks, len(_PREAMBLE), K.BINAA, _REFERENCE_BODY)
     if not references:
-        ctx.fail(i, {K.BINAA}, "expected at least one reference clause")
-        return None
-    rj = _parse_clause_list(ctx, i, K.HAYSOU, _JUSTIFICATION_BODY)
-    if rj is None:
-        return None
-    justifications, i = rj
-    if _expect(ctx, i, _ACKNOWLEDGMENT) is None:
-        return None
-    for articles, j in _gen_article_list(ctx, i + len(_ACKNOWLEDGMENT)):
-        rl = _parse_loc_date(ctx, j)
-        if rl is None:
-            continue
-        loc_date, k = rl
-        rs = _parse_sig_list(ctx, k)
-        if rs is None:
-            continue
-        signatures, m = rs
-        if ctx.toks[m].kind is K.EOF:
-            return Document(
-                statement=Statement(pre[0].lexeme, pre[2].lexeme),
-                title=pre[3].lexeme,
-                issuer=pre[5].lexeme,
-                references=tuple(references),
-                justifications=tuple(justifications),
-                articles=tuple(articles),
-                loc_date=loc_date,
-                signatures=tuple(signatures),
-            )
-        ctx.fail(m, {K.EOF}, "unexpected trailing input after the signature block")
-    return None
+        raise _Mismatch(i, (K.BINAA,), "expected at least one reference clause")
+    justifications, i = _parse_clause_list(toks, i, K.HAYSOU, _JUSTIFICATION_BODY)
+    _expect(toks, i, _ACKNOWLEDGMENT)
+    articles, i = _parse_article_list(toks, i + len(_ACKNOWLEDGMENT))
+    try:
+        loc_date, signatures = _parse_trailer(toks, i)
+    except _Mismatch as greedy:
+        last = articles[-1]
+        if last.title is None:
+            raise
+        articles[-1] = Article(last.number, None, last.title)
+        try:
+            loc_date, signatures = _parse_trailer(toks, i - 1)
+        except _Mismatch as retry:
+            if retry.i > greedy.i:
+                raise
+            if retry.i == greedy.i:
+                greedy.expected = (*greedy.expected, *retry.expected)
+            raise greedy
+    return Document(
+        statement=Statement(pre[0].lexeme, pre[2].lexeme),
+        title=pre[3].lexeme,
+        issuer=pre[5].lexeme,
+        references=tuple(references),
+        justifications=tuple(justifications),
+        articles=tuple(articles),
+        loc_date=loc_date,
+        signatures=tuple(signatures),
+    )
 
 
 def _with_eof(tokens: Sequence[Token]) -> Sequence[Token]:
@@ -361,13 +339,12 @@ def _with_eof(tokens: Sequence[Token]) -> Sequence[Token]:
 def parse_grammar_tokens(tokens: Sequence[Token]) -> tuple[Document | None, Diagnostic | None]:
     """Run the grammar over a token stream (an EOF token is appended if missing)."""
     toks = _with_eof(tokens)
-    ctx = _Ctx(toks)
-    doc = _parse_document_tokens(ctx)
-    if doc is not None:
-        return doc, None
-    at = toks[ctx.fail_pos]
-    expected = tuple(sorted(ctx.fail_expected, key=lambda k: k.value))
-    return None, Diagnostic(ctx.fail_message, at.span, expected, at.kind)
+    try:
+        return _parse_document_tokens(toks), None
+    except _Mismatch as failure:
+        at = toks[failure.i]
+        expected = tuple(sorted(set(failure.expected), key=lambda k: k.value))
+        return None, Diagnostic(failure.message, at.span, expected, at.kind)
 
 
 # -- driver phase -----------------------------------------------------------

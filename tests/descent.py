@@ -24,14 +24,27 @@ def parse_token_kinds(kinds: Sequence[TokenKind]) -> bool:
     return parse_grammar_tokens(_tokens(kinds))[0] is not None
 
 
+class _Prefix(list):
+    """A prefix's tokens and one EOF after them.  ``[i]`` raises IndexError
+    for any ``i`` at or past that EOF, so a read of a later token shows;
+    ``[-1]``, the EOF, still reads as it is."""
+
+    def __getitem__(self, i):
+        if i >= len(self) - 1:
+            raise IndexError(i)
+        return super().__getitem__(i)
+
+
 def rejects_all_extensions(kinds: Sequence[TokenKind], parser=legalc.parser) -> bool:
     """True when the parser rejects this prefix without ever consulting a
     token at or past ``len(kinds)``.  Every extension of such a prefix is
     rejected identically, which lets bounded-exhaustive equivalence checks
     prune whole subtrees soundly.  ``parser`` is the ``legalc.parser``
-    module of the tree to ask, and ``kinds`` that tree's members."""
-    ctx = parser._Ctx(_tokens(kinds))
+    module of the tree to ask, and ``kinds`` that tree's members; the EOF
+    is that tree's too, so that the parser takes it as the stream's own."""
+    tokens = _Prefix(_tokens(kinds))
+    tokens.append(Token(parser.TokenKind.EOF, "", Span.point(0, len(kinds))))
     try:
-        return parser._parse_document_tokens(ctx) is None
+        return parser.parse_grammar_tokens(tokens)[0] is None
     except IndexError:   # a read past the prefix: the outcome depends on later tokens
         return False

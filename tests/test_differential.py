@@ -1,21 +1,29 @@
 """``tests/differential.py --against``: a change to one message moves
 exactly the inputs that reach it, and only their stderr; a change that
-rejects an input is counted by the direction its exit code moved."""
+rejects an input is counted by the direction its exit code moved.  And the
+descent verdicts it compares are each tree's own."""
 
 import shutil
 from pathlib import Path
 
 import legalc
+from descent import rejects_all_extensions
 from differential import CLI_MODES, load_tree, report_moved, tree_modes
+from legalc.tokens import TokenKind
 
 SRC = Path(legalc.__file__).resolve().parent
+
+
+def copied_package(tmp_path) -> Path:
+    copy = tmp_path / "legalc"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    return copy
 
 
 def changed_tree(tmp_path, module: str, old: str, new: str):
     """A copy of this checkout's package with the one ``old`` in ``module``
     replaced by ``new``, loaded as a second tree under a name of its own."""
-    changed = tmp_path / "legalc"
-    shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    changed = copied_package(tmp_path)
     path = changed / module
     source = path.read_text(encoding="utf-8")
     assert source.count(old) == 1
@@ -63,3 +71,18 @@ def test_against_counts_exit_code_moves_by_direction(tmp_path, corpus_dir, capsy
     for name in CLI_MODES:
         assert (f"{name:15} 1 of 2 inputs differ (exit code 1: 1→0 1, stdout 1, stderr 1)\n"
                 in out), out
+
+
+def test_rejects_all_extensions_asks_the_tree_it_is_given(tmp_path):
+    # An unchanged copy loaded under another name has TokenKind members of
+    # its own, so its verdicts are this checkout's only when the EOF after
+    # the prefix is one of them too.
+    copy = load_tree(copied_package(tmp_path), f"legalc_{tmp_path.name}")
+    K = TokenKind
+    determined = [[K.RAQM], [K.TYPE, K.TYPE], [K.TYPE, K.RAQM, K.NUM, K.INNA]]
+    open_ended = [[], [K.TYPE], [K.TYPE, K.RAQM, K.NUM, K.STRING, K.INNA]]
+    for kinds in determined + open_ended:
+        want = kinds in determined
+        assert rejects_all_extensions(kinds) is want, kinds
+        tree_kinds = [copy.tokens.TokenKind[k.name] for k in kinds]
+        assert rejects_all_extensions(tree_kinds, copy.parser) is want, kinds

@@ -1,17 +1,22 @@
 """Parsing: trailer segmentation, document structure, diagnostics, properties."""
 
 import dataclasses
+import functools
 import inspect
 import random
 import sys
 import unicodedata
+from typing import Callable
+from unittest import mock
 
 import pytest
 
 import docgen
 from descent import parse_token_kinds, rejects_all_extensions
 from legalc import (
+    Article,
     Diagnostic,
+    Document,
     LocDate,
     Scanner,
     Signature,
@@ -724,21 +729,103 @@ def test_dropped_head_delimiter_is_reported_on_the_next_line():
         assert result.diagnostics[0].span.start_line == edited + 1, (result.diagnostics, lines)
 
 
-@pytest.mark.parametrize("word, floor", [("أن", 3), ("في", 14)])
-def test_keyword_like_free_text_is_seldom_accepted_wrong(monkeypatch, word, floor):
-    # A word that folds to a keyword (أن to إن) or is one (في), mixed into
-    # docgen's free text.  Where the layout leaves two readings some documents
-    # are still accepted with an AST other than the one written; the floor is
-    # that count, so a change that lets free text end at a mid-line keyword
-    # again (75 and 27 of 500) fails here.
-    monkeypatch.setattr(docgen, "WORDS", [*docgen.WORDS, word])
+def _loc_date_words(loc_date: LocDate) -> list[str]:
+    fi = ["في"] if loc_date.had_fi else []
+    return [*loc_date.location.split(" "), *fi, *loc_date.date.split(" ")]
+
+
+def _split_as_the_driver_does(words: list[str]) -> LocDate | None:
+    """A location/date line's words split at the first في, or else before
+    the first digit-bearing word; None when the line has neither."""
+    if "في" in words:
+        at = words.index("في")
+        return LocDate(" ".join(words[:at]), " ".join(words[at + 1:]), True)
+    at = next((n for n, word in enumerate(words) if any(ch.isdigit() for ch in word)), None)
+    return None if at is None else LocDate(" ".join(words[:at]), " ".join(words[at:]), False)
+
+
+def _only_differs_in(written: Document, read: Document, *names: str) -> bool:
+    return all(getattr(written, f.name) == getattr(read, f.name)
+               for f in dataclasses.fields(Document) if f.name not in names)
+
+
+def _position_line_read_as_loc_date(written: Document, read: Document) -> bool:
+    if not written.signatures or written.signatures[0].kind is not SignatureKind.TYPE2:
+        return False
+    last, sig = written.articles[-1], written.signatures[0]
+    position = _split_as_the_driver_does(sig.position.split(" "))
+    if position is None or position.had_fi or last.title is None:
+        return False
+    location = " ".join([last.content, *_loc_date_words(written.loc_date)])
+    return read == dataclasses.replace(
+        written,
+        articles=(*written.articles[:-1], Article(last.number, None, last.title)),
+        loc_date=LocDate(location, position.location, False),
+        signatures=(Signature(SignatureKind.TYPE2, sig.name, position.date),
+                    *written.signatures[1:]))
+
+
+# Where the layout leaves two readings of one text: the layout rule that
+# picks the one read, and a predicate over the written and the read AST that
+# holds for the documents it explains.
+AMBIGUITIES: dict[str, Callable[[Document, Document], bool]] = {
+    "a title continuation line that opens with أن, which folds to إن, is the "
+    "إن line: the title ends above it, and the issuer runs from the word "
+    "after that أن through the written إن line":
+        lambda w, r: (_only_differs_in(w, r, "title", "issuer")
+                      and f"{r.title} أن {r.issuer}" == f"{w.title} إن {w.issuer}"),
+    "the location/date line splits at its first في, or else before its first "
+    "digit-bearing word, so a في or a digit word written in the location, or a "
+    "في written in the date, moves the split":
+        lambda w, r: (_only_differs_in(w, r, "loc_date")
+                      and r.loc_date == _split_as_the_driver_does(_loc_date_words(w.loc_date))),
+    "the location/date line is the line above the first الإمضاء line when "
+    "that line holds a digit-bearing word, so a type-2 position line that "
+    "holds one is read as it: the written location/date line joins the last "
+    "article's content into the location, that article's title becomes its "
+    "content, and the position's words before the digit become the date":
+        _position_line_read_as_loc_date,
+}
+
+# A word that folds to a keyword (أن to إن), is one (في) or is a number
+# (٢٠), mixed into docgen's free text, and how many of 500 documents are
+# accepted with an AST other than the one written.  The counts are floors,
+# so a change that lets free text end at a mid-line keyword again (75 and
+# 27 of 500 with أن and في) fails here.
+KEYWORD_LIKE_WORDS = {"أن": 3, "في": 14, "٢٠": 11}
+
+
+@functools.cache
+def _accepted_wrong(word: str) -> tuple[tuple[Document, Document], ...]:
+    """(written, read) for each seeded document, ``word`` among its free
+    text, that is accepted with an AST other than the one written."""
     rng = random.Random(7)
-    wrong = 0
-    for _ in range(500):
-        rendered = docgen.generate_document(rng)
-        result = parse_document(norm(rendered.text))
-        wrong += result.ok and result.document != rendered.document
-    assert wrong <= floor, wrong
+    wrong = []
+    with mock.patch.object(docgen, "WORDS", [*docgen.WORDS, word]):
+        for _ in range(500):
+            rendered = docgen.generate_document(rng)
+            result = parse_document(norm(rendered.text))
+            if result.ok and result.document != rendered.document:
+                wrong.append((rendered.document, result.document))
+    return tuple(wrong)
+
+
+@pytest.mark.parametrize("word, floor", KEYWORD_LIKE_WORDS.items())
+def test_keyword_like_free_text_is_seldom_accepted_wrong(word, floor):
+    # Every document accepted wrong is one where the layout leaves two
+    # readings, and an entry of AMBIGUITIES names the rule that picked one.
+    wrong = _accepted_wrong(word)
+    assert len(wrong) <= floor, len(wrong)
+    unexplained = [(w, r) for w, r in wrong
+                   if not any(holds(w, r) for holds in AMBIGUITIES.values())]
+    assert not unexplained, unexplained[:3]
+
+
+def test_every_ambiguity_explains_a_document():
+    # so no entry stands in the catalogue unused
+    wrong = [pair for word in KEYWORD_LIKE_WORDS for pair in _accepted_wrong(word)]
+    for rule, holds in AMBIGUITIES.items():
+        assert any(holds(w, r) for w, r in wrong), rule
 
 
 def test_fold_invariant_noise_leaves_the_parse_unchanged():
@@ -804,7 +891,9 @@ def test_removed_names_stay_removed():
     # not an element tree.  The scanner's one expectation-driven entry is
     # Scanner.take, and Scanner.at tests the keyword at the cursor; a scan's
     # result is its tokens and diagnostics.  The oracle takes a sequence of
-    # any length; NormalizedText is its lines.
+    # any length; NormalizedText is its lines.  The descent raises at its
+    # first mismatch, so it keeps no failure state and the article list is
+    # no generator.
     import legalc
     from legalc import codegen, grammar, normalize, parser, scanner, tokens
     removed = [(legalc, "parse_token_kinds"), (legalc, "segment_trailer"),
@@ -822,7 +911,8 @@ def test_removed_names_stay_removed():
                (normalize.NormalizedText, "line_count"),
                (normalize.NormalizedText, "line_text"), (tokens.Token, "detached"),
                (scanner.Scanner, "peek_keyword"), (parser._Driver, "at"),
-               (parser.ScanResult, "grammar_tokens")]
+               (parser.ScanResult, "grammar_tokens"), (parser, "_Ctx"),
+               (parser, "_gen_article_list")]
     for owner, name in removed:
         assert not hasattr(owner, name), name
     assert {"parse_token_kinds", "segment_trailer", "Element", "StopSet",
