@@ -4,9 +4,11 @@ Parsing happens in two phases.  A driver walks the document shape in two
 parts, telling the scanner which kinds it expects at every step, and produces
 one token stream: the head policy (statement line to acknowledgment), decided
 by the keywords it expects, and the tail walk (article list, location/date
-line and signature block), decided by lines.  The scanner forms every token
-and moves its own cursor; each article's content region, which may span
-lines, is one STRING that it forms from the text's lines.
+line and signature block), decided by lines.  Which line opens which part is
+read from one line table, built once per document from the scanner's line
+heads.  The scanner forms every token and moves its own cursor; each
+article's content region, which may span lines, is one STRING that it forms
+from the text's lines.
 
 The second phase is a recursive-descent parser over that stream.  It
 implements the document grammar exactly (see :mod:`legalc.grammar`) and
@@ -28,13 +30,14 @@ from __future__ import annotations
 import enum
 import functools
 import gc
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .normalize import NormalizedText, fold_for_matching, has_digit
 # match_keyword_phrase is not called here, but stays importable from this
 # module: bench/worker.py counts probes wherever a module looks it up.
-from .scanner import KeywordMatch, Scanner, match_keyword_phrase  # noqa: F401
+from .scanner import Scanner, match_keyword_phrase  # noqa: F401
 from .tokens import Span, Token, TokenKind
 
 K = TokenKind
@@ -350,36 +353,28 @@ def parse_grammar_tokens(tokens: Sequence[Token]) -> tuple[Document | None, Diag
 # -- driver phase -----------------------------------------------------------
 
 
-def _segment_trailer(text: NormalizedText, heads: Sequence[KeywordMatch | None],
+def _next_line(lines: list[int], start: int) -> int:
+    """The first of a line table's ``lines`` (:class:`_Driver`) from ``start`` on."""
+    return lines[bisect_left(lines, start, 0, len(lines) - 1)]
+
+
+def _segment_trailer(text: NormalizedText, signature_lines: list[int],
                      start_line: int) -> int | None:
     """The location/date line, which splits the lines from ``start_line`` on
     into article content and the signature block; None when none fits.
 
-    The anchor is the first line opening with الإمضاء (folded), read from
-    the document's line ``heads`` (:attr:`~legalc.scanner.Scanner.heads`).
-    The line just above it is the location/date line when it looks like one
-    (second word في, or any digit-bearing word); otherwise that line is a
-    signature position line and the location/date line sits one higher.
-    Without any signature line, the final line must itself look like a
-    location/date line.
+    The anchor is the first line from ``start_line`` on that opens with
+    الإمضاء, read from ``signature_lines``, the line table's list of them
+    (:class:`_Driver`).  The line just above it is the location/date line
+    when it looks like one (second word في, or any digit-bearing word);
+    otherwise that line is a signature position line and the location/date
+    line sits one higher.  Without any signature line the anchor is the line
+    count, and the final line must itself look like a location/date line.
     """
-    anchor = _first_line_opening(heads, _STOP_AT[K.IMDAA], start_line)
-    if anchor is None:
-        last = len(text.lines) - 1
-        return last if last >= start_line and _looks_like_loc_date(text, last) else None
+    anchor = _next_line(signature_lines, start_line)
     if anchor - 1 >= start_line and _looks_like_loc_date(text, anchor - 1):
         return anchor - 1
-    return anchor - 2 if anchor - 2 >= start_line else None
-
-
-def _first_line_opening(heads: Sequence[KeywordMatch | None], kinds: frozenset[TokenKind],
-                        start: int) -> int | None:
-    """The first line from ``start`` on whose head keyword is of ``kinds``."""
-    for line in range(start, len(heads)):
-        head = heads[line]
-        if head is not None and head.kind in kinds:
-            return line
-    return None
+    return anchor - 2 if anchor - 2 >= start_line and anchor < len(text.lines) else None
 
 
 def _looks_like_loc_date(text: NormalizedText, line: int) -> bool:
@@ -410,26 +405,39 @@ _HEADER = (_NUMBER, _STOP_AT[K.COLON], _ANY)
 class _Driver:
     """Walks the document shape, choosing expected kinds and scoping line scans.
 
+    Every decision of which line opens what reads one line table,
+    :attr:`opens`, built in one pass over the scanner's line heads: the
+    lines that open إن, a part (``_OPENS_PART``), مادة and الإمضاء, keyed by
+    that kind or ``_OPENS_PART``, each list ascending and then the line
+    count.  Each search is a bisect of one list (:func:`_next_line`).
+
     It has two parts.  The head policy (:meth:`_policy`) takes each step of
     the statement line to the acknowledgment when its expected keyword is at
-    the cursor; the issuer's and each clause's text end before the next line
-    that opens a part, as Landin's off-side rule (CACM 1966) ends a phrase at
-    a line.  The tail walk (:meth:`_tail`) decides the rest by lines: the
-    location/date line, the article header lines before it, read off the
-    scanner's line heads in one pass, and the lines after it.  Each
-    article's header is a table of steps, each scoped to the header line.
-    Its content region, up to the next header line or the location/date
-    line, is one STRING of its words as written, which the scanner forms
-    (:meth:`Scanner.region`): the driver picks kinds and bounds, never a
-    token or the cursor.  :meth:`take` keeps no EOF; :meth:`run` adds the
-    one EOF.
+    the cursor; the title ends before the next إن line, and the issuer's and
+    each clause's text before the next line that opens a part, as Landin's
+    off-side rule (CACM 1966) ends a phrase at a line.  The tail walk
+    (:meth:`_tail`) decides the rest by lines: the location/date line, the
+    مادة lines before it, and the lines after it.  Each article's header is
+    a table of steps, each scoped to the header line.  Its content region,
+    up to the next header line or the location/date line, is one STRING of
+    its words as written, which the scanner forms (:meth:`Scanner.region`):
+    the driver picks kinds and bounds, never a token or the cursor.
+    :meth:`take` keeps no EOF; :meth:`run` adds the one EOF.
     """
 
     def __init__(self, text: NormalizedText):
         self.sc = Scanner(text)
         self.tokens: list[Token] = []
         self.diagnostics: list[Diagnostic] = []
-        self.part_line = -1   # the line that ends the head text, as last found
+        self.opens = opens = {K.INNA: [], _OPENS_PART: [], K.MADA: [], K.IMDAA: []}
+        for line, head in enumerate(self.sc.heads):     # the line table's one pass
+            if head is not None:
+                if (kind := head.kind) in opens:
+                    opens[kind].append(line)
+                if kind in _OPENS_PART:
+                    opens[_OPENS_PART].append(line)
+        for lines in opens.values():
+            lines.append(len(text.lines))
 
     def take(self, kinds: frozenset[TokenKind], bound: tuple[int, int] | None = None) -> Token:
         """The next token expecting ``kinds``, scoped to end before ``bound``,
@@ -470,8 +478,7 @@ class _Driver:
         self.take(_STOP_AT[K.NUM])
         # The title may span lines, but not into a later line opening with إن.
         at_inna = _STOP_AT[K.INNA]
-        title_end = _first_line_opening(sc.heads, at_inna, sc.line + 1)
-        tok = self.take(at_inna, None if title_end is None else (title_end, 0))
+        tok = self.take(at_inna, (_next_line(self.opens[K.INNA], sc.line + 1), 0))
         if tok.kind is not K.INNA:
             tok = self.take(at_inna)
         if tok.kind is K.INNA:
@@ -489,14 +496,8 @@ class _Driver:
 
     def _head_text(self) -> None:
         """The issuer's or a clause's text and its terminator, which end before
-        the next line that opens a part.  That line is looked for again only
-        once the cursor has reached the one last found, so the head's lines
-        are searched once."""
-        sc = self.sc
-        if sc.line >= self.part_line:
-            found = _first_line_opening(sc.heads, _OPENS_PART, sc.line + 1)
-            self.part_line = len(sc.heads) if found is None else found
-        self.take(_ANY, (self.part_line, 0))
+        the next line that opens a part."""
+        self.take(_ANY, (_next_line(self.opens[_OPENS_PART], self.sc.line + 1), 0))
         self.drain()
 
     def _one_article(self, header_line: int, content_end: int) -> None:
@@ -540,14 +541,11 @@ class _Driver:
         nothing pending.  Anything else before that line is plain text.
         Every line left is text to its end, after the location and في of the
         location/date line, or a signature line's الإمضاء and colon."""
-        sc = self.sc
-        heads, first = sc.heads, sc.line
-        loc_date_line = _segment_trailer(sc.text, heads, first)
+        sc, first, mada, signs = self.sc, self.sc.line, self.opens[K.MADA], self.opens[K.IMDAA]
+        loc_date_line = _segment_trailer(sc.text, signs, first)
         if loc_date_line is not None:
-            if (sc.word == 0 and sc.pending is None
-                    and (head := heads[first]) is not None and head.kind is _MADA):
-                starts = [line for line in range(first, loc_date_line)
-                          if (head := heads[line]) is not None and head.kind is _MADA]
+            if sc.word == 0 and sc.pending is None and _next_line(mada, first) == first:
+                starts = mada[bisect_left(mada, first):bisect_left(mada, loc_date_line)]
                 for header_line, content_end in zip(starts, [*starts[1:], loc_date_line]):
                     self._one_article(header_line, content_end)
             self.text_to((loc_date_line, 0))
@@ -556,7 +554,7 @@ class _Driver:
             if sc.word == 0:
                 if sc.line == loc_date_line:
                     self._loc_date(loc_date_line)
-                elif loc_date_line is not None and sc.at(K.IMDAA):
+                elif loc_date_line is not None and _next_line(signs, sc.line) == sc.line:
                     self.take(_STOP_AT[K.IMDAA])
                     if sc.pending is not None or (sc.line, sc.word) < line_end:
                         self.take(_STOP_AT[K.COLON], line_end)

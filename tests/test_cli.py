@@ -586,6 +586,17 @@ def test_large_inputs_scale(tmp_path):
     small, large = misspelt_type_seconds(1000), misspelt_type_seconds(4000)
     assert large < 8 * small, (small, large)
 
+    # n clauses on one line, then n text lines above the acknowledgment: each
+    # clause's text ends before the next line that opens a part.  A search
+    # for that line over the n text lines, once per clause, would show here,
+    # though not in the call counts: 4x the clauses, well under 8x the time.
+    def one_line_clauses_seconds(n: int) -> float:
+        clauses = " ".join(["بناء على نص،"] * n)
+        return validate_seconds(shaped(head=[*HEAD[:3], clauses, *["نص"] * n, HEAD[4]]), 1)
+
+    small, large = one_line_clauses_seconds(500), one_line_clauses_seconds(2000)
+    assert large < 8 * small, (small, large)
+
 
 # Adversarial shapes of n lines or words, each around the lines of GOOD.
 GOOD_LINES = GOOD.splitlines()

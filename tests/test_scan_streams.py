@@ -18,8 +18,8 @@ import docgen
 from conftest import CORPUS_DIR
 from differential import lone_delimiters
 from legalc.normalize import fold_for_matching, preprocess
-from legalc.parser import _segment_trailer, parse_document, scan_document
-from legalc.scanner import Scanner, reconstruct_words
+from legalc.parser import _Driver, _segment_trailer, parse_document, scan_document
+from legalc.scanner import reconstruct_words
 from legalc.tokens import Span, Token, TokenKind
 
 # Python-level calls per token over the inputs of the test below.  Measured
@@ -42,7 +42,8 @@ def check_regions(text, tokens) -> int:
     headers = [tok.span.start_line for tok in tokens if tok.kind is TokenKind.MADA]
     if not headers:
         return 0
-    ends = [*headers[1:], _segment_trailer(text, Scanner(text).heads, headers[0])]
+    signs = _Driver(text).opens[TokenKind.IMDAA]
+    ends = [*headers[1:], _segment_trailer(text, signs, headers[0])]
     checked = 0
     for header, end in zip(headers, ends):
         *head, region = [tok for tok in tokens if header <= tok.span.start_line < end]
