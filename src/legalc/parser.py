@@ -66,9 +66,9 @@ def _gc_paused(fn: _F) -> _F:
 
 
 # -- AST ------------------------------------------------------------------
+# Slots, not NamedTuples: no per-record dict, and dataclasses.replace works.
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     """The statement line: the document type and its number."""
 
@@ -76,7 +76,7 @@ class Statement:
     number: str     # digit run, original script
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Article:
     """One article: its number, its optional title and its content."""
 
@@ -85,7 +85,7 @@ class Article:
     content: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocDate:
     """The issue line: location, date, and whether في joined them."""
 
@@ -99,7 +99,7 @@ class SignatureKind(enum.Enum):
     TYPE2 = "type2"   # position line above / الإمضاء: name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     """One signature: its layout kind, the signer's name and position."""
 
@@ -108,7 +108,7 @@ class Signature:
     position: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """A parsed document, one field per part of its layout."""
 

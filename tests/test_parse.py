@@ -1,8 +1,10 @@
 """Parsing: trailer segmentation, document structure, diagnostics, properties."""
 
+import copy
 import dataclasses
 import functools
 import inspect
+import pickle
 import random
 import sys
 import unicodedata
@@ -21,6 +23,7 @@ from legalc import (
     Scanner,
     Signature,
     SignatureKind,
+    Statement,
     parse_document,
     preprocess,
     reconstruct_words,
@@ -954,3 +957,23 @@ def test_ast_nodes_support_dataclass_replace():
     assert changed.signatures == (Signature(SignatureKind.TYPE1, "علان", "وزير"),)
     assert (changed.title, changed.loc_date) == (doc.title, doc.loc_date)
     assert doc.articles[0].title is None and doc.signatures == ()
+
+
+def test_ast_records_are_slotted_and_keep_the_dataclass_contract(corpus_dir):
+    # slots drop each record's __dict__; pickling, copying, equality,
+    # hashing and frozenness stay as they were
+    source = (corpus_dir / "decree-25.txt").read_bytes()
+    doc = parse_document(preprocess(source, "decree-25.txt")).document
+    records = [doc, doc.statement, *doc.articles, doc.loc_date, *doc.signatures,
+               Signature(SignatureKind.TYPE2, "فلان", "وزير")]
+    assert {type(r) for r in records} == {Document, Statement, Article, LocDate, Signature}
+    for record in records:
+        names = tuple(f.name for f in dataclasses.fields(record))
+        assert type(record).__slots__ == names
+        assert not hasattr(record, "__dict__")
+        copies = [pickle.loads(pickle.dumps(record, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in (*copies, copy.deepcopy(record)):
+            assert copied == record and hash(copied) == hash(record)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, names[0], None)
