@@ -9,14 +9,17 @@ and is pinned down here rather than inherited from a library; round-trip
 tests re-read it with an independent XML parser.
 
 Digits: the document number and numeric article numbers are emitted in
-Western digits; every other field keeps its original script.
+Western digits; every other field keeps its original script.  An article
+number is numeric when it is read as a number: a digit run once folded
+(:func:`~legalc.normalize.is_folded_digit_run`), as the scanner decides NUM.
+Only the digits change; a tatweel or format control among them stays.
 """
 
 from __future__ import annotations
 
 import re
 
-from .normalize import is_digit_run, to_western_digits
+from .normalize import is_folded_digit_run, to_western_digits
 from .parser import Document, SignatureKind, _gc_paused
 
 
@@ -62,7 +65,7 @@ def generate(doc: Document) -> list[str]:
     articles: list[str] = []
     opening, closing = f"{pad2}<article>", f"{pad2}</article>"
     for art in doc.articles:
-        number = to_western_digits(art.number) if is_digit_run(art.number) else art.number
+        number = to_western_digits(art.number) if is_folded_digit_run(art.number) else art.number
         articles += (opening, _leaf(pad3, "articleNumber", number),
                      _leaf(pad3, "articleTitle", art.title),
                      _leaf(pad3, "articleContent", art.content), closing)

@@ -182,6 +182,13 @@ def is_digit_run(word: str) -> bool:
     return bool(word) and not word.strip(_DIGITS)
 
 
+def is_folded_digit_run(word: str) -> bool:
+    """True when the word is a digit run once folded as :func:`fold_for_matching`
+    folds a body: tatweel, diacritics and format controls among the digits
+    drop.  Digits never fold, so the word as written is tested first."""
+    return is_digit_run(word) or is_digit_run(word.translate(_FOLD_TABLE))
+
+
 def has_digit(word: str) -> bool:
     """True when the word contains at least one digit character (either script)."""
     return _SEARCH_DIGIT(word) is not None

@@ -256,11 +256,14 @@ class Scanner:
             kind, last = match.kind, word + match.word_count - 1
             body = words[last]
             body, trailing = split_trailing(body) if body[-1] in _CAN_TRAIL else (body, "")
-        # A NUM folds its word's body as fold_for_matching would, from the one
-        # split that also gives its trailing delimiter.
-        elif (take_num
-              and (folded := (split := split_trailing(words[word]))[0].translate(_FOLD_TABLE))
-              and not folded.strip(_DIGITS)):   # a digit run, as is_digit_run tests
+        # A NUM is a word whose body, from the one split that also gives its
+        # trailing delimiter, is a digit run once folded: is_folded_digit_run
+        # in line, so the path calls nothing past the split.  Digits never
+        # fold, so the body as written is tested first, and only a body that
+        # is not already a digit run is folded.
+        elif take_num and (not (body := (split := split_trailing(words[word]))[0]).strip(_DIGITS)
+                           or ((folded := body.translate(_FOLD_TABLE))
+                               and not folded.strip(_DIGITS))):
             kind, last = _NUM, word
             body, trailing = split
         else:
@@ -335,9 +338,13 @@ class Scanner:
     def region(self, end_line: int) -> Token:
         """An article's content region: the words from the cursor, which lies
         before ``end_line`` with nothing pending, to that line, as written, as
-        one STRING; no word is read for a stop.  The cursor moves to ``end_line``."""
+        one STRING; no word is read for a stop.  A region that ends on its
+        first line is one join of that line's words from the cursor on; only a
+        region over several lines is joined line by line.  The cursor moves to
+        ``end_line``."""
         line, word, lines, last = self.line, self.word, self.text.lines, end_line - 1
-        lexeme = " ".join(map(" ".join, (lines[line][word:], *lines[line + 1:end_line])))
+        lexeme = (" ".join(lines[line][word:]) if line == last else
+                  " ".join(map(" ".join, (lines[line][word:], *lines[line + 1:end_line]))))
         self.line, self.word = end_line, 0
         return _tuple_new(Token, (_STRING, lexeme,
                                   _tuple_new(Span, (line, word, last, len(lines[last]) - 1))))

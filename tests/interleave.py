@@ -30,7 +30,8 @@ processes: the exit code, the XML bytes and the stderr).
 It prints each tree's minimum, quartiles and median round time, the median
 of the per-round ratios A/B (above 1 means tree B is faster), and how many
 rounds tree B won.  A gain is shown when B wins at least nine rounds in ten
-and the medians differ by more than the distance between A's quartiles.  It
+and the medians differ by more than the distance between A's quartiles; the
+last line gives that verdict, or names the half of the rule that failed.  It
 is a script, not a test module, so pytest does not collect it.
 """
 
@@ -187,6 +188,19 @@ def compare_and_time(args, docs, trees, dirs: tuple[Path, Path]) -> None:
     print(f"B won {wins} of {args.rounds} rounds; medians differ by"
           f" {(a_median - b_median) * 1e3:.1f} ms, A's interquartile range is"
           f" {(a_q3 - a_q1) * 1e3:.1f} ms")
+    print(verdict(wins, args.rounds, a_median - b_median, a_q3 - a_q1))
+
+
+def verdict(wins: int, rounds: int, gap: float, a_iqr: float) -> str:
+    """The pair rule's verdict: a gain is shown when B won at least nine
+    rounds in ten and the medians differ by more than A's interquartile
+    range; otherwise the verdict names each half that failed."""
+    failed = []
+    if wins * 10 < rounds * 9:
+        failed.append(f"B won {wins} of {rounds} rounds, fewer than 9 in 10")
+    if gap <= a_iqr:
+        failed.append("the medians differ by no more than A's interquartile range")
+    return "verdict: gain not shown: " + "; ".join(failed) if failed else "verdict: gain shown"
 
 
 if __name__ == "__main__":

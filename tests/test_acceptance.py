@@ -25,7 +25,7 @@ from legalc import (
 )
 from legalc.cli import run
 from legalc.grammar import derivable_strings, oracle_accepts
-from legalc.normalize import is_digit_run, to_western_digits
+from legalc.normalize import is_folded_digit_run, to_western_digits
 from legalc.tokens import TokenKind
 
 ARABIC_DIGITS = "٠١٢٣٤٥٦٧٨٩"
@@ -143,7 +143,7 @@ def test_criterion_4_xml_round_trip(corpus_paths):
         return ("signature", pair if sig.kind is SignatureKind.TYPE1 else pair[::-1])
 
     def article_number(number):
-        return to_western_digits(number) if is_digit_run(number) else number
+        return to_western_digits(number) if is_folded_digit_run(number) else number
 
     def expected(doc):
         # the shape the schema asks for, read off the AST

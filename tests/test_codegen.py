@@ -70,6 +70,19 @@ def test_numbers_westernized_only_where_numeric():
     assert root.findtext("issueDate") == "٢٠٢٠"
 
 
+def test_article_numbers_read_as_numbers_are_westernized(corpus_dir):
+    # The scanner reads a digit run with a format control or a tatweel in it
+    # as a number, so its digits are westernized like the document number's;
+    # only the digits change.
+    source = (corpus_dir / "decree-25.txt").read_text(encoding="utf-8")
+    source = (source.replace("مرسوم رقم ٢٥", "مرسوم رقم ٢٥\u200f")
+                    .replace("مادة ١:", "مادة ١\u200f:").replace("مادة ٢:", "مادة ٢ـ:"))
+    root = ET.fromstring(compile_document(source.encode("utf-8")))
+    assert root.findtext("contentNumber") == "25\u200f"
+    assert [a.findtext("articleNumber") for a in root.find("articles")] == [
+        "1\u200f", "2ـ", "3"]
+
+
 def test_signature_child_order_depends_on_kind():
     sigs = _reread(SAMPLE).find("signatures")
     assert [c.tag for c in sigs[0]] == ["name", "position"]

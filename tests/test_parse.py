@@ -183,6 +183,15 @@ def test_content_region_starts_mid_header_line_after_a_title_stopped_at_comma():
         "expected the location/date line", Span.point(5, 2), K.COMMA)
 
 
+def test_content_region_starts_mid_header_line_and_ends_on_it():
+    result = parse(MINIMAL.replace("مادة ١:\nنص المادة", "مادة ١: عنوان، بقية\nمادة ٢:\nنص المادة"))
+    assert [(tok.kind, tok.lexeme, tok.span) for tok in _from_first_article(result)[:7]] == [
+        (K.MADA, "مادة", Span.point(5, 0)), (K.NUM, "١", Span.point(5, 1)),
+        (K.COLON, ":", Span.point(5, 1)), (K.STRING, "عنوان", Span.point(5, 2)),
+        (K.COMMA, "،", Span.point(5, 2)), (K.STRING, "بقية", Span.point(5, 3)),
+        (K.MADA, "مادة", Span.point(6, 0))]
+
+
 def test_empty_content_region_takes_no_token():
     result = parse(MINIMAL.replace("مادة ١:\nنص المادة", "مادة ١:\nمادة ٢:\nنص المادة"))
     assert [tok.kind for tok in _from_first_article(result)[:4]] == [K.MADA, K.NUM, K.COLON, K.MADA]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import docgen
-from legalc.normalize import is_digit_run, preprocess
+from legalc.normalize import is_digit_run, is_folded_digit_run, preprocess, split_trailing
 from legalc.parser import _ANY, _NUMBER, _STOP_AT, scan_document
 from legalc.scanner import (
     Scanner,
@@ -114,11 +114,35 @@ def test_bench_hooks_resolve_on_scanner_and_parser():
 
 
 def test_scan_number():
-    # NUM is scanned exactly when the folded word is a digit run
+    # a digit run as written, in either script
     assert is_digit_run("٢٥")
     assert is_digit_run("25")
     assert not is_digit_run("٢٥أ")
     assert not is_digit_run("")
+
+
+RLM, ZWNJ = "\u200f", "\u200c"
+
+
+@pytest.mark.parametrize("kinds", [frozenset({K.NUM}), _NUMBER], ids=["NUM", "NUMBER"])
+@pytest.mark.parametrize("word,kind,lexeme,pending", [
+    ("٢٥", K.NUM, "٢٥", None),
+    ("25", K.NUM, "25", None),
+    ("٢ـ٥", K.NUM, "٢ـ٥", None),                  # a tatweel folds away
+    ("٢\u064b٥", K.NUM, "٢\u064b٥", None),          # so does a harakah
+    ("٢٥" + RLM, K.NUM, "٢٥" + RLM, None),          # and a format control
+    ("٢٥" + ZWNJ, K.NUM, "٢٥" + ZWNJ, None),
+    ("٢٥:", K.NUM, "٢٥", Token(K.COLON, ":", Span.point(0, 0))),
+    ("٢٥أ", K.STRING, "٢٥أ", None),
+    ("أولى", K.STRING, "أولى", None),
+])
+def test_number_is_a_digit_run_once_folded_and_keeps_its_spelling(kinds, word, kind, lexeme,
+                                                                   pending):
+    sc = Scanner(norm(word))
+    assert sc.take(kinds) == Token(kind, lexeme, Span.point(0, 0))
+    assert sc.pending == pending
+    # the scanner's in-line test answers as the helper that codegen calls
+    assert (kind is K.NUM) == is_folded_digit_run(split_trailing(word)[0])
 
 
 # -- token emission ----------------------------------------------------------
